@@ -295,10 +295,6 @@ class _Analysis:
         return self._cache[key]
 
 
-def _section(lines, title):
-    lines.append(title)
-
-
 def _kv(lines, key, value, indent=2):
     lines.append(" " * indent + f"{key}: {_fmt(value)}")
 
@@ -583,6 +579,11 @@ def _config_from_args(args):
             reference=getattr(args, "reference", "uniform") or "uniform",
             elements=elements,
         )
+    return _override(config, args)
+
+
+def _override(config, args):
+    """Apply the --seed/--tol/--alpha command-line overrides to ``config``."""
     for field in ("seed", "tol", "alpha"):
         value = getattr(args, field, None)
         if value is not None:
@@ -665,11 +666,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             with open(args.config_file, "r", encoding="utf-8") as handle:
-                config = AnalysisConfig.from_json(handle.read())
-            for field in ("seed", "tol", "alpha"):
-                value = getattr(args, field)
-                if value is not None:
-                    setattr(config, field, type(getattr(config, field))(value))
+                config = _override(AnalysisConfig.from_json(handle.read()), args)
             code, report = run(config, out=args.out)
             if not args.out:
                 sys.stdout.write(report)

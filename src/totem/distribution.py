@@ -148,13 +148,6 @@ class Distribution:
     def weight_of(self, entity):
         return float(self.weights[self.space.index_of(entity)])
 
-    def restricted_to_admissible(self):
-        """Drop inadmissible mass and renormalize over admissible entities."""
-        total = fsum(self._admissible.tolist())
-        if total <= 0:
-            raise TotemError("no admissible mass to renormalize")
-        return Distribution.from_admissible_weights(self.space, self._admissible / total)
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented

@@ -248,26 +248,11 @@ def _philox(seed, stream=0):
 
 
 def _draw_counts(dist, n, rng):
-    """One multinomial draw via sequential conditional binomials."""
+    """One multinomial draw over the positive-weight entities."""
     weights = dist.weights
     counts = np.zeros(dist.space.n_entities, dtype=np.int64)
     support = np.flatnonzero(weights > 0.0)
-    remaining = int(n)
-    rest = 1.0
-    for pos, idx in enumerate(support):
-        w = float(weights[idx])
-        if pos == len(support) - 1 or rest <= w:
-            counts[idx] = remaining
-            remaining = 0
-            break
-        c = int(rng.binomial(remaining, min(max(w / rest, 0.0), 1.0)))
-        counts[idx] = c
-        remaining -= c
-        rest -= w
-        if remaining == 0:
-            break
-    if remaining:
-        counts[support[-1]] += remaining
+    counts[support] = rng.multinomial(n, weights[support])
     return counts
 
 
@@ -275,8 +260,9 @@ def sample_multinomial(p, n, seed):
     """Draw a count vector of total ``n`` from ``p``; bit-stable per seed.
 
     The generator is Philox (counter-based, 64-bit key = ``seed``); the
-    draw is a chain of conditional binomials over admissible entities in
-    enumeration order, so identical seeds reproduce identical counts.
+    draw is one ``Generator.multinomial`` call over the positive-weight
+    entities in enumeration order (numpy chains conditional binomials),
+    so identical seeds reproduce identical counts.
     """
     if n < 1 or int(n) != n:
         raise TotemError(f"sample size must be a positive integer, got {n}")

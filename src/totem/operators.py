@@ -5,8 +5,9 @@ eigenvalue per admissible entity.  An ordered, linearly independent
 collection of operators (a constructing element) pins down a family of
 distributions through its expectations; two elements with the same row
 space describe the same family and are *equivalent for all practical
-purposes* (FAPP).  Rank, reduced row-echelon form, kernels and nesting
-checks below are what classification and projection build on.
+purposes* (FAPP).  Rank, auto-reduce, nesting, equivalence and kernels
+all derive from one orthonormal row basis, and classification and
+projection build on them; :func:`rref` is kept as a reference form.
 
 Operators and elements are immutable; every function here is pure and
 safe to call concurrently.
@@ -18,6 +19,7 @@ import hashlib
 from math import fsum
 
 import numpy as np
+import scipy.linalg
 
 from .errors import OperatorError, SpaceError
 
@@ -233,41 +235,35 @@ def rref(matrix, tol=PIVOT_TOL):
 
 
 def row_rank(matrix, tol=PIVOT_TOL):
-    """Rank via the pivot count of :func:`rref`."""
-    return len(rref(matrix, tol)[1])
+    """Rank under the relative pivot threshold ``tol * max|entry|``."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise OperatorError("row_rank expects a 2-d matrix")
+    return len(_row_basis(matrix, tol)[1])
 
 
-def _orthonormal_rows(matrix, tol=PIVOT_TOL):
-    """Orthonormal basis of the row space by modified Gram-Schmidt.
+def _row_basis(matrix, tol=PIVOT_TOL):
+    """Orthonormal basis ``Q`` of the row space and the indices it kept.
 
-    Re-orthogonalizes once per vector; acceptance uses the same relative
-    max-entry threshold as the pivoting.
+    Rows are taken in order, so the earliest independent rows win.  A row
+    is kept when its residual against the rows kept before it exceeds
+    ``tol * max|entry|`` in its largest component; the residual is
+    projected out twice (classical Gram-Schmidt with re-orthogonalization),
+    one matrix product per row.  Stack a candidate row under a matrix to
+    ask whether it lies in the row space: it does iff it is not kept.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     thresh = tol * _scale(matrix)
-    basis = []
+    q = np.empty_like(matrix)
     kept = []
     for i, row in enumerate(matrix):
-        v = row.astype(np.float64, copy=True)
+        basis = q[: len(kept)]
         for _ in range(2):
-            for b in basis:
-                v -= (b @ v) * b
-        if np.max(np.abs(v), initial=0.0) > thresh:
-            basis.append(v / np.linalg.norm(v))
+            row = row - (basis @ row) @ basis
+        if np.max(np.abs(row), initial=0.0) > thresh:
+            q[len(kept)] = row / np.linalg.norm(row)
             kept.append(i)
-    return basis, kept
-
-
-def _residual_against(basis, vector):
-    v = np.array(vector, dtype=np.float64, copy=True)
-    for _ in range(2):
-        for b in basis:
-            v -= (b @ v) * b
-    return v
-
-
-def _spans(basis, vector, tol, scale):
-    return np.max(np.abs(_residual_against(basis, vector)), initial=0.0) <= tol * scale
+    return q[: len(kept)], kept
 
 
 # --- constructing elements -------------------------------------------------
@@ -338,8 +334,11 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
         if not np.any(op.eigenvalues):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
     matrix = np.vstack([op.eigenvalues for op in operators])
-    scale = _scale(matrix)
-    basis, kept = _orthonormal_rows(matrix, tol)
+    # stacked last, the all-ones row is kept iff normalization is not implied
+    _, kept = _row_basis(np.vstack([matrix, np.ones(space.n_admissible)]), tol)
+    normalized = kept[-1] < len(operators)
+    if not normalized:
+        kept.pop()
 
     if mode == "strict":
         if len(kept) != len(operators):
@@ -348,7 +347,7 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
                 f"operators {dropped} are linearly dependent on earlier ones "
                 "(use mode='auto-reduce' to drop them)"
             )
-        if not _spans(basis, np.ones(space.n_admissible), tol, max(scale, 1.0)):
+        if not normalized:
             raise OperatorError(
                 "the identity row is not in the element's row space; "
                 "normalization must be implied (add the identity operator)"
@@ -358,7 +357,7 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
     if mode != "auto-reduce":
         raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
     reduced = [operators[i] for i in kept]
-    if not _spans(basis, np.ones(space.n_admissible), tol, max(scale, 1.0)):
+    if not normalized:
         reduced.append(identity_op(space))
     return ConstructingElement(space, reduced, np.vstack([op.eigenvalues for op in reduced]))
 
@@ -368,46 +367,27 @@ def kernel_basis(element, tol=PIVOT_TOL):
 
     Returns ``|E*| - D`` operators, each orthogonal (plain dot product on
     eigenvalue vectors) to every operator of the element and to each
-    other.  Deterministic: canonical basis vectors are orthogonalized in
-    enumeration order by modified Gram-Schmidt with re-orthogonalization.
+    other: an orthonormal basis, deterministic for a given matrix (the
+    trailing columns of a full QR factorization of the row basis).
     """
-    n = element.space.n_admissible
-    want = n - element.rank
-    if want == 0:
-        return []
-    row_basis, _ = _orthonormal_rows(element.matrix, tol)
-    basis = []
-    out = []
-    for j in range(n):
-        if len(out) == want:
-            break
-        v = np.zeros(n)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in row_basis:
-                v -= (b @ v) * b
-            for b in basis:
-                v -= (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            v /= norm
-            basis.append(v)
-            out.append(CharacteristicOperator(element.space, v, f"kernel{len(out)}"))
-    if len(out) != want:  # cannot happen for a full-row-rank element
+    q, kept = _row_basis(element.matrix, tol)
+    if len(kept) != element.rank:  # cannot happen for a full-row-rank element
         raise OperatorError("kernel completion failed; element matrix is ill-conditioned")
-    return out
+    complement = scipy.linalg.qr(q.T)[0][:, len(kept):]
+    return [
+        CharacteristicOperator(element.space, v, f"kernel{i}")
+        for i, v in enumerate(complement.T)
+    ]
 
 
 def fapp_equivalent(a, b, tol=PIVOT_TOL):
-    """True iff two elements have the same row space (identical RREF)."""
+    """True iff two elements have the same row space.
+
+    Elements have full row rank, so equal rank plus nesting decides it.
+    """
     if not a.space.same_space(b.space):
         raise SpaceError("elements live on different spaces")
-    ra, pa = rref(a.matrix, tol)
-    rb, pb = rref(b.matrix, tol)
-    if pa != pb:
-        return False
-    scale = max(_scale(ra), _scale(rb))
-    return bool(np.max(np.abs(ra - rb), initial=0.0) <= tol * scale)
+    return a.rank == b.rank and is_nested(a, b, tol)
 
 
 def is_nested(outer, inner, tol=PIVOT_TOL):
@@ -418,9 +398,8 @@ def is_nested(outer, inner, tol=PIVOT_TOL):
     """
     if not outer.space.same_space(inner.space):
         raise SpaceError("elements live on different spaces")
-    basis, _ = _orthonormal_rows(inner.matrix, tol)
-    scale = max(_scale(outer.matrix), _scale(inner.matrix))
-    return all(_spans(basis, row, tol, scale) for row in outer.matrix)
+    _, kept = _row_basis(np.vstack([inner.matrix, outer.matrix]), tol)
+    return kept[-1] < inner.rank
 
 
 class Totemplex:

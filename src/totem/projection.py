@@ -38,12 +38,9 @@ from .errors import (
     SpaceError,
 )
 from .operators import (
-    PIVOT_TOL,
     CharacteristicOperator,
     Totemplex,
-    _orthonormal_rows,
-    _scale,
-    _spans,
+    _row_basis,
     is_nested,
     make_element,
 )
@@ -255,8 +252,7 @@ def _solve_on_support(m_full, t_full, ref_adm, support, tol, max_iter, damping):
     clamped = False
     while True:
         idx = np.flatnonzero(support)
-        basis_kept = _orthonormal_rows(m_full[:, idx])
-        kept = basis_kept[1]
+        kept = _row_basis(m_full[:, idx])[1]
         if not kept:
             raise ProjectionError("no independent constraints on the support")
         if len(kept) < m_full.shape[0]:
@@ -473,6 +469,8 @@ def ipf_project(
     """
     if variant not in ("proportional", "exponential"):
         raise ProjectionError(f"unknown IPF variant {variant!r}")
+    if max_cycles < 1:
+        raise ProjectionError(f"max_cycles must be at least 1, got {max_cycles!r}")
     space = reference.space
     rows = _binary_rows(constraints, space)
     targets = np.asarray(targets, dtype=np.float64)
@@ -500,10 +498,10 @@ def ipf_project(
     if not support.any():
         raise ProjectionError("constraints force an empty support")
 
-    basis, _ = _orthonormal_rows(rows[:, support])
-    scale = max(_scale(rows), 1.0)
     work_rows = [(rows[i], targets[i]) for i in range(rows.shape[0])]
-    if not _spans(basis, np.ones(int(support.sum())), PIVOT_TOL, scale):
+    # stacked last, the all-ones row is kept iff the rows do not imply it
+    kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
+    if kept[-1] == rows.shape[0]:
         work_rows.append((np.ones(space.n_admissible), 1.0))
 
     p = np.where(support, ref_adm, 0.0)

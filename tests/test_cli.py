@@ -139,6 +139,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "alpha: 0.20000000000000001" in out
 
+    def test_ipf_zero_cycles_is_solver_error(self, coin_config, tmp_path, capsys):
+        coin_config.tasks = [{"type": "ipf", "element": "spectrum", "max_cycles": 0}]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: max_cycles must be at least 1" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_example_subcommand(self, capsys):
         code = main(["example", "coin", "--param", "L=2", "--param", "eta=0.75"])
         out = capsys.readouterr().out

@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from totem import (
+    AttributeDomain,
     Distribution,
+    EntitySpace,
     NestingError,
     Totemplex,
     TotemError,
@@ -102,6 +105,89 @@ class TestSampling:
             total += sample_multinomial(p, n, seed=1000 + r)
         mean = total / (draws * n)
         assert np.max(np.abs(mean - p.weights)) < 1e-2
+
+
+def _gap_space():
+    return EntitySpace([AttributeDomain("a", ["x", "y", "z"]), AttributeDomain("b", ["u", "v"])])
+
+
+def _gaps():
+    # zero weights inside the support and trailing it
+    return Distribution(_gap_space(), [0.2, 0.0, 0.3, 0.5, 0.0, 0.0])
+
+
+def _nulls():
+    space = EntitySpace(_gap_space().domains, [("x", "v"), ("z", "v")])
+    weights = np.zeros(space.n_entities)
+    weights[space.admissible_indices] = [0.1, 0.25, 0.3, 0.35]
+    return Distribution(space, weights)
+
+
+def _ragged():
+    weights = [0.5921741466986556, 0.0, 0.11455987804227735, 0.018215926724273333,
+               0.07790421507790123, 0.19714583345689235, 0.0, 0.0]
+    return Distribution(coin_space(3), weights)
+
+
+class TestFrozenSamples:
+    """Count vectors pinned bit for bit: the Philox reproducibility contract."""
+
+    @pytest.mark.parametrize(
+        "make, n, seed, expected",
+        [
+            (lambda: binomial_projection_closed_form(3, 0.6), 1000, 123,
+             [231, 144, 150, 93, 160, 73, 83, 66]),
+            (_gaps, 50, 5, [12, 0, 15, 23, 0, 0]),
+            (_nulls, 200, 11, [15, 0, 45, 74, 66, 0]),
+            (_ragged, 300, 99, [177, 0, 38, 1, 32, 52, 0, 0]),
+            (lambda: binomial_projection_closed_form(2, 0.3), 100, 2**63 + 12345,
+             [14, 18, 21, 47]),
+            (lambda: binomial_projection_closed_form(2, 0.3), 100, 2**64 - 1,
+             [7, 24, 20, 49]),
+            (lambda: binomial_projection_closed_form(3, 0.6), 1, 0, [0, 0, 0, 0, 0, 0, 0, 1]),
+            (_gaps, 1, 1, [0, 0, 1, 0, 0, 0]),
+        ],
+        ids=["coin3", "gaps", "nulls", "ragged", "seed-2^63", "seed-2^64-1", "n1-last", "n1-gaps"],
+    )
+    def test_small_count_vectors(self, make, n, seed, expected):
+        counts = sample_multinomial(make(), n, seed)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
+
+    def test_coin_l18_count_vector(self):
+        counts = sample_multinomial(binomial_projection_closed_form(18, 0.6), 10_000, 2026)
+        assert counts.dtype == np.int64
+        assert counts.sum() == 10_000
+        assert np.count_nonzero(counts) == 9651
+        digest = hashlib.sha256(counts.tobytes()).hexdigest()
+        assert digest == "d17dcef0be23b3d8bd8534938eaa931f37834099de332f226636de6970eb162c"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sequential_binomials(self, seed):
+        # reference: one conditional binomial per positive-weight entity
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        weights = rng.gamma(0.5, size=space.n_entities)
+        weights[rng.random(space.n_entities) < 0.3] = 0.0
+        weights[int(rng.integers(space.n_entities))] = 1.0
+        p = Distribution(space, weights / weights.sum())
+        n = int(rng.choice([1, 5, 1000, 10**6]))
+        draw_seed = int(rng.integers(2**64, dtype=np.uint64))
+        bits = np.random.Generator(np.random.Philox(key=draw_seed))
+        expected = np.zeros(space.n_entities, dtype=np.int64)
+        remaining, rest = n, 1.0
+        support = np.flatnonzero(p.weights > 0.0)
+        for pos, idx in enumerate(support):
+            w = float(p.weights[idx])
+            if pos == len(support) - 1 or rest <= w:
+                expected[idx] = remaining
+                break
+            expected[idx] = bits.binomial(remaining, w / rest)
+            remaining -= int(expected[idx])
+            rest -= w
+            if remaining == 0:
+                break
+        np.testing.assert_array_equal(sample_multinomial(p, n, draw_seed), expected)
 
 
 class TestIScore:

@@ -5,6 +5,7 @@ from totem import (
     AttributeDomain,
     CharacteristicOperator,
     DataTable,
+    EntitySpace,
     OperatorError,
     Totemplex,
     build_entity_space,
@@ -24,7 +25,15 @@ from totem import (
     success_op,
     uniform,
 )
-from totem.closed_forms import coin_element, coin_space, k_marginal_element
+from totem.closed_forms import (
+    coin_element,
+    coin_space,
+    k_marginal_element,
+    two_coin_pooled_element,
+    two_coin_space,
+    two_coin_split_element,
+)
+from totem.operators import PIVOT_TOL
 
 from helpers import random_element, random_nested_pair, random_space
 
@@ -315,6 +324,111 @@ class TestFappAndNesting:
             if not fapp_equivalent(element, other):
                 continue
             assert is_nested(element, other) and is_nested(other, element)
+
+
+def _random_pair(seed, relation):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    rank = int(rng.integers(1, min(4, space.n_admissible) + 1))
+    element = random_element(rng, space, rank)
+    if relation == "remixed":
+        mix = np.eye(rank) + 0.3 * rng.standard_normal((rank, rank))
+        ops = [
+            CharacteristicOperator(space, row, f"t{i}")
+            for i, row in enumerate(mix @ element.matrix)
+        ]
+        return element, make_element(ops, mode="auto-reduce")
+    if relation == "coarser" and rank > 1:
+        return random_nested_pair(rng, space, rank - 1, rank)
+    return element, random_element(rng, space, rank)
+
+
+def _two_coin_asymmetric(space):
+    h = success_op(space, "head", ["s1", "s2"])
+    pa = marginal_op(space, "group", "A")
+    return make_element([identity_op(space), pa, h, product_op(h, pa)])
+
+
+_STRUCTURED_PAIRS = {
+    "coin-vs-k_marginal-L2": (lambda: (coin_element(coin_space(2)),
+                                       k_marginal_element(coin_space(2))), False),
+    "k_marginal-vs-coin-L3": (lambda: (k_marginal_element(coin_space(3)),
+                                       coin_element(coin_space(3))), False),
+    "k_marginal-vs-itself-L4": (lambda: (k_marginal_element(coin_space(4)),
+                                         k_marginal_element(coin_space(4))), True),
+    "two-coin-split-vs-asymmetric": (lambda: (two_coin_split_element(two_coin_space(2)),
+                                              _two_coin_asymmetric(two_coin_space(2))), True),
+    "two-coin-pooled-vs-split": (lambda: (two_coin_pooled_element(two_coin_space(3)),
+                                          two_coin_split_element(two_coin_space(3))), False),
+}
+
+
+def _same_rref(a, b):
+    ra, pa = rref(a.matrix)
+    rb, pb = rref(b.matrix)
+    scale = max(np.max(np.abs(ra)), np.max(np.abs(rb)))
+    return pa == pb and bool(np.max(np.abs(ra - rb)) <= PIVOT_TOL * scale)
+
+
+class TestRowSpaceAgainstRref:
+    """Row-space decisions agree with the RREF reference implementation."""
+
+    @pytest.mark.parametrize(
+        "seed, relation",
+        [(seed, relation) for relation in ("remixed", "coarser", "unrelated")
+         for seed in range(8)],
+    )
+    def test_random_elements(self, seed, relation):
+        a, b = _random_pair(seed, relation)
+        self._check(a, b)
+
+    @pytest.mark.parametrize("case", sorted(_STRUCTURED_PAIRS))
+    def test_structured_elements(self, case):
+        build, equivalent = _STRUCTURED_PAIRS[case]
+        a, b = build()
+        assert fapp_equivalent(a, b) == equivalent
+        self._check(a, b)
+
+    @staticmethod
+    def _check(a, b):
+        assert fapp_equivalent(a, b) == fapp_equivalent(b, a) == _same_rref(a, b)
+        for matrix in (a.matrix, b.matrix, np.vstack([a.matrix, b.matrix])):
+            assert row_rank(matrix) == len(rref(matrix)[1])
+
+    def test_auto_reduce_keeps_earlier_operators_in_order(self, grid):
+        a = marginal_op(grid, "first", "a")
+        b = marginal_op(grid, "first", "b")  # identity - a: dependent
+        x = marginal_op(grid, "second", "x")
+        element = make_element([identity_op(grid), a, b, x], mode="auto-reduce")
+        assert element.labels == ("identity", "marginal(first=a)", "marginal(second=x)")
+        with pytest.raises(OperatorError, match=r"\['marginal\(first=b\)'\]"):
+            make_element([identity_op(grid), a, b, x], mode="strict")
+        doubled = CharacteristicOperator(grid, 2.0 * a.eigenvalues, "2a")
+        element = make_element([a, doubled, x], mode="auto-reduce")
+        assert element.labels == ("marginal(first=a)", "marginal(second=x)", "identity")
+
+    @pytest.mark.parametrize("levels", [("1", "3", "7", "12", "31"), ("1", "10", "100")])
+    def test_moment_with_indicators_is_independent(self, levels):
+        space = EntitySpace([AttributeDomain("x", list(levels)), AttributeDomain("g", ["a", "b"])])
+        coarse = make_element([identity_op(space), marginal_op(space, "g", "a")])
+        ops = list(coarse.operators) + [
+            marginal_op(space, "x", levels[1]), moment_op(space, "x", 4)
+        ]
+        fine = make_element(ops, mode="strict")
+        assert make_element(ops, mode="auto-reduce").labels == fine.labels
+        assert row_rank(fine.matrix) == len(rref(fine.matrix)[1]) == 4
+        assert is_nested(coarse, fine) and not is_nested(fine, coarse)
+        assert not fapp_equivalent(coarse, fine)
+
+    def test_ill_scaled_moment_swamps_indicators(self):
+        # Levels up to 1e3 put x^4 at 1e12, so the relative threshold
+        # PIVOT_TOL * max|entry| is 1e3 and every 0/1 row falls below it.
+        levels = ["1", "10", "100", "1000"]
+        space = EntitySpace([AttributeDomain("x", levels), AttributeDomain("g", ["a", "b"])])
+        ops = [identity_op(space), marginal_op(space, "g", "a"), moment_op(space, "x", 4)]
+        assert make_element(ops, mode="auto-reduce").labels == ("moment(x,4)",)
+        with pytest.raises(OperatorError, match="dependent"):
+            make_element(ops, mode="strict")
 
 
 class TestTotemplex:

@@ -11,6 +11,7 @@ from totem import (
     IncompatibleReferenceError,
     NestingError,
     NonConvergenceError,
+    ProjectionError,
     Totemplex,
     build_entity_space,
     chained_project,
@@ -389,3 +390,9 @@ class TestIpf:
         rows = np.array([[0.5, 0.5, 0.0, 0.0]])
         with pytest.raises(Exception, match="binary"):
             ipf_project(uniform(space), rows, np.array([0.3]))
+
+    def test_zero_cycles_rejected(self):
+        space = coin_space(2)
+        rows = np.array([marginal_op(space, "s1", "head").eigenvalues])
+        with pytest.raises(ProjectionError, match="max_cycles"):
+            ipf_project(uniform(space), rows, np.array([0.3]), max_cycles=0)
