@@ -63,6 +63,14 @@ _EXAMPLES = {
 _TASK_TYPES = ("project", "score", "test", "ipf", "calibrate", "example")
 
 
+def _coerce(field, kind, value):
+    """``kind(value)``, or a ConfigError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"expected {kind.__name__}, got {value!r}") from None
+
+
 def _fmt(value):
     """Numbers at 17 significant digits; deterministic."""
     if isinstance(value, (bool, np.bool_)):
@@ -83,15 +91,19 @@ class AnalysisConfig:
     def __init__(self, data=None, space="infer", reference="uniform",
                  elements=None, tasks=None, seed=0, tol=1e-10,
                  max_iter=200, alpha=0.05):
+        if not isinstance(elements, (dict, type(None))):
+            raise ConfigError("elements", "expected an object of named operator spec lists")
+        if not isinstance(tasks, (list, tuple, type(None))):
+            raise ConfigError("tasks", "expected a list of tasks")
         self.data = data
         self.space = space
         self.reference = reference
         self.elements = dict(elements or {})
         self.tasks = list(tasks or [])
-        self.seed = int(seed)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.alpha = float(alpha)
+        self.seed = _coerce("seed", int, seed)
+        self.tol = _coerce("tol", float, tol)
+        self.max_iter = _coerce("max_iter", int, max_iter)
+        self.alpha = _coerce("alpha", float, alpha)
         self._validate()
 
     def _validate(self):
@@ -549,13 +561,18 @@ def run(config, out=None):
 
 # --- argument parsing ---------------------------------------------------------
 
+def _read_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+    return AnalysisConfig.from_json(text)
+
+
 def _config_from_args(args):
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                config = AnalysisConfig.from_json(handle.read())
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
+        config = _read_config(args.config)
     else:
         space = "infer"
         if getattr(args, "domain", None):
@@ -665,8 +682,7 @@ def main(argv=None):
 
     try:
         if args.command == "run":
-            with open(args.config_file, "r", encoding="utf-8") as handle:
-                config = _override(AnalysisConfig.from_json(handle.read()), args)
+            config = _override(_read_config(args.config_file), args)
             code, report = run(config, out=args.out)
             if not args.out:
                 sys.stdout.write(report)

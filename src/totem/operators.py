@@ -9,6 +9,13 @@ purposes* (FAPP).  Rank, auto-reduce, nesting, equivalence and kernels
 all derive from one orthonormal row basis, and classification and
 projection build on them; :func:`rref` is kept as a reference form.
 
+Entities that share an eigenvalue column are indistinguishable to an
+element: its expectations, its projections (``q_e / v_e`` depends on an
+entity only through its column) and its row space are decided by the
+distinct columns.  Each element caches that column partition
+(:attr:`ConstructingElement.columns`), and targets and nesting are
+computed on it.
+
 Operators and elements are immutable; every function here is pure and
 safe to call concurrently.
 """
@@ -266,6 +273,42 @@ def _row_basis(matrix, tol=PIVOT_TOL):
     return q[: len(kept)], kept
 
 
+def _column_keys(matrix):
+    """A 64-bit hash of each column's bits; equal columns get equal keys."""
+    bits = matrix.view(np.uint64)
+    multipliers = np.random.default_rng(0).integers(
+        2**63, size=len(bits), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    keys = np.zeros(bits.shape[1], dtype=np.uint64)
+    for row, multiplier in zip(bits, multipliers):
+        # fold the high bits (sign, exponent) down before the odd multiplier
+        keys += (row ^ (row >> np.uint64(32))) * multiplier
+    return keys
+
+
+def _column_partition(matrix):
+    """Distinct columns in order of first appearance, and each column's group.
+
+    ``columns[:, group]`` equals ``matrix`` bit for bit.  Columns are grouped
+    by a hash of their bits; should two distinct columns share a hash, the
+    grouping falls back to sorting the raw column bytes.  When every column
+    is distinct the matrix itself is returned, with ``group = arange(n)``.
+    """
+    contiguous = np.ascontiguousarray(matrix, dtype=np.float64)
+    n = contiguous.shape[1]
+    _, first, group = np.unique(_column_keys(contiguous), return_index=True, return_inverse=True)
+    representative = first[group]
+    if not all(np.array_equal(row[representative], row) for row in contiguous.view(np.uint64)):
+        raw = np.ascontiguousarray(contiguous.T)
+        raw = raw.view(np.dtype((np.void, raw.strides[0]))).ravel()
+        _, first, group = np.unique(raw, return_index=True, return_inverse=True)
+    if len(first) == n:
+        return matrix, np.arange(n)
+    order = np.argsort(first)
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(len(order))
+    return contiguous[:, first[order]], relabel[group]
+
+
 # --- constructing elements -------------------------------------------------
 
 class ConstructingElement:
@@ -276,7 +319,7 @@ class ConstructingElement:
     always part of the description.  Build through :func:`make_element`.
     """
 
-    __slots__ = ("space", "operators", "matrix", "_fingerprint")
+    __slots__ = ("space", "operators", "matrix", "_fingerprint", "_columns")
 
     def __init__(self, space, operators, matrix):
         self.space = space
@@ -288,6 +331,7 @@ class ConstructingElement:
         h.update(space.fingerprint.encode())
         h.update(matrix.tobytes())
         self._fingerprint = h.hexdigest()
+        self._columns = None
 
     @property
     def rank(self):
@@ -305,11 +349,35 @@ class ConstructingElement:
     def kernel_dim(self):
         return self.space.n_admissible - self.rank
 
+    @property
+    def columns(self):
+        """``(distinct columns D x G, group index per admissible entity)``.
+
+        Groups are numbered in order of first appearance and
+        ``columns[:, group]`` equals ``matrix`` exactly.  Computed on first
+        use and cached; when every column is distinct (G = n) the distinct
+        columns are ``matrix`` itself, not a copy.
+        """
+        if self._columns is None:
+            columns, group = _column_partition(self.matrix)
+            columns.setflags(write=False)
+            group.setflags(write=False)
+            self._columns = (columns, group)
+        return self._columns
+
+    def group_sums(self, values):
+        """Sum per-entity ``values`` over each column group (``values`` when G = n)."""
+        columns, group = self.columns
+        if columns is self.matrix:
+            return values
+        return np.bincount(group, weights=values, minlength=columns.shape[1])
+
     def expectations(self, dist):
         """Vector of operator expectations under ``dist``."""
         if not self.space.same_space(dist.space):
             raise SpaceError("element and distribution live on different spaces")
-        return np.array([fsum((row * dist.admissible).tolist()) for row in self.matrix])
+        mass = self.group_sums(dist.admissible)
+        return np.array([fsum((row * mass).tolist()) for row in self.columns[0]])
 
     def __repr__(self):
         return f"ConstructingElement(D={self.rank}, ops={list(self.labels)})"
@@ -398,8 +466,29 @@ def is_nested(outer, inner, tol=PIVOT_TOL):
     """
     if not outer.space.same_space(inner.space):
         raise SpaceError("elements live on different spaces")
-    _, kept = _row_basis(np.vstack([inner.matrix, outer.matrix]), tol)
+    _, kept = _row_basis(_joint_columns(inner, outer), tol)
     return kept[-1] < inner.rank
+
+
+def _joint_columns(a, b):
+    """Distinct columns of ``a.matrix`` stacked on ``b.matrix``.
+
+    Two entities share a joint column iff they share a column in both
+    elements, so the joint groups are the distinct pairs of group indices.
+    """
+    columns_a, group_a = a.columns
+    columns_b, group_b = b.columns
+    if columns_a is a.matrix or columns_b is b.matrix:
+        return np.vstack([a.matrix, b.matrix])
+    width = columns_b.shape[1]
+    pairs = group_a * width + group_b
+    # a dense table of pair counts while it is no larger than the entity
+    # count (one pass); a sort otherwise, so memory stays O(n)
+    if columns_a.shape[1] * width <= len(pairs):
+        present = np.flatnonzero(np.bincount(pairs, minlength=columns_a.shape[1] * width))
+    else:
+        present = np.unique(pairs)
+    return np.vstack([columns_a[:, present // width], columns_b[:, present % width]])
 
 
 class Totemplex:

@@ -7,17 +7,26 @@ works covariantly in probability space: with constraint residuals
 ``F_a[p] = <(p - f) M_a>`` and Jacobian ``J_ab = sum_e m_a(e) p_e m_b(e)``
 each step multiplies the weights by ``exp(-m(e) . J^{-1} F)`` and
 accumulates the exponential-family multipliers by the same increment.
-The Jacobian is symmetric positive definite on the interior, so it is
-solved by Cholesky; a singular factorization triggers one automatic
-fallback that chains the projection one operator at a time
-(:func:`chained_project`).  :func:`ipf_project` covers the classic cyclic
-update for purely binary (marginal) constraints.
+The solution has the form ``q_e = v_e exp(theta . m(e))``, so ``q_e / v_e``
+depends on an entity only through its operator column ``m(e)``: the
+iteration runs on the element's distinct columns
+(:attr:`~totem.operators.ConstructingElement.columns`) with the reference
+mass summed per column group, so the Jacobian, the residual and the step
+all sum over distinct columns, and the result is lifted back as
+``q_e = v_e q_g / v_g``.  The multiplier fit solves one least-squares
+equation per distinct column.  The Jacobian is symmetric positive
+definite on the interior, so it is solved by Cholesky; a singular
+factorization triggers one automatic fallback that chains the projection
+one operator at a time (:func:`chained_project`).  :func:`ipf_project`
+covers the classic cyclic update for purely binary (marginal)
+constraints.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  Boundary targets (a zero marginal) cannot be met
 in the interior: affected weights are clamped to zero, the constraints
 are re-posed on the reduced support, and the result is flagged with
-``boundary=True``.
+``boundary=True``.  Clamping acts on whole column groups; a group is
+clamped when its largest per-entity weight falls below ``_CLAMP``.
 """
 
 from __future__ import annotations
@@ -113,7 +122,8 @@ def constraint_residual(p, plex):
     """Vector of expectation mismatches ``<(p - f) M_a>`` per operator."""
     if not p.space.same_space(plex.space):
         raise SpaceError("distribution and constraints live on different spaces")
-    return plex.element.matrix @ p.admissible - plex.targets
+    element = plex.element
+    return element.columns[0] @ element.group_sums(p.admissible) - plex.targets
 
 
 def _check_compatible(reference, empirical):
@@ -193,19 +203,23 @@ def newton_project(
     if not reference.space.same_space(plex.space):
         raise SpaceError("reference and constraints live on different spaces")
     _check_compatible(reference, plex.empirical)
-    space = plex.space
-    m_full = plex.element.matrix
+    element = plex.element
+    columns, group = element.columns
     t_full = plex.targets
     ref_adm = reference.admissible
+    mass = element.group_sums(ref_adm)
+    # each group's largest per-entity share of its reference mass
+    peak = np.zeros(len(mass))
+    np.maximum.at(peak, group, ref_adm)
+    peak = np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
 
-    support = ref_adm > 0.0
-    support, boundary = _zero_target_support(m_full, t_full, support)
+    support, boundary = _zero_target_support(columns, t_full, mass > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
 
     try:
-        q_adm, theta, kept, used, log_c, clamped = _solve_on_support(
-            m_full, t_full, ref_adm, support, tol, max_iter, damping
+        q_groups, theta, kept, used, log_c, clamped = _solve_on_support(
+            columns, t_full, mass, peak, support, tol, max_iter, damping
         )
         boundary = boundary or clamped
     except SingularJacobianError:
@@ -213,22 +227,26 @@ def newton_project(
             raise
         return _prefix_fallback(reference, plex, tol, max_iter, damping)
 
-    dist = Distribution.from_admissible_weights(space, q_adm, renormalize=True)
-    residual = float(np.max(np.abs(m_full @ dist.admissible - t_full)))
+    if columns is element.matrix:
+        q_adm = q_groups
+    else:
+        ratio = np.divide(q_groups, mass, out=np.zeros_like(q_groups), where=mass > 0.0)
+        q_adm = ref_adm * ratio[group]
+    dist = Distribution.from_admissible_weights(plex.space, q_adm, renormalize=True)
     if kept is not None:
         # exponential form in the element basis: undo the normalization
         # constants along the coefficients representing the identity row
         identity_coef = np.linalg.lstsq(
-            m_full[:, support].T, np.ones(int(support.sum())), rcond=None
+            columns[:, support].T, np.ones(int(support.sum())), rcond=None
         )[0]
         multipliers = np.asarray(theta, dtype=np.float64) - log_c * identity_coef
     else:
-        multipliers = _fit_multipliers(m_full, dist, reference)
+        multipliers = _fit_multipliers(element, dist, reference)
     return ProjectionResult(
         distribution=dist,
         multipliers=multipliers,
         iterations=used,
-        residual=residual,
+        residual=float(np.max(np.abs(constraint_residual(dist, plex)))),
         divergence_from_reference=i_divergence(dist, reference),
         element_fingerprint=plex.element.fingerprint,
         boundary=bool(boundary),
@@ -236,31 +254,34 @@ def newton_project(
     )
 
 
-def _solve_on_support(m_full, t_full, ref_adm, support, tol, max_iter, damping):
+def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter, damping):
     """Newton iteration with boundary re-posing on a shrinking support.
 
-    Returns admissible weights (zero off support), the accumulated
-    multipliers, the kept row indices (None once the rows had to be
-    re-reduced), iterations used, the total log of normalization constants
-    absorbed along the way, and whether any weight was clamped to zero
-    (a genuine boundary solution, as opposed to a mere reference-support
-    restriction).
+    Runs on distinct ``columns`` with the reference ``mass`` of each;
+    ``peak`` is each column's largest per-entity share of its mass (1
+    where a column is one entity), so ``p * peak`` is the largest entity
+    weight, which the clamp is judged on.  Returns weights per column (zero
+    off support), the accumulated multipliers, the kept row indices (None once
+    the rows had to be re-reduced), iterations used, the total log of
+    normalization constants absorbed along the way, and whether any
+    weight was clamped to zero (a genuine boundary solution, as opposed to
+    a mere reference-support restriction).
     """
-    n_adm = m_full.shape[1]
+    n_columns = columns.shape[1]
     used = 0
     reduced = False
     clamped = False
     while True:
         idx = np.flatnonzero(support)
-        kept = _row_basis(m_full[:, idx])[1]
+        kept = _row_basis(columns[:, idx])[1]
         if not kept:
             raise ProjectionError("no independent constraints on the support")
-        if len(kept) < m_full.shape[0]:
+        if len(kept) < columns.shape[0]:
             reduced = True
-        m = m_full[np.ix_(kept, idx)]
-        t = t_full[kept]
-        total = fsum(ref_adm[idx].tolist())
-        p = ref_adm[idx] / total
+        m = columns[np.ix_(kept, idx)]
+        t = targets[kept]
+        total = fsum(mass[idx].tolist())
+        p = mass[idx] / total
         log_c = log(total)
         theta = np.zeros(len(kept), dtype=np.longdouble)
 
@@ -319,18 +340,18 @@ def _solve_on_support(m_full, t_full, ref_adm, support, tol, max_iter, damping):
             # mean an ill-conditioned operator basis.
             if (
                 float(np.max(np.abs(theta))) > _MULTIPLIER_OVERFLOW
-                and bool(np.any(p < _CLAMP))
+                and bool(np.any(p * peak[idx] < _CLAMP))
             ):
                 status = "overflow"
                 break
 
         if status == "converged":
-            q = np.zeros(n_adm)
+            q = np.zeros(n_columns)
             q[idx] = p
             return q, theta, (None if reduced else kept), used, log_c, clamped
         if status == "overflow":
-            keep = p > _CLAMP
-            new_support = np.zeros(n_adm, dtype=bool)
+            keep = p * peak[idx] > _CLAMP
+            new_support = np.zeros(n_columns, dtype=bool)
             new_support[idx[keep]] = True
             support = new_support
             reduced = True
@@ -341,13 +362,21 @@ def _solve_on_support(m_full, t_full, ref_adm, support, tol, max_iter, damping):
         )
 
 
-def _fit_multipliers(matrix, dist, reference):
-    """Least-squares multiplier gauge on the positive support."""
+def _fit_multipliers(element, dist, reference):
+    """Least-squares multiplier gauge on the positive support.
+
+    One equation ``theta . m = log(q_g / v_g)`` per distinct column with
+    positive weight.  Within a group ``q_e / v_e`` is constant, so the
+    system is the per-entity one with repeated equations removed and has
+    the same minimum-norm solution.
+    """
     q = dist.admissible
-    v = reference.admissible
+    positive = q > 0.0
+    q = element.group_sums(q)
+    v = element.group_sums(np.where(positive, reference.admissible, 0.0))
     pos = q > 0.0
     rhs = np.log(q[pos]) - np.log(v[pos])
-    return np.linalg.lstsq(matrix[:, pos].T, rhs, rcond=None)[0]
+    return np.linalg.lstsq(element.columns[0][:, pos].T, rhs, rcond=None)[0]
 
 
 def _prefix_fallback(reference, plex, tol, max_iter, damping):
@@ -362,11 +391,9 @@ def _prefix_fallback(reference, plex, tol, max_iter, damping):
     )
     return ProjectionResult(
         distribution=result.distribution,
-        multipliers=_fit_multipliers(plex.element.matrix, result.distribution, reference),
+        multipliers=_fit_multipliers(plex.element, result.distribution, reference),
         iterations=result.iterations,
-        residual=float(
-            np.max(np.abs(plex.element.matrix @ result.distribution.admissible - plex.targets))
-        ),
+        residual=float(np.max(np.abs(constraint_residual(result.distribution, plex)))),
         divergence_from_reference=result.divergence_from_reference,
         element_fingerprint=plex.element.fingerprint,
         boundary=result.boundary,
@@ -418,11 +445,9 @@ def chained_project(
     final = plexes[-1]
     return ProjectionResult(
         distribution=result.distribution,
-        multipliers=_fit_multipliers(final.element.matrix, result.distribution, reference),
+        multipliers=_fit_multipliers(final.element, result.distribution, reference),
         iterations=iterations,
-        residual=float(
-            np.max(np.abs(final.element.matrix @ result.distribution.admissible - final.targets))
-        ),
+        residual=float(np.max(np.abs(constraint_residual(result.distribution, final)))),
         divergence_from_reference=i_divergence(result.distribution, reference),
         element_fingerprint=final.element.fingerprint,
         boundary=boundary,
@@ -542,7 +567,7 @@ def ipf_project(
     element = make_element(ops, mode="auto-reduce")
     return ProjectionResult(
         distribution=dist,
-        multipliers=_fit_multipliers(element.matrix, dist, reference),
+        multipliers=_fit_multipliers(element, dist, reference),
         iterations=cycles,
         residual=float(np.max(np.abs(rows @ dist.admissible - targets))),
         divergence_from_reference=i_divergence(dist, reference),

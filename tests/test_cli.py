@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from totem.cli import AnalysisConfig, main, run
@@ -184,3 +186,33 @@ class TestMain:
         code = main(["run", str(config_path), "--out", str(out_path)])
         assert code == 0
         assert "totem report" in out_path.read_text()
+
+
+class TestExitCodeContract:
+    """Malformed inputs exit 1 with the offending field named, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"tol": "abc"}, "tol"),
+            ({"max_iter": "abc"}, "max_iter"),
+            ({"elements": ["a"]}, "elements"),
+            ({"tasks": "notalist"}, "tasks"),
+        ],
+    )
+    def test_malformed_field(self, doc, field, tmp_path, capsys):
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(json.dumps(doc))
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"configuration error at {field}:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = main(["run", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "configuration error at config: cannot read" in captured.err
+        assert "Traceback" not in captured.out + captured.err

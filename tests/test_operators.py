@@ -1,3 +1,5 @@
+from math import fsum
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from totem import (
     AttributeDomain,
     CharacteristicOperator,
     DataTable,
+    Distribution,
     EntitySpace,
     OperatorError,
     Totemplex,
@@ -33,7 +36,8 @@ from totem.closed_forms import (
     two_coin_space,
     two_coin_split_element,
 )
-from totem.operators import PIVOT_TOL
+from totem import operators
+from totem.operators import PIVOT_TOL, _column_partition
 
 from helpers import random_element, random_nested_pair, random_space
 
@@ -349,6 +353,12 @@ def _two_coin_asymmetric(space):
     return make_element([identity_op(space), pa, h, product_op(h, pa)])
 
 
+def _trial_marginals(trials, level="head"):
+    space = coin_space(4)
+    return make_element([identity_op(space)]
+                        + [marginal_op(space, trial, level) for trial in trials])
+
+
 _STRUCTURED_PAIRS = {
     "coin-vs-k_marginal-L2": (lambda: (coin_element(coin_space(2)),
                                        k_marginal_element(coin_space(2))), False),
@@ -360,6 +370,13 @@ _STRUCTURED_PAIRS = {
                                               _two_coin_asymmetric(two_coin_space(2))), True),
     "two-coin-pooled-vs-split": (lambda: (two_coin_pooled_element(two_coin_space(3)),
                                           two_coin_split_element(two_coin_space(3))), False),
+    # elements whose entities share columns in different patterns
+    "s1-vs-s1s2-L4": (lambda: (_trial_marginals(["s1"]), _trial_marginals(["s1", "s2"])),
+                      False),
+    "s1s2-vs-s2s3-L4": (lambda: (_trial_marginals(["s1", "s2"]),
+                                 _trial_marginals(["s2", "s3"])), False),
+    "s1s2-vs-tails-L4": (lambda: (_trial_marginals(["s1", "s2"]),
+                                  _trial_marginals(["s2", "s1"], "tail")), True),
 }
 
 
@@ -368,6 +385,28 @@ def _same_rref(a, b):
     rb, pb = rref(b.matrix)
     scale = max(np.max(np.abs(ra)), np.max(np.abs(rb)))
     return pa == pb and bool(np.max(np.abs(ra - rb)) <= PIVOT_TOL * scale)
+
+
+def _nested_by_rref(outer, inner):
+    stacked = np.vstack([inner.matrix, outer.matrix])
+    return len(rref(stacked)[1]) == len(rref(inner.matrix)[1])
+
+
+def _with_duplicated_columns(pair, seed):
+    """The pair on a one-attribute space whose entities repeat the pair's
+    columns: every column once in order, then random repeats, shuffled."""
+    a, b = pair
+    rng = np.random.default_rng(seed)
+    n = a.space.n_admissible
+    take = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=2 * n)]))
+    space = EntitySpace([AttributeDomain("e", [f"e{i}" for i in range(len(take))])])
+
+    def lifted(element):
+        ops = [CharacteristicOperator(space, op.eigenvalues[take], op.label)
+               for op in element.operators]
+        return make_element(ops, mode="strict")
+
+    return lifted(a), lifted(b)
 
 
 class TestRowSpaceAgainstRref:
@@ -388,6 +427,27 @@ class TestRowSpaceAgainstRref:
         a, b = build()
         assert fapp_equivalent(a, b) == equivalent
         self._check(a, b)
+
+    @pytest.mark.parametrize(
+        "seed, relation",
+        [(seed, relation) for relation in ("remixed", "coarser", "unrelated")
+         for seed in range(8)],
+    )
+    def test_random_elements_with_duplicated_columns(self, seed, relation):
+        a, b = _with_duplicated_columns(_random_pair(seed, relation), seed)
+        assert a.columns[0].shape[1] < a.space.n_admissible
+        self._check(a, b)
+        assert is_nested(a, b) == _nested_by_rref(a, b)
+        assert is_nested(b, a) == _nested_by_rref(b, a)
+
+    @pytest.mark.parametrize("case", sorted(_STRUCTURED_PAIRS))
+    def test_structured_elements_with_duplicated_columns(self, case):
+        build, equivalent = _STRUCTURED_PAIRS[case]
+        a, b = _with_duplicated_columns(build(), 99)
+        assert fapp_equivalent(a, b) == equivalent
+        self._check(a, b)
+        assert is_nested(a, b) == _nested_by_rref(a, b)
+        assert is_nested(b, a) == _nested_by_rref(b, a)
 
     @staticmethod
     def _check(a, b):
@@ -436,6 +496,69 @@ class TestTotemplex:
         element = make_element([identity_op(grid), marginal_op(grid, "second", "x")])
         plex = Totemplex(element, grid_f)
         np.testing.assert_allclose(plex.targets, [1.0, 0.75], atol=1e-15)
+
+    def test_lumped_targets_match_per_entity_sums(self):
+        space = coin_space(8)
+        element = k_marginal_element(space)
+        rng = np.random.default_rng(4)
+        w = rng.gamma(0.5, size=space.n_admissible)
+        f = Distribution.from_admissible_weights(space, w / w.sum(), renormalize=True)
+        direct = [fsum((row * f.admissible).tolist()) for row in element.matrix]
+        np.testing.assert_allclose(Totemplex(element, f).targets, direct, rtol=1e-14, atol=1e-16)
+
+
+class TestColumnPartition:
+    @staticmethod
+    def _check_partition(matrix, columns, group):
+        # exact reconstruction, bit for bit
+        assert columns[:, group].tobytes() == np.ascontiguousarray(matrix).tobytes()
+        # distinct columns, numbered in order of first appearance
+        firsts = [int(np.flatnonzero(group == g)[0]) for g in range(columns.shape[1])]
+        assert firsts == sorted(firsts)
+        assert len({column.tobytes() for column in columns.T}) == columns.shape[1]
+
+    @pytest.mark.parametrize("length", [1, 3, 6])
+    def test_coin_elements(self, length):
+        space = coin_space(length)
+        for element, distinct in ((coin_element(space), length + 1),
+                                  (k_marginal_element(space), length + 1)):
+            columns, group = element.columns
+            assert columns.shape == (element.rank, distinct)
+            self._check_partition(element.matrix, columns, group)
+            assert element.columns is element.columns  # cached
+
+    def test_first_appearance_order(self, grid):
+        element = make_element([identity_op(grid), marginal_op(grid, "second", "y")])
+        columns, group = element.columns
+        np.testing.assert_array_equal(group, [0, 1, 0, 1])
+        np.testing.assert_array_equal(columns, [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_all_distinct_is_the_matrix_itself(self):
+        rng = np.random.default_rng(8)
+        space = random_space(rng)
+        element = random_element(rng, space, min(3, space.n_admissible))
+        columns, group = element.columns
+        assert columns is element.matrix
+        np.testing.assert_array_equal(group, np.arange(space.n_admissible))
+        values = rng.random(space.n_admissible)
+        assert element.group_sums(values) is values
+
+    def test_signed_zero_columns_are_distinct(self):
+        matrix = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0]])
+        columns, group = _column_partition(matrix)
+        np.testing.assert_array_equal(group, [0, 1, 0])
+        self._check_partition(matrix, columns, group)
+
+    def test_hash_collision_falls_back_to_exact_grouping(self, monkeypatch):
+        matrix = k_marginal_element(coin_space(5)).matrix
+        expected = _column_partition(matrix)
+        monkeypatch.setattr(
+            operators, "_column_keys", lambda m: np.zeros(m.shape[1], dtype=np.uint64)
+        )
+        columns, group = _column_partition(matrix)
+        np.testing.assert_array_equal(group, expected[1])
+        np.testing.assert_array_equal(columns, expected[0])
+        self._check_partition(matrix, columns, group)
 
 
 class TestOperatorSpecs:

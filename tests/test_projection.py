@@ -18,6 +18,7 @@ from totem import (
     constraint_residual,
     empirical_distribution,
     i_divergence,
+    i_test,
     identity_op,
     ipf_project,
     is_compatible,
@@ -25,6 +26,8 @@ from totem import (
     marginal_op,
     max_norm_distance,
     newton_project,
+    sample_multinomial,
+    success_op,
     uniform,
 )
 from totem.closed_forms import (
@@ -34,6 +37,7 @@ from totem.closed_forms import (
     k_marginal_element,
     k_marginal_projection_closed_form,
 )
+from totem.projection import _solve_on_support, _zero_target_support
 
 from helpers import (
     random_distribution,
@@ -396,3 +400,148 @@ class TestIpf:
         rows = np.array([marginal_op(space, "s1", "head").eigenvalues])
         with pytest.raises(ProjectionError, match="max_cycles"):
             ipf_project(uniform(space), rows, np.array([0.3]), max_cycles=0)
+
+
+# i_test(coin, k_marginal) at L=12 on datasets drawn from a 0.6 coin, as
+# computed by the per-entity solver before column lumping:
+# (seed, N, Q, coin divergence, coin multipliers, k_marginal divergence,
+#  k_marginal multipliers, k_marginal boundary)
+_FROZEN_L12 = [
+    (1, 200, 8.285724203433803,
+     0.2375888686283954, [-2.652748621319134, 4.823929051374265],
+     0.25830317913786416,
+     [0.0, 0.0, -0.4770587612951723, -0.7647408337469542, -1.3933494931693233,
+      -0.6593803180891319, -0.34352736867064876, 0.21608841926476968, 0.425808950246842,
+      1.1223288152854263, 1.3947434156064207, 1.9208365115032004, 0.0], True),
+    (2, 500, 3.3349290715346154,
+     0.2821544521296638, [-2.9201551035602624, 5.2669565060747585],
+     0.2854893811573248,
+     [0.0, 0.0, -2.0864966630824786, -1.6810315656389312, -1.0568772565706088,
+      -0.7212557218297125, -0.28290274687671163, 0.09203577057229659, 0.5714291401678716,
+      1.175438640576878, 1.347490530733373, 1.8154759958228837, 2.103158068829485], True),
+    (3, 2000, 12.731971184342395,
+     0.2629686315701233, [-2.807168286314038, 5.080554783787416],
+     0.2661516243702728,
+     [0.0, 0.0, -1.526880885794858, -1.418667301154624, -1.1702059418561237,
+      -0.8397038722214158, -0.22020415263966012, 0.18648794948747488, 0.6013508200544113,
+      0.9931170838044135, 1.3947434156054153, 1.564161567563456, 2.79630524910767], True),
+    (4, 20000, 9.183605350527845,
+     0.24138294604153435, [-2.6762227095065456, 4.863081349360913],
+     0.24161253615268719,
+     [0.0, -2.124717859255958, -1.7863920811867489, -1.478090721634751, -1.0797560389433878,
+      -0.6249788913821337, -0.24594704034212317, 0.1577528422414696, 0.5427507913470956,
+      1.0051138000827124, 1.370608339860831, 1.772916381416229, 2.077840260561892], True),
+    (5, 100000, 2.0037741728802603,
+     0.23755671021170238, [-2.6525490387791204, 4.823595949315264],
+     0.23756672889248295,
+     [-2.50200975030385, -2.2460786119466674, -1.8164695364659074, -1.4586883345913975,
+      -1.0326493280945916, -0.647847082389069, -0.2381543532045664, 0.15757614808348813,
+      0.5639244144226849, 0.9663481791673376, 1.3682414747472964, 1.7740751299941782,
+      2.1471749655642745], False),
+]
+
+
+def _direct_projection(reference, plex):
+    """The projection solved over every entity, without column lumping."""
+    m, t, v = plex.element.matrix, plex.targets, reference.admissible
+    support, _ = _zero_target_support(m, t, v > 0.0)
+    q = _solve_on_support(m, t, v, np.ones(len(v)), support, 1e-10, 200, True)[0]
+    return q / q.sum()
+
+
+def _successes(space):
+    return np.rint(success_op(space, "head").eigenvalues * len(space.domains)).astype(int)
+
+
+class TestLumping:
+    """Solves on distinct columns agree with solves over every entity."""
+
+    @pytest.mark.parametrize("case", _FROZEN_L12, ids=[f"seed{c[0]}" for c in _FROZEN_L12])
+    def test_itest_matches_per_entity_solver_at_L12(self, case):
+        seed, n, q, div_outer, mult_outer, div_inner, mult_inner, boundary = case
+        space = coin_space(12)
+        outer, inner = coin_element(space), k_marginal_element(space)
+        counts = sample_multinomial(binomial_projection_closed_form(12, 0.6, space), n, seed=seed)
+        f = Distribution.from_counts(space, counts, n)
+        ref = uniform(space)
+        assert i_test(ref, outer, inner, f, n).q_statistic == pytest.approx(q, rel=1e-9)
+        for element, div, mult in ((outer, div_outer, mult_outer),
+                                   (inner, div_inner, mult_inner)):
+            result = newton_project(ref, Totemplex(element, f))
+            assert result.divergence_from_reference == pytest.approx(div, rel=1e-9)
+            np.testing.assert_allclose(result.multipliers, mult, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(mult)))
+        assert result.boundary == boundary  # of the k_marginal projection
+
+    def test_random_real_element_is_solved_directly(self):
+        rng = np.random.default_rng(31)
+        space = coin_space(6)
+        plex = random_totemplex(rng, space, 4)
+        assert plex.element.columns[0] is plex.element.matrix
+        ref = random_distribution(rng, space)
+        result = newton_project(ref, plex)
+        np.testing.assert_allclose(result.distribution.admissible,
+                                   _direct_projection(ref, plex), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_columns_match_direct_solve(self, seed):
+        # random real rows that depend on an entity only through its
+        # success count, and a reference that is not constant on a count
+        rng = np.random.default_rng(seed)
+        space = coin_space(6)
+        rows = rng.standard_normal((3, 7))[:, _successes(space)]
+        element = make_element([identity_op(space)] + [
+            CharacteristicOperator(space, row, f"r{i}") for i, row in enumerate(rows)])
+        assert element.columns[0].shape == (4, 7)
+        f = random_distribution(rng, space)
+        ref = random_distribution(rng, space, alpha=0.5)
+        plex = Totemplex(element, f)
+        result = newton_project(ref, plex)
+        assert not result.boundary
+        np.testing.assert_allclose(result.distribution.admissible,
+                                   _direct_projection(ref, plex), rtol=1e-9, atol=1e-15)
+        z = np.log(result.distribution.admissible / ref.admissible)
+        np.testing.assert_allclose(element.matrix.T @ result.multipliers, z, atol=1e-9)
+
+    def test_reference_zero_on_part_of_a_group_with_zero_target_shell(self):
+        space = coin_space(4)
+        successes = _successes(space)
+        rng = np.random.default_rng(12)
+        v = rng.gamma(2.0, size=space.n_admissible)
+        hidden = np.flatnonzero(successes == 2)[:2]
+        v[hidden] = 0.0
+        ref = Distribution.from_admissible_weights(space, v / v.sum(), renormalize=True)
+        counts = rng.integers(1, 20, size=space.n_entities)
+        counts[successes == 0] = 0
+        counts[hidden] = 0
+        f = Distribution.from_counts(space, counts)
+        plex = Totemplex(k_marginal_element(space), f)
+        result = newton_project(ref, plex)
+        q = result.distribution.admissible
+        assert result.boundary and result.residual <= 1e-10
+        assert np.all(q[successes == 0] == 0.0) and np.all(q[hidden] == 0.0)
+        assert np.all(q[(successes > 0) & (v > 0.0)] > 0.0)
+        np.testing.assert_allclose(q, _direct_projection(ref, plex), rtol=1e-10, atol=1e-15)
+        # the shells' marginals are met, and within a shell q follows v
+        np.testing.assert_allclose(np.bincount(successes, weights=q),
+                                   np.bincount(successes, weights=f.admissible), atol=1e-10)
+        shell = (successes == 2) & (v > 0.0)
+        np.testing.assert_allclose(q[shell] / v[shell] * v[shell].sum(), q[shell].sum(),
+                                   rtol=1e-12)
+
+    def test_overflow_clamp_on_groups(self):
+        # every subject all heads: the mean sits on the boundary, which
+        # only the multiplier-overflow clamp detects
+        space = coin_space(3)
+        counts = np.zeros(space.n_entities, dtype=np.int64)
+        counts[space.index_of(("head", "head", "head"))] = 10
+        f = Distribution.from_counts(space, counts)
+        rng = np.random.default_rng(2)
+        ref = random_distribution(rng, space)
+        plex = Totemplex(coin_element(space), f)
+        result = newton_project(ref, plex)
+        assert result.boundary
+        assert max_norm_distance(result.distribution, f) < 1e-9
+        q, direct = result.distribution.admissible, _direct_projection(ref, plex)
+        np.testing.assert_array_equal(q == 0.0, direct == 0.0)
+        np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-12)
