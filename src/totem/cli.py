@@ -71,6 +71,12 @@ def _coerce(field, kind, value):
         raise ConfigError(field, f"expected {kind.__name__}, got {value!r}") from None
 
 
+def _task_field(task, i, key, kind, default):
+    """Task field ``key`` as ``kind`` (``default`` when absent), or a
+    ConfigError naming ``tasks[i].key``."""
+    return _coerce(f"tasks[{i}].{key}", kind, task.get(key, default))
+
+
 def _fmt(value):
     """Numbers at 17 significant digits; deterministic."""
     if isinstance(value, (bool, np.bool_)):
@@ -214,23 +220,24 @@ class _Analysis:
         self.data_fingerprint = "none"
         self._cache = {}
 
+        domains = None
+        if config.space != "infer":
+            domains = []
+            for j, d in enumerate(config.space["domains"]):
+                try:
+                    domains.append(AttributeDomain(d["name"], d["levels"]))
+                except TotemError as exc:
+                    raise ConfigError(f"space.domains[{j}]", str(exc)) from exc
+
         if config.data is not None:
-            schema = "infer"
-            if config.space != "infer":
-                schema = [
-                    AttributeDomain(d["name"], d["levels"])
-                    for d in config.space["domains"]
-                ]
             try:
-                self.table = ingest_csv(config.data, schema=schema)
+                self.table = ingest_csv(
+                    config.data, schema="infer" if domains is None else domains
+                )
             except TotemError as exc:
                 raise ConfigError("data", str(exc)) from exc
 
-        if config.space != "infer":
-            domains = [
-                AttributeDomain(d["name"], d["levels"])
-                for d in config.space["domains"]
-            ]
+        if domains is not None:
             nulls = [tuple(e) for e in config.space.get("nullentities", [])]
             try:
                 self.space = EntitySpace(domains, nulls)
@@ -315,7 +322,9 @@ def _run_project(analysis, task, i, lines, config):
     element = analysis.element(task.get("element", ""), f"tasks[{i}].element")
     analysis.need_data(f"tasks[{i}]")
     result = analysis.project_cached(
-        element, task.get("tol", config.tol), task.get("max_iter", config.max_iter)
+        element,
+        _task_field(task, i, "tol", float, config.tol),
+        _task_field(task, i, "max_iter", int, config.max_iter),
     )
     _kv(lines, "element", task["element"])
     _kv(lines, "element fingerprint", result.element_fingerprint)
@@ -339,10 +348,11 @@ def _run_score(analysis, task, i, lines, config):
     empirical = analysis.need_data(f"tasks[{i}]")
     names = task.get("elements") or sorted(analysis.elements)
     elements = [analysis.element(name, f"tasks[{i}].elements") for name in names]
-    n = int(task.get("n", empirical.n_samples))
+    n = _task_field(task, i, "n", int, empirical.n_samples)
     reports = select_element(
         analysis.reference, elements, empirical, n,
-        tol=task.get("tol", config.tol), max_iter=task.get("max_iter", config.max_iter),
+        tol=_task_field(task, i, "tol", float, config.tol),
+        max_iter=_task_field(task, i, "max_iter", int, config.max_iter),
     )
     label_of = {analysis.elements[name].fingerprint: name for name in names}
     _kv(lines, "N", n)
@@ -363,12 +373,14 @@ def _run_test(analysis, task, i, lines, config):
     empirical = analysis.need_data(f"tasks[{i}]")
     outer = analysis.element(task.get("outer", ""), f"tasks[{i}].outer")
     inner = analysis.element(task.get("inner", ""), f"tasks[{i}].inner")
-    n = int(task.get("n", empirical.n_samples))
-    alpha = float(task.get("alpha", config.alpha))
+    n = _task_field(task, i, "n", int, empirical.n_samples)
+    alpha = _task_field(task, i, "alpha", float, config.alpha)
+    tol = _task_field(task, i, "tol", float, config.tol)
+    max_iter = _task_field(task, i, "max_iter", int, config.max_iter)
     try:
         report = i_test(
             analysis.reference, outer, inner, empirical, n, alpha,
-            tol=task.get("tol", config.tol), max_iter=task.get("max_iter", config.max_iter),
+            tol=tol, max_iter=max_iter,
         )
     except TotemError as exc:
         if isinstance(exc, ProjectionError):
@@ -399,8 +411,8 @@ def _run_ipf(analysis, task, i, lines, config):
     targets = element.expectations(empirical)
     result = ipf_project(
         analysis.reference, rows, targets,
-        tol=task.get("tol", config.tol),
-        max_cycles=int(task.get("max_cycles", 10_000)),
+        tol=_task_field(task, i, "tol", float, config.tol),
+        max_cycles=_task_field(task, i, "max_cycles", int, 10_000),
         variant=task.get("variant", "proportional"),
     )
     _kv(lines, "element", task["element"])
@@ -448,18 +460,18 @@ def _run_calibrate(analysis, task, i, lines, config):
             )
         except (TotemError, TypeError) as exc:
             raise ConfigError(f"tasks[{i}].outer/inner", str(exc)) from exc
-    n = int(task.get("n", 0))
+    n = _task_field(task, i, "n", int, 0)
     if n < 1:
         raise ConfigError(f"tasks[{i}].n", "calibration needs a positive sample size")
-    replications = int(task.get("replications", 0))
+    replications = _task_field(task, i, "replications", int, 0)
     if replications < 1:
         raise ConfigError(f"tasks[{i}].replications", "need at least one replication")
-    seed = int(task.get("seed", config.seed))
-    alpha = float(task.get("alpha", config.alpha))
+    seed = _task_field(task, i, "seed", int, config.seed)
+    alpha = _task_field(task, i, "alpha", float, config.alpha)
     result = calibration_experiment(
         generator, outer, inner, n, replications, seed,
-        alpha=alpha, tol=task.get("tol", config.tol),
-        max_iter=task.get("max_iter", config.max_iter),
+        alpha=alpha, tol=_task_field(task, i, "tol", float, config.tol),
+        max_iter=_task_field(task, i, "max_iter", int, config.max_iter),
     )
     _kv(lines, "N", result.n)
     _kv(lines, "replications", result.replications)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 
@@ -278,43 +280,70 @@ def build_entity_space(domains, nullentities=(), entity_cap=DEFAULT_ENTITY_CAP):
 
 
 class DataTable:
-    """N records over named columns; cells are level labels (strings)."""
+    """Distinct records over named columns, each with its multiplicity.
 
-    __slots__ = ("column_names", "rows", "domains")
+    ``records`` holds the distinct records, tuples of level labels (str),
+    in order of first appearance, and ``counts`` their int64
+    multiplicities; ``n`` is the total number of records.  ``counts``
+    defaults to one per given record, and a record given more than once
+    is merged into one with its counts summed, so a table costs memory
+    per distinct record, not per record.
+    """
 
-    def __init__(self, column_names, rows, domains=None):
+    __slots__ = ("column_names", "records", "counts", "n", "domains")
+
+    def __init__(self, column_names, records, counts=None, domains=None):
         self.column_names = tuple(str(c) for c in column_names)
         width = len(self.column_names)
         if len(set(self.column_names)) != width:
             raise DataError(f"duplicate column names in {self.column_names}")
-        out = []
-        for i, row in enumerate(rows):
-            row = tuple(str(cell) for cell in row)
-            if len(row) != width:
-                raise DataError(f"row {i} has {len(row)} cells, expected {width}")
-            out.append(row)
-        if not out:
-            raise DataError("data table has no rows")
-        self.rows = tuple(out)
+        records = [tuple(record) for record in records]
+        if counts is None:
+            counts = [1] * len(records)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(records),):
+            raise DataError(f"{counts.size} counts for {len(records)} records")
+        if counts.min(initial=1) < 1:
+            raise DataError("record counts must be positive")
+        merged = {}
+        for i, (record, count) in enumerate(zip(records, counts.tolist())):
+            if len(record) != width:
+                raise DataError(f"record {i} has {len(record)} cells, expected {width}")
+            merged[record] = merged.get(record, 0) + count
+        if not merged:
+            raise DataError("data table has no records")
+        self.records = tuple(merged)
+        self.counts = np.fromiter(merged.values(), dtype=np.int64, count=len(merged))
+        self.counts.setflags(write=False)
+        self.n = int(self.counts.sum())
         self.domains = tuple(domains) if domains is not None else None
 
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def column(self, name):
-        try:
-            j = self.column_names.index(name)
-        except ValueError:
-            raise DataError(f"no column named {name!r}") from None
-        return [row[j] for row in self.rows]
-
     def __repr__(self):
-        return f"DataTable({self.n} rows x {len(self.column_names)} columns)"
+        return (
+            f"DataTable({self.n} records, {len(self.records)} distinct, "
+            f"{len(self.column_names)} columns)"
+        )
+
+
+def _data_row(path, line):
+    """1-based data row at which ``line`` first appears in the CSV file."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        next(csv.reader(handle))
+        for row, other in enumerate(handle, start=1):
+            if other == line:
+                return row
+    return "?"  # the file changed after it was counted
 
 
 def ingest_csv(path, schema="infer"):
     """Read a CSV file (UTF-8, header row) into a :class:`DataTable`.
+
+    Each physical line after the header is one record, so a quoted field
+    may not span lines.  Identical lines are counted, and each distinct
+    line is parsed and checked once, in order of first appearance; lines
+    that parse to the same record (other quoting, CRLF or LF, a final
+    newline or none) are merged.  Errors name the first data row (1-based)
+    at which the offending line appears.
 
     With ``schema="infer"`` each column's domain becomes the sorted set of
     observed values.  With an explicit list of :class:`AttributeDomain`,
@@ -323,56 +352,79 @@ def ingest_csv(path, schema="infer"):
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            table = list(reader)
+            header = next(csv.reader(handle), None)
+            lines = Counter(handle)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unparseable CSV file {path}: {exc}") from exc
-    if not table:
+    if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    header, *rows = table
     header = [h.strip() for h in header]
-    if not rows:
+    if not lines:
         raise DataError(f"{path}: no data rows after the header")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
-        for name, cell in zip(header, row):
-            if cell == "":
-                raise DataError(f"{path}: empty cell in column {name!r}, row {i + 1}")
+    # One reader over the distinct lines: a record that takes more than one
+    # line (a quoted field spanning lines) shows as a jump in line_num.
+    distinct = list(lines)
+    reader = csv.reader(distinct, strict=True)
+    records = []
+    try:
+        for record in reader:
+            if reader.line_num != len(records) + 1:
+                raise csv.Error("a quoted field spans lines")
+            records.append(tuple(record))
+    except csv.Error as exc:
+        raise DataError(
+            f"{path}: row {_data_row(path, distinct[len(records)])} is not one "
+            f"well-formed CSV line ({exc})"
+        ) from None
+    width = len(header)
+    for line, record in zip(distinct, records):
+        if len(record) != width:
+            raise DataError(
+                f"{path}: row {_data_row(path, line)} has {len(record)} cells, "
+                f"expected {width}"
+            )
+        if "" in record:
+            raise DataError(
+                f"{path}: empty cell in column {header[record.index('')]!r}, "
+                f"row {_data_row(path, line)}"
+            )
+    observed = [set(map(itemgetter(j), records)) for j in range(width)]
 
     if schema == "infer":
         domains = tuple(
-            AttributeDomain(name, sorted({row[j] for row in rows}))
-            for j, name in enumerate(header)
+            AttributeDomain(name, sorted(values)) for name, values in zip(header, observed)
         )
-        return DataTable(header, rows, domains=domains)
-
-    domains = {d.name: d for d in schema}
-    missing = [name for name in domains if name not in header]
-    if missing:
-        raise DataError(f"{path}: missing column(s) {missing}")
-    extra = [name for name in header if name not in domains]
-    if extra:
-        raise DataError(f"{path}: column(s) {extra} not covered by the schema")
-    for j, name in enumerate(header):
-        domain = domains[name]
-        for i, row in enumerate(rows):
-            if row[j] not in domain:
-                raise DataError(
-                    f"{path}: value {row[j]!r} in column {name!r}, row {i + 1} "
-                    f"is outside the declared domain {list(domain.levels)}"
-                )
-    return DataTable(header, rows, domains=tuple(domains[name] for name in header))
+    else:
+        declared = {d.name: d for d in schema}
+        missing = [name for name in declared if name not in header]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {missing}")
+        extra = [name for name in header if name not in declared]
+        if extra:
+            raise DataError(f"{path}: column(s) {extra} not covered by the schema")
+        domains = tuple(declared[name] for name in header)
+        for j, (name, domain) in enumerate(zip(header, domains)):
+            if observed[j].issubset(domain._positions):
+                continue
+            k = next(k for k, record in enumerate(records) if record[j] not in domain)
+            raise DataError(
+                f"{path}: value {records[k][j]!r} in column {name!r}, "
+                f"row {_data_row(path, distinct[k])} is outside the declared domain "
+                f"{list(domain.levels)}"
+            )
+    return DataTable(header, records, list(lines.values()), domains=domains)
 
 
 def empirical_distribution(space, data):
     """Count table records into relative frequencies over the full space.
 
-    Every record must be an admissible entity: a positive count on a
-    declared nullentity is a contradiction between the data and the space
-    declaration and raises :class:`DataError`.  Entities absent from the
+    Each distinct record is encoded once and its multiplicity added to its
+    entity's count in exact int64 arithmetic.  Every record must be an
+    admissible entity: a positive count on a declared nullentity is a
+    contradiction between the data and the space declaration and raises
+    :class:`DataError`.  Entities absent from the
     data get frequency zero.  Counts and the sample size are kept on the
     returned distribution, so frequencies stay exact ratios.
     """
@@ -384,22 +436,23 @@ def empirical_distribution(space, data):
         )
     column_of = {name: j for j, name in enumerate(names)}
 
-    codes = np.empty((len(space.domains), data.n), dtype=np.int64)
+    codes = np.empty((len(space.domains), len(data.records)), dtype=np.int64)
     for axis, domain in enumerate(space.domains):
         j = column_of[domain.name]
         positions = domain._positions
         try:
-            codes[axis] = [positions[row[j]] for row in data.rows]
+            codes[axis] = np.fromiter(
+                map(positions.__getitem__, map(itemgetter(j), data.records)),
+                dtype=np.int64, count=len(data.records),
+            )
         except KeyError:
-            for i, row in enumerate(data.rows):
-                if row[j] not in positions:
-                    raise DataError(
-                        f"row {i}: value {row[j]!r} is not a level of "
-                        f"attribute {domain.name!r}"
-                    ) from None
-            raise
-    flat = np.ravel_multi_index(codes, space.shape)
-    counts = np.bincount(flat, minlength=space.n_entities).astype(np.int64)
+            record = next(r for r in data.records if r[j] not in positions)
+            raise DataError(
+                f"record {record!r}: value {record[j]!r} is not a level of "
+                f"attribute {domain.name!r}"
+            ) from None
+    counts = np.zeros(space.n_entities, dtype=np.int64)
+    np.add.at(counts, np.ravel_multi_index(codes, space.shape), data.counts)
 
     violations = counts[~space.admissible_mask]
     if violations.any():

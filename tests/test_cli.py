@@ -216,3 +216,47 @@ class TestExitCodeContract:
         assert code == 1
         assert "configuration error at config: cannot read" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    _CALIBRATE = {
+        "type": "calibrate",
+        "generator": {"example": {"name": "coin", "params": {"L": 2, "eta": 0.5}}},
+        "outer": ["identity", "success(head)"],
+        "inner": ["k_marginal(0, head)", "k_marginal(1, head)", "k_marginal(2, head)"],
+        "n": 300,
+        "replications": 5,
+    }
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ({**_CALIBRATE, "n": "x"}, "tasks[0].n"),
+            ({**_CALIBRATE, "max_iter": "abc"}, "tasks[0].max_iter"),
+            ({**_CALIBRATE, "replications": "five"}, "tasks[0].replications"),
+            ({**_CALIBRATE, "seed": [1]}, "tasks[0].seed"),
+            ({"type": "score", "n": "x"}, "tasks[0].n"),
+            ({"type": "test", "outer": "mean", "inner": "spectrum", "alpha": "x"},
+             "tasks[0].alpha"),
+            ({"type": "project", "element": "mean", "tol": "x"}, "tasks[0].tol"),
+            ({"type": "ipf", "element": "spectrum", "max_cycles": "x"},
+             "tasks[0].max_cycles"),
+        ],
+    )
+    def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):
+        coin_config.tasks = [task]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"configuration error at {field}:" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_duplicate_declared_levels(self, coin_config, tmp_path, capsys):
+        coin_config.space["domains"][1]["levels"] = ["head", "head"]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "configuration error at space.domains[1]:" in captured.out
+        assert "Traceback" not in captured.out + captured.err

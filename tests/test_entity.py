@@ -1,5 +1,13 @@
+import csv
+import io
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totem import (
     AttributeDomain,
@@ -165,6 +173,8 @@ class TestIngestCsv:
         table = ingest_csv(path)
         assert table.n == 10
         assert table.column_names == ("u", "v", "w")
+        assert table.records == (("p", "q", "r"),)
+        assert table.counts.tolist() == [10]
 
     def test_inferred_binary_domain(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -194,3 +204,147 @@ class TestIngestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             ingest_csv(tmp_path / "nope.csv")
+
+    def test_lines_that_parse_alike_are_one_record(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'u,v\r\n"a",b\r\na,b\nc,d\na,"b"\r\na,b')
+        table = ingest_csv(path)
+        assert table.records == (("a", "b"), ("c", "d"))
+        assert table.counts.tolist() == [4, 1]
+        assert table.n == 5
+
+
+class TestDataTable:
+    def test_repeated_records_are_merged(self):
+        table = DataTable(["u", "v"], [("a", "x"), ("b", "y"), ("a", "x")], counts=[2, 1, 3])
+        assert table.records == (("a", "x"), ("b", "y"))
+        assert table.counts.tolist() == [5, 1]
+        assert table.counts.dtype == np.int64
+        assert table.n == 6
+
+    def test_counts_default_to_one_per_record(self):
+        table = DataTable(["u"], [("a",), ("a",), ("b",)])
+        assert table.counts.tolist() == [2, 1]
+        assert table.n == 3
+
+    @pytest.mark.parametrize(
+        "records, counts, match",
+        [
+            ([], None, "no records"),
+            ([("a",)], [0], "positive"),
+            ([("a",)], [1, 1], "2 counts for 1 records"),
+            ([("a", "b")], None, "record 0 has 2 cells, expected 1"),
+        ],
+    )
+    def test_invalid_tables(self, records, counts, match):
+        with pytest.raises(DataError, match=match):
+            DataTable(["u"], records, counts=counts)
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestIngestErrors:
+    """Each error keeps its type and names the data row it first occurs in."""
+
+    schema = [AttributeDomain("u", ["a", "b"]), AttributeDomain("v", ["x", "y"])]
+    valid = "u,v\n" + "a,x\n" * 1000
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("a,z\n", "value 'z' in column 'v', row 1001 is outside the declared domain"),
+            ("a\n", "row 1001 has 1 cells, expected 2"),
+            ("a,\n", "empty cell in column 'v', row 1001"),
+            ("\n", "row 1001 has 0 cells, expected 2"),
+            ('a,"x\n', "row 1001 is not one well-formed CSV line"),
+            ('a,"x"y\n', "row 1001 is not one well-formed CSV line"),
+        ],
+    )
+    def test_row_number_after_repeated_valid_lines(self, tmp_path, line, match):
+        path = _write(tmp_path, self.valid + line + "b,y\n" + line)
+        with pytest.raises(DataError, match=match):
+            ingest_csv(path, schema=self.schema)
+
+    def test_width_error_beats_domain_errors(self, tmp_path):
+        earlier = _write(tmp_path, "u,v\na,x\na\nz,x\n")
+        with pytest.raises(DataError, match="row 2 has 1 cells"):
+            ingest_csv(earlier, schema=self.schema)
+        # width is checked on every row before any value is checked
+        later = _write(tmp_path, "u,v\nz,x\na,x\na\n")
+        with pytest.raises(DataError, match="row 3 has 1 cells"):
+            ingest_csv(later, schema=self.schema)
+
+    def test_blank_line_is_a_width_error(self, tmp_path):
+        path = _write(tmp_path, "u,v\na,x\n\nb,y\n")
+        with pytest.raises(DataError, match="row 2 has 0 cells, expected 2"):
+            ingest_csv(path)
+
+    def test_quoted_field_spanning_lines(self, tmp_path):
+        path = _write(tmp_path, 'u,v\na,x\nb,"x\ny"\na,x\n')
+        with pytest.raises(DataError, match=r"row 2 is not .* \(a quoted field spans lines\)"):
+            ingest_csv(path)
+
+    def test_unknown_value_in_count(self, two_by_two):
+        table = DataTable(["first", "second"], [("a", "x"), ("b", "z")])
+        with pytest.raises(DataError, match="'z' is not a level of attribute 'second'"):
+            empirical_distribution(two_by_two, table)
+
+
+_TEXT = st.text(alphabet="ab ,\"", min_size=1, max_size=3)
+_DECIMAL = st.decimals(-50, 50, places=1, allow_nan=False).map(str)
+
+
+@st.composite
+def _csv_files(draw):
+    """A small space and a CSV file over it, with the space's counts."""
+    width = draw(st.integers(1, 3))
+    levels = [
+        draw(st.lists(st.one_of(_TEXT, _DECIMAL), min_size=1, max_size=3, unique=True))
+        for _ in range(width)
+    ]
+    domains = [AttributeDomain(f"c{j}", lv) for j, lv in enumerate(levels)]
+    order = draw(st.permutations(range(width)))
+    records = draw(st.lists(
+        st.tuples(*(st.sampled_from(lv) for lv in levels)), min_size=1, max_size=30
+    ))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for record in [tuple(d.name for d in domains)] + records:
+        out = io.StringIO()
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        csv.writer(out, quoting=quoting, lineterminator="").writerow(
+            [record[j] for j in order]
+        )
+        lines.append(out.getvalue())
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return domains, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+def test_counts_match_a_plain_csv_reader(case):
+    domains, text = case
+    space = build_entity_space(domains)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        counted = empirical_distribution(space, ingest_csv(path, schema=domains))
+        inferred = ingest_csv(path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+
+    reference = Counter(tuple(row) for row in rows)
+    axis = [header.index(d.name) for d in domains]
+    expected = np.zeros(space.n_entities, dtype=np.int64)
+    for row, count in reference.items():
+        expected[space.index_of([row[j] for j in axis])] = count
+    assert counted.counts.dtype == np.int64
+    assert np.array_equal(counted.counts, expected)
+    assert inferred.n == len(rows)
+    assert [d.name for d in inferred.domains] == header
+    for j, domain in enumerate(inferred.domains):
+        assert domain.levels == tuple(sorted({row[j] for row in rows}))
