@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,44 +39,230 @@ from .projection import ipf_project, newton_project
 
 __all__ = ["AnalysisConfig", "run", "report_emit", "main"]
 
-_EXAMPLES = {
-    "coin": (
-        binomial_projection_closed_form,
-        {"L": int, "eta": float},
-    ),
-    "k-marginal": (
-        lambda L, phi: k_marginal_projection_closed_form(L, phi),
-        {"L": int, "phi": "floats"},
-    ),
-    "two-coin": (
-        two_coin_projection_closed_form,
-        {"L": int, "phi_a": float, "eta_a": float, "eta_b": float},
-    ),
-    "ising": (
-        ising_coin_generator,
-        {"L": int, "eta": float, "kappa": float, "i0": int, "j0": int},
-    ),
-    "logistic": (
-        lambda m, beta0, betas: logistic_model_distribution(m, beta0, betas),
-        {"m": int, "beta0": float, "betas": "floats"},
-    ),
+# --- the field table -----------------------------------------------------------
+#
+# Every field is read through one table: _CONFIG_FIELDS for the top level,
+# _TASKS for each task type and _EXAMPLES for each example's parameters.  A
+# kind turns a raw value into a checked one or raises a ConfigError naming
+# its path; _RULES bounds a value by field name, so a field obeys the same
+# rule at the top level, in a task and as a command-line override.
+
+_REQUIRED = object()  # default of a field that must be given
+_INHERIT = object()  # default: the top-level field of the same name
+
+
+def _kind(accepts, expected):
+    """The kind of a field whose value is kept as given when ``accepts`` it."""
+    def check(value, path, config=None):
+        if not accepts(value):
+            raise ConfigError(path, f"expected {expected}, got {value!r}")
+        return value
+    return check
+
+
+def _number(kind):
+    """The kind of an int or float field: a number or a numeric string;
+    bools are rejected, and an int must be integral."""
+    def check(value, path, config=None):
+        try:
+            number = kind(value) if isinstance(value, str) else value
+            if (isinstance(number, bool) or not isinstance(number, (int, float))
+                    or (kind is int and number != int(number))):
+                raise ValueError
+            return kind(number)
+        except (ValueError, OverflowError):
+            raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
+    return check
+
+
+def _list_of(kind):
+    """The kind of a list whose items are each of ``kind``."""
+    def check(value, path, config=None):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return [kind(item, f"{path}[{j}]", config) for j, item in enumerate(value)]
+    return check
+
+
+_int, _float = _number(int), _number(float)
+_string = _kind(lambda v: isinstance(v, str), "a string")
+_object = _kind(lambda v: isinstance(v, dict), "an object")
+_path = _kind(lambda v: isinstance(v, str) and "\0" not in v, "a file path")
+_tasks = _kind(lambda v: isinstance(v, (list, tuple)), "a list of tasks")
+_label = _kind(lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool),
+               "a level label")
+_specs = _kind(lambda v: isinstance(v, list) and v and all(isinstance(s, str) for s in v),
+               "a nonempty list of operator spec strings")
+
+
+def _floats(value, path, config=None):
+    """Numbers, as a list or as one comma-separated string (``--param``)."""
+    items = [x for x in value.split(",") if x.strip()] if isinstance(value, str) else value
+    return _list_of(_float)(items, path)
+
+
+def _data(value, path, config=None):
+    return None if value is None else _path(value, path)
+
+
+def _space(value, path, config=None):
+    if value != "infer":
+        _fields(value, _SPACE_FIELDS, path)
+    return value
+
+
+def _reference(value, path, config=None):
+    if value not in ("uniform", "uniform-full"):
+        _fields(value, {"path": (_path, _REQUIRED)}, path)
+    return value
+
+
+def _elements(value, path, config=None):
+    for name, specs in _object(value, path).items():
+        _specs(specs, f"{path}.{name}")
+    return value
+
+
+def _element(value, path, config):
+    """The name of an element declared under ``elements``."""
+    if _string(value, path) not in config.elements:
+        raise ConfigError(path, f"unknown element {value!r}; declared: {sorted(config.elements)}")
+    return value
+
+
+def _element_or_specs(value, path, config):
+    """A declared element's name, or a spec list (built on the generator's space)."""
+    return _element(value, path, config) if isinstance(value, str) else _specs(value, path)
+
+
+def _generator(value, path, config=None):
+    """A calibration generator; returns a function that builds or loads it."""
+    if isinstance(value, dict) and list(value) == ["example"]:
+        example = _fields(value["example"], _EXAMPLE_FIELDS, f"{path}.example")
+        return _example(example["name"], example["params"], f"{path}.example")
+    if isinstance(value, dict) and list(value) == ["path"]:
+        source = _path(value["path"], f"{path}.path")
+        return lambda: _load(source, f"{path}.path")
+    raise ConfigError(path, "expected {'example': {'name': ..., 'params': {...}}} or {'path': ...}")
+
+
+_CONFIG_FIELDS = {
+    "data": _data, "space": _space, "reference": _reference, "elements": _elements,
+    "tasks": _tasks, "seed": _int, "tol": _float, "max_iter": _int, "alpha": _float,
+}
+_DOMAIN_FIELDS = {"name": (_string, _REQUIRED), "levels": (_list_of(_label), _REQUIRED)}
+_SPACE_FIELDS = {
+    "domains": (_list_of(lambda d, path, config: _fields(d, _DOMAIN_FIELDS, path)), _REQUIRED),
+    "nullentities": (_list_of(_list_of(_label)), []),
+}
+_RULES = {
+    "tol": (lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "n": (lambda v: v >= 1, "at least 1"),
+    "replications": (lambda v: v >= 1, "at least 1"),
 }
 
-_TASK_TYPES = ("project", "score", "test", "ipf", "calibrate", "example")
+# required int, float and float-list fields
+_INT, _FLOAT, _FLOATS = (_int, _REQUIRED), (_float, _REQUIRED), (_floats, _REQUIRED)
+# example name -> (builder, its parameters in argument order)
+_EXAMPLES = {
+    "coin": (binomial_projection_closed_form, {"L": _INT, "eta": _FLOAT}),
+    "k-marginal": (k_marginal_projection_closed_form, {"L": _INT, "phi": _FLOATS}),
+    "two-coin": (two_coin_projection_closed_form,
+                 {"L": _INT, "phi_a": _FLOAT, "eta_a": _FLOAT, "eta_b": _FLOAT}),
+    "ising": (ising_coin_generator,
+              {"L": _INT, "eta": _FLOAT, "kappa": _FLOAT, "i0": (_int, 0), "j0": (_int, 1)}),
+    "logistic": (logistic_model_distribution, {"m": _INT, "beta0": _FLOAT, "betas": _FLOATS}),
+}
+_EXAMPLE_FIELDS = {
+    "name": (_kind(lambda v: isinstance(v, str) and v in _EXAMPLES, f"one of {list(_EXAMPLES)}"),
+             _REQUIRED),
+    "params": (_object, {}),
+}
+
+# task type -> field -> (kind, default); a score or test ``n`` defaults to the data's N
+_ELEMENT = (_element, _REQUIRED)
+_TOL, _MAX_ITER, _ALPHA = (_float, _INHERIT), (_int, _INHERIT), (_float, _INHERIT)
+_OUT = (_path, None)
+_TASKS = {
+    "project": {"element": _ELEMENT, "tol": _TOL, "max_iter": _MAX_ITER, "out": _OUT},
+    "score": {"elements": (_list_of(_element), None), "n": (_int, None),
+              "tol": _TOL, "max_iter": _MAX_ITER},
+    "test": {"outer": _ELEMENT, "inner": _ELEMENT, "n": (_int, None), "alpha": _ALPHA,
+             "tol": _TOL, "max_iter": _MAX_ITER},
+    "ipf": {"element": _ELEMENT, "tol": _TOL, "max_cycles": (_int, 10_000), "out": _OUT},
+    "calibrate": {"generator": (_generator, _REQUIRED),
+                  "outer": (_element_or_specs, _REQUIRED),
+                  "inner": (_element_or_specs, _REQUIRED),
+                  "n": _INT, "replications": _INT, "seed": (_int, _INHERIT),
+                  "alpha": _ALPHA, "tol": _TOL, "max_iter": _MAX_ITER},
+    "example": {**_EXAMPLE_FIELDS, "out": _OUT},
+}
+_DATA_TASKS = ("project", "score", "test", "ipf")
+_task_type = _kind(lambda v: isinstance(v, str) and v in _TASKS, f"one of {list(_TASKS)}")
 
 
-def _coerce(field, kind, value):
-    """``kind(value)``, or a ConfigError naming ``field``."""
+def _check(kind, name, value, path, config=None):
+    """``value`` of field ``name`` through its kind and its rule."""
+    value = kind(value, path, config)
+    holds, text = _RULES.get(name, (None, None))
+    if holds is not None and not holds(value):
+        raise ConfigError(path, f"must be {text}, got {value!r}")
+    return value
+
+
+def _fields(doc, table, path, config=None):
+    """The fields of object ``doc`` checked against ``table`` (field ->
+    (kind, default)), defaults filled in; an unknown field is an error."""
+    _object(doc, path)
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", f"unknown field; expected one of {list(table)}")
+    checked = {}
+    for name, (kind, default) in table.items():
+        if name in doc:
+            checked[name] = _check(kind, name, doc[name], f"{path}.{name}", config)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{path}.{name}", "required field is missing")
+        else:
+            checked[name] = getattr(config, name) if default is _INHERIT else default
+    return checked
+
+
+@contextmanager
+def _at(path):
+    """Re-raise a library error of the block as a ConfigError at ``path``;
+    solver errors (exit code 2) pass through."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected {kind.__name__}, got {value!r}") from None
+        yield
+    except (ConfigError, ProjectionError):
+        raise
+    except TotemError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _task_field(task, i, key, kind, default):
-    """Task field ``key`` as ``kind`` (``default`` when absent), or a
-    ConfigError naming ``tasks[i].key``."""
-    return _coerce(f"tasks[{i}].{key}", kind, task.get(key, default))
+def _example(name, params, path):
+    """Check ``params`` of example ``name``; returns a function that builds it."""
+    builder, table = _EXAMPLES[name]
+    args = _fields(params, table, f"{path}.params")
+
+    def build():
+        with _at(f"{path}.params"):
+            return builder(*args.values())
+
+    return build
+
+
+def _check_task(task, i, config):
+    """Task ``i``'s fields, checked, with their defaults filled in."""
+    path = f"tasks[{i}]"
+    kind = _task_type(_object(task, path).get("type"), f"{path}.type")
+    if kind in _DATA_TASKS and config.data is None:
+        raise ConfigError(path, "this task needs a data file ('data' is not set)")
+    fields = _fields({k: v for k, v in task.items() if k != "type"}, _TASKS[kind], path, config)
+    if kind == "example":
+        fields["build"] = _example(fields["name"], fields["params"], path)
+    return fields
 
 
 def _fmt(value):
@@ -89,51 +277,31 @@ def _fmt(value):
 
 
 class AnalysisConfig:
-    """Validated analysis description; round-trips through JSON."""
+    """Validated analysis description; round-trips through JSON.
 
-    FIELDS = ("data", "space", "reference", "elements", "tasks",
-              "seed", "tol", "max_iter", "alpha")
+    :meth:`check` runs on construction and again in :func:`run`, because
+    fields (``tasks`` above all) may be reassigned in between.
+    """
+
+    FIELDS = tuple(_CONFIG_FIELDS)
 
     def __init__(self, data=None, space="infer", reference="uniform",
                  elements=None, tasks=None, seed=0, tol=1e-10,
                  max_iter=200, alpha=0.05):
-        if not isinstance(elements, (dict, type(None))):
-            raise ConfigError("elements", "expected an object of named operator spec lists")
-        if not isinstance(tasks, (list, tuple, type(None))):
-            raise ConfigError("tasks", "expected a list of tasks")
-        self.data = data
-        self.space = space
-        self.reference = reference
-        self.elements = dict(elements or {})
-        self.tasks = list(tasks or [])
-        self.seed = _coerce("seed", int, seed)
-        self.tol = _coerce("tol", float, tol)
-        self.max_iter = _coerce("max_iter", int, max_iter)
-        self.alpha = _coerce("alpha", float, alpha)
-        self._validate()
+        self.data, self.space, self.reference = data, space, reference
+        self.elements = {} if elements is None else elements
+        self.tasks = [] if tasks is None else tasks
+        self.seed, self.tol, self.max_iter, self.alpha = seed, tol, max_iter, alpha
+        self.check()
 
-    def _validate(self):
-        if self.space != "infer":
-            if not isinstance(self.space, dict) or "domains" not in self.space:
-                raise ConfigError("space", "expected 'infer' or {'domains': [...]}")
-            for i, dom in enumerate(self.space["domains"]):
-                if not isinstance(dom, dict) or "name" not in dom or "levels" not in dom:
-                    raise ConfigError(f"space.domains[{i}]", "expected {'name', 'levels'}")
-        for name, specs in self.elements.items():
-            if not isinstance(specs, list) or not specs:
-                raise ConfigError(f"elements.{name}", "expected a nonempty list of operator specs")
-        for i, task in enumerate(self.tasks):
-            if not isinstance(task, dict) or "type" not in task:
-                raise ConfigError(f"tasks[{i}]", "expected {'type': ...}")
-            if task["type"] not in _TASK_TYPES:
-                raise ConfigError(
-                    f"tasks[{i}].type",
-                    f"unknown task {task['type']!r}; expected one of {list(_TASK_TYPES)}",
-                )
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha", f"must be in (0, 1), got {self.alpha}")
-        if self.tol <= 0:
-            raise ConfigError("tol", f"must be positive, got {self.tol}")
+    def check(self):
+        """Check every field, keeping each top-level field in its checked
+        form; returns each task's checked fields, defaults filled in."""
+        for name, kind in _CONFIG_FIELDS.items():
+            setattr(self, name, _check(kind, name, getattr(self, name), name, self))
+        if self.elements and self.space == "infer" and self.data is None:
+            raise ConfigError("elements", "element declarations need a space ('space' or 'data')")
+        return [_check_task(task, i, self) for i, task in enumerate(self.tasks)]
 
     @classmethod
     def from_dict(cls, doc):
@@ -145,24 +313,15 @@ class AnalysisConfig:
         return cls(**doc)
 
     def to_dict(self):
-        return {
-            "data": self.data,
-            "space": self.space,
-            "reference": self.reference,
-            "elements": self.elements,
-            "tasks": self.tasks,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "alpha": self.alpha,
-        }
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     @classmethod
     def from_json(cls, text):
         try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
@@ -179,154 +338,97 @@ class AnalysisConfig:
         return f"AnalysisConfig(tasks={[t.get('type') for t in self.tasks]})"
 
 
-def _build_example(name, params, path):
-    if name not in _EXAMPLES:
-        raise ConfigError(path, f"unknown example {name!r}; expected one of {sorted(_EXAMPLES)}")
-    builder, schema = _EXAMPLES[name]
-    args = []
-    for key, kind in schema.items():
-        if key not in params:
-            if name == "ising" and key in ("i0", "j0"):
-                args.append({"i0": 0, "j0": 1}[key])
-                continue
-            raise ConfigError(f"{path}.{key}", f"example {name!r} needs parameter {key!r}")
-        raw = params[key]
-        try:
-            if kind == "floats":
-                if isinstance(raw, str):
-                    raw = [float(x) for x in raw.split(",") if x.strip()]
-                args.append([float(x) for x in raw])
-            else:
-                args.append(kind(raw))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.{key}", f"bad value {raw!r}: {exc}") from exc
-    extra = set(params) - set(schema)
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}", f"unknown parameter for example {name!r}")
-    try:
-        return builder(*args)
-    except TotemError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _build_element(space, specs, path):
+    """The auto-reduced element of the operator ``specs`` on ``space``."""
+    ops = []
+    for j, spec in enumerate(specs):
+        with _at(f"{path}[{j}]"):
+            ops.append(operator_from_spec(space, spec))
+    with _at(path):
+        return make_element(ops, mode="auto-reduce")
+
+
+def _load(source, path, space=None):
+    with _at(path):
+        return load_distribution(source, space=space)
 
 
 class _Analysis:
-    """Materialized config: space, data, reference, elements, caches."""
+    """Materialized config: space, data, reference and elements."""
 
     def __init__(self, config):
-        self.config = config
-        self.table = None
         self.space = None
         self.empirical = None
+        self.reference = None
         self.data_fingerprint = "none"
-        self._cache = {}
 
         domains = None
         if config.space != "infer":
             domains = []
             for j, d in enumerate(config.space["domains"]):
-                try:
+                with _at(f"space.domains[{j}]"):
                     domains.append(AttributeDomain(d["name"], d["levels"]))
-                except TotemError as exc:
-                    raise ConfigError(f"space.domains[{j}]", str(exc)) from exc
 
+        table = None
         if config.data is not None:
-            try:
-                self.table = ingest_csv(
-                    config.data, schema="infer" if domains is None else domains
-                )
-            except TotemError as exc:
-                raise ConfigError("data", str(exc)) from exc
+            with _at("data"):
+                table = ingest_csv(config.data, schema="infer" if domains is None else domains)
 
-        if domains is not None:
-            nulls = [tuple(e) for e in config.space.get("nullentities", [])]
-            try:
+        with _at("space"):
+            if domains is not None:
+                nulls = [tuple(e) for e in config.space.get("nullentities", [])]
                 self.space = EntitySpace(domains, nulls)
-            except TotemError as exc:
-                raise ConfigError("space", str(exc)) from exc
-        elif self.table is not None:
-            self.space = EntitySpace(self.table.domains)
+            elif table is not None:
+                self.space = EntitySpace(table.domains)
 
-        if self.table is not None:
-            try:
-                self.empirical = empirical_distribution(self.space, self.table)
-            except TotemError as exc:
-                raise ConfigError("data", str(exc)) from exc
-            self.data_fingerprint = hashlib.sha256(
-                self.empirical.counts.tobytes()
-            ).hexdigest()
+        if table is not None:
+            with _at("data"):
+                self.empirical = empirical_distribution(self.space, table)
+            self.data_fingerprint = hashlib.sha256(self.empirical.counts.tobytes()).hexdigest()
 
-        self.reference = self._build_reference(config.reference)
-        self.reference_fingerprint = (
-            hashlib.sha256(self.reference.weights.tobytes()).hexdigest()
-            if self.reference is not None
-            else "none"
-        )
-        if config.elements and self.space is None:
-            raise ConfigError(
-                "elements", "element declarations need a space ('space' or 'data')"
+        if self.space is not None and isinstance(config.reference, dict):
+            self.reference = _load(config.reference["path"], "reference.path", self.space)
+        elif self.space is not None:
+            self.reference = uniform(
+                self.space, "admissible" if config.reference == "uniform" else "full"
             )
-        self.elements = {}
-        for name, specs in config.elements.items():
-            ops = []
-            for i, spec in enumerate(specs):
-                try:
-                    ops.append(operator_from_spec(self.space, spec))
-                except TotemError as exc:
-                    raise ConfigError(f"elements.{name}[{i}]", str(exc)) from exc
-            try:
-                self.elements[name] = make_element(ops, mode="auto-reduce")
-            except TotemError as exc:
-                raise ConfigError(f"elements.{name}", str(exc)) from exc
-
-    def _build_reference(self, spec):
-        if self.space is None:
-            return None
-        if spec == "uniform":
-            return uniform(self.space, "admissible")
-        if spec == "uniform-full":
-            return uniform(self.space, "full")
-        if isinstance(spec, dict) and "path" in spec:
-            try:
-                return load_distribution(spec["path"], space=self.space)
-            except TotemError as exc:
-                raise ConfigError("reference.path", str(exc)) from exc
-        raise ConfigError(
-            "reference", f"expected 'uniform', 'uniform-full' or {{'path': ...}}, got {spec!r}"
-        )
-
-    def element(self, name, path):
-        if name not in self.elements:
-            raise ConfigError(path, f"unknown element {name!r}; declared: {sorted(self.elements)}")
-        return self.elements[name]
-
-    def need_data(self, path):
-        if self.empirical is None:
-            raise ConfigError(path, "this task needs a data file ('data' is not set)")
-        return self.empirical
-
-    def project_cached(self, element, tol, max_iter):
-        key = (self.reference_fingerprint, element.fingerprint, self.data_fingerprint)
-        if key not in self._cache:
-            plex = Totemplex(element, self.empirical)
-            self._cache[key] = newton_project(
-                self.reference, plex, tol=tol, max_iter=max_iter
-            )
-        return self._cache[key]
+        self.elements = {
+            name: _build_element(self.space, specs, f"elements.{name}")
+            for name, specs in config.elements.items()
+        }
 
 
 def _kv(lines, key, value, indent=2):
     lines.append(" " * indent + f"{key}: {_fmt(value)}")
 
 
-def _run_project(analysis, task, i, lines, config):
-    element = analysis.element(task.get("element", ""), f"tasks[{i}].element")
-    analysis.need_data(f"tasks[{i}]")
-    result = analysis.project_cached(
-        element,
-        _task_field(task, i, "tol", float, config.tol),
-        _task_field(task, i, "max_iter", int, config.max_iter),
+def _write(path, field, text):
+    """Write ``text`` to the file ``path``; failing is a ConfigError at ``field``."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot write {path}: {exc}") from exc
+
+
+def _distribution_json(dist):
+    return json.dumps(distribution_to_dict(dist), indent=1, sort_keys=True) + "\n"
+
+
+def _write_distribution(lines, dist, out, i):
+    """Write ``dist`` to task ``i``'s ``out`` file, when it names one."""
+    if out:
+        _write(out, f"tasks[{i}].out", _distribution_json(dist))
+        _kv(lines, "distribution written to", out)
+
+
+def _run_project(analysis, f, i, lines):
+    element = analysis.elements[f["element"]]
+    result = newton_project(
+        analysis.reference, Totemplex(element, analysis.empirical),
+        tol=f["tol"], max_iter=f["max_iter"],
     )
-    _kv(lines, "element", task["element"])
+    _kv(lines, "element", f["element"])
     _kv(lines, "element fingerprint", result.element_fingerprint)
     _kv(lines, "method", result.method)
     _kv(lines, "iterations", result.iterations)
@@ -335,24 +437,15 @@ def _run_project(analysis, task, i, lines, config):
     _kv(lines, "boundary", result.boundary)
     for op, theta in zip(element.operators, result.multipliers):
         _kv(lines, f"multiplier {op.label}", theta)
-    out = task.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(distribution_to_dict(result.distribution), handle,
-                      indent=1, sort_keys=True)
-            handle.write("\n")
-        _kv(lines, "distribution written to", out)
+    _write_distribution(lines, result.distribution, f["out"], i)
 
 
-def _run_score(analysis, task, i, lines, config):
-    empirical = analysis.need_data(f"tasks[{i}]")
-    names = task.get("elements") or sorted(analysis.elements)
-    elements = [analysis.element(name, f"tasks[{i}].elements") for name in names]
-    n = _task_field(task, i, "n", int, empirical.n_samples)
+def _run_score(analysis, f, i, lines):
+    names = f["elements"] or sorted(analysis.elements)
+    n = f["n"] or analysis.empirical.n_samples
     reports = select_element(
-        analysis.reference, elements, empirical, n,
-        tol=_task_field(task, i, "tol", float, config.tol),
-        max_iter=_task_field(task, i, "max_iter", int, config.max_iter),
+        analysis.reference, [analysis.elements[name] for name in names],
+        analysis.empirical, n, tol=f["tol"], max_iter=f["max_iter"],
     )
     label_of = {analysis.elements[name].fingerprint: name for name in names}
     _kv(lines, "N", n)
@@ -369,25 +462,14 @@ def _run_score(analysis, task, i, lines, config):
             _kv(lines, "error", report.error, indent=4)
 
 
-def _run_test(analysis, task, i, lines, config):
-    empirical = analysis.need_data(f"tasks[{i}]")
-    outer = analysis.element(task.get("outer", ""), f"tasks[{i}].outer")
-    inner = analysis.element(task.get("inner", ""), f"tasks[{i}].inner")
-    n = _task_field(task, i, "n", int, empirical.n_samples)
-    alpha = _task_field(task, i, "alpha", float, config.alpha)
-    tol = _task_field(task, i, "tol", float, config.tol)
-    max_iter = _task_field(task, i, "max_iter", int, config.max_iter)
-    try:
-        report = i_test(
-            analysis.reference, outer, inner, empirical, n, alpha,
-            tol=tol, max_iter=max_iter,
-        )
-    except TotemError as exc:
-        if isinstance(exc, ProjectionError):
-            raise
-        raise ConfigError(f"tasks[{i}]", str(exc)) from exc
-    _kv(lines, "outer", task["outer"])
-    _kv(lines, "inner", task["inner"])
+def _run_test(analysis, f, i, lines):
+    report = i_test(
+        analysis.reference, analysis.elements[f["outer"]], analysis.elements[f["inner"]],
+        analysis.empirical, f["n"] or analysis.empirical.n_samples, f["alpha"],
+        tol=f["tol"], max_iter=f["max_iter"],
+    )
+    _kv(lines, "outer", f["outer"])
+    _kv(lines, "inner", f["inner"])
     _kv(lines, "N", report.n)
     _kv(lines, "Q", report.q_statistic)
     _kv(lines, "dof", report.dof)
@@ -398,80 +480,35 @@ def _run_test(analysis, task, i, lines, config):
     _kv(lines, "decision", "reject" if report.reject else "retain")
 
 
-def _run_ipf(analysis, task, i, lines, config):
-    empirical = analysis.need_data(f"tasks[{i}]")
-    element = analysis.element(task.get("element", ""), f"tasks[{i}].element")
+def _run_ipf(analysis, f, i, lines):
+    element = analysis.elements[f["element"]]
     rows = element.matrix
     if not np.all((np.abs(rows) < 1e-12) | (np.abs(rows - 1.0) < 1e-12)):
-        raise ConfigError(
-            f"tasks[{i}].element",
-            "iterative proportional fitting needs an element of binary "
-            "(marginal) operators",
-        )
-    targets = element.expectations(empirical)
+        raise ConfigError(f"tasks[{i}].element", "iterative proportional fitting needs "
+                          "an element of binary (marginal) operators")
     result = ipf_project(
-        analysis.reference, rows, targets,
-        tol=_task_field(task, i, "tol", float, config.tol),
-        max_cycles=_task_field(task, i, "max_cycles", int, 10_000),
-        variant=task.get("variant", "proportional"),
+        analysis.reference, rows, element.expectations(analysis.empirical),
+        tol=f["tol"], max_cycles=f["max_cycles"],
     )
-    _kv(lines, "element", task["element"])
-    _kv(lines, "variant", task.get("variant", "proportional"))
+    _kv(lines, "element", f["element"])
     _kv(lines, "cycles", result.iterations)
     _kv(lines, "residual", result.residual)
     _kv(lines, "divergence from reference", result.divergence_from_reference)
     _kv(lines, "boundary", result.boundary)
-    out = task.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(distribution_to_dict(result.distribution), handle,
-                      indent=1, sort_keys=True)
-            handle.write("\n")
-        _kv(lines, "distribution written to", out)
+    _write_distribution(lines, result.distribution, f["out"], i)
 
 
-def _resolve_generator(analysis, spec, path):
-    if isinstance(spec, dict) and "example" in spec:
-        ex = spec["example"]
-        return _build_example(ex.get("name", ""), ex.get("params", {}), f"{path}.example")
-    if isinstance(spec, dict) and "path" in spec:
-        try:
-            return load_distribution(spec["path"])
-        except TotemError as exc:
-            raise ConfigError(f"{path}.path", str(exc)) from exc
-    raise ConfigError(path, "expected {'example': {...}} or {'path': ...}")
+def _run_calibrate(analysis, f, i, lines):
+    generator = f["generator"]()
 
+    def element(key):
+        if isinstance(f[key], str):
+            return analysis.elements[f[key]]
+        return _build_element(generator.space, f[key], f"tasks[{i}].{key}")
 
-def _run_calibrate(analysis, task, i, lines, config):
-    generator = _resolve_generator(analysis, task.get("generator", {}), f"tasks[{i}].generator")
-    space = generator.space
-    outer_specs = task.get("outer")
-    inner_specs = task.get("inner")
-    if isinstance(outer_specs, str):
-        outer = analysis.element(outer_specs, f"tasks[{i}].outer")
-        inner = analysis.element(inner_specs, f"tasks[{i}].inner")
-    else:
-        try:
-            outer = make_element(
-                [operator_from_spec(space, s) for s in outer_specs], mode="auto-reduce"
-            )
-            inner = make_element(
-                [operator_from_spec(space, s) for s in inner_specs], mode="auto-reduce"
-            )
-        except (TotemError, TypeError) as exc:
-            raise ConfigError(f"tasks[{i}].outer/inner", str(exc)) from exc
-    n = _task_field(task, i, "n", int, 0)
-    if n < 1:
-        raise ConfigError(f"tasks[{i}].n", "calibration needs a positive sample size")
-    replications = _task_field(task, i, "replications", int, 0)
-    if replications < 1:
-        raise ConfigError(f"tasks[{i}].replications", "need at least one replication")
-    seed = _task_field(task, i, "seed", int, config.seed)
-    alpha = _task_field(task, i, "alpha", float, config.alpha)
     result = calibration_experiment(
-        generator, outer, inner, n, replications, seed,
-        alpha=alpha, tol=_task_field(task, i, "tol", float, config.tol),
-        max_iter=_task_field(task, i, "max_iter", int, config.max_iter),
+        generator, element("outer"), element("inner"), f["n"], f["replications"],
+        f["seed"], alpha=f["alpha"], tol=f["tol"], max_iter=f["max_iter"],
     )
     _kv(lines, "N", result.n)
     _kv(lines, "replications", result.replications)
@@ -479,34 +516,23 @@ def _run_calibrate(analysis, task, i, lines, config):
     _kv(lines, "dof", result.dof)
     _kv(lines, "mean Q", result.mean_q)
     _kv(lines, "KS distance", result.ks_distance)
-    _kv(lines, "alpha", alpha)
-    _kv(lines, "rejection rate", result.rejection_rate(alpha))
+    _kv(lines, "alpha", f["alpha"])
+    _kv(lines, "rejection rate", result.rejection_rate(f["alpha"]))
 
 
-def _run_example(analysis, task, i, lines, config):
-    name = task.get("name", "")
-    dist = _build_example(name, task.get("params", {}), f"tasks[{i}].params")
-    _kv(lines, "example", name)
+def _run_example(analysis, f, i, lines):
+    dist = f["build"]()
+    _kv(lines, "example", f["name"])
     _kv(lines, "entities", dist.space.n_entities)
-    doc = json.dumps(distribution_to_dict(dist), indent=1, sort_keys=True) + "\n"
-    out = task.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(doc)
-        _kv(lines, "distribution written to", out)
+    if f["out"]:
+        _write_distribution(lines, dist, f["out"], i)
     else:
         _kv(lines, "distribution", "inline below")
-        lines.extend("  " + line for line in doc.rstrip("\n").split("\n"))
+        lines.extend("  " + line for line in _distribution_json(dist).rstrip("\n").split("\n"))
 
 
-_RUNNERS = {
-    "project": _run_project,
-    "score": _run_score,
-    "test": _run_test,
-    "ipf": _run_ipf,
-    "calibrate": _run_calibrate,
-    "example": _run_example,
-}
+_RUNNERS = {"project": _run_project, "score": _run_score, "test": _run_test,
+            "ipf": _run_ipf, "calibrate": _run_calibrate, "example": _run_example}
 
 
 def report_emit(config, sections):
@@ -525,31 +551,32 @@ def report_emit(config, sections):
     return "\n".join(lines) + "\n"
 
 
-def run(config, out=None):
-    """Execute every task of ``config`` in order; returns (exit code, report)."""
+def run(config):
+    """Execute every task of ``config`` in order; returns (exit code, report).
+
+    Every field is checked before any data is read.  On a configuration
+    error (exit code 1) the report is the one-line message.
+    """
     sections = []
     try:
+        checked = config.check()
         analysis = _Analysis(config)
         if analysis.space is not None:
-            sections.append((
-                "inputs",
-                [
-                    f"  space fingerprint: {analysis.space.fingerprint}",
-                    f"  data fingerprint: {analysis.data_fingerprint}",
-                    f"  entities: {analysis.space.n_entities}",
-                    f"  admissible: {analysis.space.n_admissible}",
-                ]
-                + (
-                    [f"  N: {analysis.empirical.n_samples}"]
-                    if analysis.empirical is not None
-                    else []
-                ),
-            ))
+            inputs = [
+                f"  space fingerprint: {analysis.space.fingerprint}",
+                f"  data fingerprint: {analysis.data_fingerprint}",
+                f"  entities: {analysis.space.n_entities}",
+                f"  admissible: {analysis.space.n_admissible}",
+            ]
+            if analysis.empirical is not None:
+                inputs.append(f"  N: {analysis.empirical.n_samples}")
+            sections.append(("inputs", inputs))
         code = 0
-        for i, task in enumerate(config.tasks):
+        for i, (task, fields) in enumerate(zip(config.tasks, checked)):
             body = []
             try:
-                _RUNNERS[task["type"]](analysis, task, i, body, config)
+                with _at(f"tasks[{i}]"):
+                    _RUNNERS[task["type"]](analysis, fields, i, body)
             except NonConvergenceError as exc:
                 body.append(f"  error: {exc}")
                 body.append("  hint: retry via chained stages or a looser tolerance")
@@ -557,18 +584,10 @@ def run(config, out=None):
             except ProjectionError as exc:
                 body.append(f"  error: {exc}")
                 code = 2
-            except ConfigError:
-                raise
-            except TotemError as exc:
-                raise ConfigError(f"tasks[{i}]", str(exc)) from exc
             sections.append((f"task {i + 1}: {task['type']}", body))
     except ConfigError as exc:
-        return 1, f"configuration error at {exc.path}: {exc.args[0].split(': ', 1)[-1]}\n"
-    report = report_emit(config, sections)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(report)
-    return code, report
+        return 1, f"configuration error at {exc}\n"
+    return code, report_emit(config, sections)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -577,50 +596,94 @@ def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     return AnalysisConfig.from_json(text)
 
 
-def _config_from_args(args):
-    if getattr(args, "config", None):
-        config = _read_config(args.config)
-    else:
-        space = "infer"
-        if getattr(args, "domain", None):
-            domains = []
-            for item in args.domain:
-                if "=" not in item:
-                    raise ConfigError("--domain", f"expected name=lvl1,lvl2, got {item!r}")
-                name, levels = item.split("=", 1)
-                domains.append({"name": name, "levels": levels.split(",")})
-            space = {"domains": domains,
-                     "nullentities": [e.split(",") for e in (args.nullentity or [])]}
-        elements = {}
-        for item in getattr(args, "element", None) or []:
-            if "=" not in item:
-                raise ConfigError("--element", f"expected name=spec;spec, got {item!r}")
-            name, specs = item.split("=", 1)
-            elements[name] = [s.strip() for s in specs.split(";") if s.strip()]
-        config = AnalysisConfig(
-            data=getattr(args, "data", None),
-            space=space,
-            reference=getattr(args, "reference", "uniform") or "uniform",
-            elements=elements,
-        )
-    return _override(config, args)
-
-
 def _override(config, args):
     """Apply the --seed/--tol/--alpha command-line overrides to ``config``."""
-    for field in ("seed", "tol", "alpha"):
-        value = getattr(args, field, None)
+    for name in ("seed", "tol", "alpha"):
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, field, type(getattr(config, field))(value))
+            setattr(config, name, _check(_CONFIG_FIELDS[name], name, value, f"--{name}"))
     return config
 
 
-def _add_common(parser, with_elements=True):
+def _task_from_args(args, config):
+    """The one task of a ``project``, ``score``, ``test``, ``ipf`` or
+    ``calibrate`` command line."""
+    if args.command in ("project", "ipf"):
+        names = list(config.elements)
+        use = args.use or (names[0] if len(names) == 1 else None)
+        if use is None:
+            raise ConfigError("--use", "name the element to use")
+        return {"type": args.command, "element": use}
+    if args.command == "score":
+        use = [s for s in (args.use or "").split(",") if s] or None
+        return {"type": "score", **({"elements": use} if use else {})}
+    if args.command == "test":
+        if not args.outer or not args.inner:
+            raise ConfigError("--outer/--inner", "the test needs both elements")
+        return {"type": "test", "outer": args.outer, "inner": args.inner}
+    if ":" in args.generator:
+        gen_name, _, raw = args.generator.partition(":")
+        params = dict(_pairs(raw.split(",") if raw else [], "--generator"))
+        generator = {"example": {"name": gen_name, "params": params}}
+    else:
+        generator = {"path": args.generator}
+
+    def element_arg(value):
+        return value if value in config.elements else _spec_list(value)
+
+    return {
+        "type": "calibrate",
+        "generator": generator,
+        "outer": element_arg(args.outer),
+        "inner": element_arg(args.inner),
+        "n": args.n,
+        "replications": args.replications,
+    }
+
+
+def _config_from_args(args):
+    if args.command == "run":
+        return _override(_read_config(args.config_file), args)
+    if args.command == "example":
+        return AnalysisConfig(tasks=[{
+            "type": "example",
+            "name": args.name,
+            "params": dict(_pairs(args.param, "--param")),
+            **({"out": args.out} if args.out else {}),
+        }])
+    if args.config:
+        config = _read_config(args.config)
+    else:
+        space = "infer"
+        if args.domain:
+            space = {"domains": [{"name": name, "levels": levels.split(",")}
+                                 for name, levels in _pairs(args.domain, "--domain")],
+                     "nullentities": [e.split(",") for e in (args.nullentity or [])]}
+        config = AnalysisConfig(
+            data=args.data,
+            space=space,
+            reference=args.reference or "uniform",
+            elements={name: _spec_list(specs) for name, specs in _pairs(args.element, "--element")},
+        )
+    config = _override(config, args)
+    config.tasks = [_task_from_args(args, config)]
+    return config
+
+
+def _add_overrides(parser):
+    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--tol", type=float, default=None, help="override tolerance")
+    parser.add_argument("--alpha", type=float, default=None, help="override significance level")
+    parser.add_argument("--out", default=None, help="write the report to this file")
+
+
+def _add_common(parser):
+    _add_overrides(parser)
     parser.add_argument("--config", help="JSON analysis configuration")
     parser.add_argument("--data", help="CSV data file (header row, UTF-8)")
     parser.add_argument("--domain", action="append",
@@ -629,23 +692,21 @@ def _add_common(parser, with_elements=True):
                         help="inadmissible entity lvl1,lvl2,... (repeatable)")
     parser.add_argument("--reference", default=None,
                         help="'uniform', 'uniform-full' (default: uniform)")
-    if with_elements:
-        parser.add_argument("--element", action="append",
-                            help="element declaration name=spec;spec (repeatable)")
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
-    parser.add_argument("--tol", type=float, default=None, help="override tolerance")
-    parser.add_argument("--alpha", type=float, default=None, help="override significance level")
-    parser.add_argument("--out", default=None, help="write the report to this file")
+    parser.add_argument("--element", action="append",
+                        help="element declaration name=spec;spec (repeatable)")
 
 
-def _parse_kv_params(items):
-    params = {}
+def _pairs(items, flag):
+    """The ``key=value`` command-line ``items`` as (key, value) pairs."""
     for item in items or []:
         if "=" not in item:
-            raise ConfigError("--param", f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key] = value
-    return params
+            raise ConfigError(flag, f"expected key=value, got {item!r}")
+        yield tuple(item.split("=", 1))
+
+
+def _spec_list(text):
+    """Operator specs from one ``spec;spec`` command-line value."""
+    return [spec.strip() for spec in text.split(";") if spec.strip()]
 
 
 def main(argv=None):
@@ -658,17 +719,13 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="execute every task of a config file")
     p_run.add_argument("config_file", help="JSON analysis configuration")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--tol", type=float, default=None)
-    p_run.add_argument("--alpha", type=float, default=None)
-    p_run.add_argument("--out", default=None)
+    _add_overrides(p_run)
 
     for name, extra in (
         ("project", [("--use", "element to project onto")]),
         ("score", [("--use", "comma-separated element names (default: all)")]),
         ("test", [("--outer", "coarser element"), ("--inner", "finer element")]),
-        ("ipf", [("--use", "element with binary rows"),
-                 ("--variant", "proportional|exponential")]),
+        ("ipf", [("--use", "element with binary rows")]),
     ):
         p = sub.add_parser(name, help=f"single {name} task")
         _add_common(p)
@@ -688,81 +745,22 @@ def main(argv=None):
     p_ex.add_argument("name", choices=sorted(_EXAMPLES))
     p_ex.add_argument("--param", action="append",
                       help="key=value builder parameter (repeatable)")
-    p_ex.add_argument("--out", default=None)
+    p_ex.add_argument("--out", default=None, help="write the distribution to this file")
 
     args = parser.parse_args(argv)
-
+    # the report goes to --out or stdout; example's --out is its distribution
+    out = None if args.command == "example" else args.out
     try:
-        if args.command == "run":
-            config = _override(_read_config(args.config_file), args)
-            code, report = run(config, out=args.out)
-            if not args.out:
-                sys.stdout.write(report)
-            elif code == 1:
-                sys.stderr.write(report)
-            return code
-
-        if args.command == "example":
-            config = AnalysisConfig(tasks=[{
-                "type": "example",
-                "name": args.name,
-                "params": _parse_kv_params(args.param),
-                **({"out": args.out} if args.out else {}),
-            }])
-            code, report = run(config)
-            sys.stdout.write(report)
-            return code
-
-        config = _config_from_args(args)
-        task = None
-        if args.command == "project":
-            names = list(config.elements)
-            use = args.use or (names[0] if len(names) == 1 else None)
-            if use is None:
-                raise ConfigError("--use", "name the element to project onto")
-            task = {"type": "project", "element": use}
-        elif args.command == "score":
-            use = [s for s in (args.use or "").split(",") if s] or None
-            task = {"type": "score", **({"elements": use} if use else {})}
-        elif args.command == "test":
-            if not args.outer or not args.inner:
-                raise ConfigError("--outer/--inner", "the test needs both elements")
-            task = {"type": "test", "outer": args.outer, "inner": args.inner}
-        elif args.command == "ipf":
-            names = list(config.elements)
-            use = args.use or (names[0] if len(names) == 1 else None)
-            if use is None:
-                raise ConfigError("--use", "name the element with the marginal rows")
-            task = {"type": "ipf", "element": use,
-                    "variant": args.variant or "proportional"}
-        elif args.command == "calibrate":
-            if ":" in args.generator:
-                gen_name, _, raw = args.generator.partition(":")
-                params = _parse_kv_params(raw.split(",")) if raw else {}
-                generator = {"example": {"name": gen_name, "params": params}}
-            else:
-                generator = {"path": args.generator}
-            def element_arg(value):
-                return value if value in config.elements else [
-                    s.strip() for s in value.split(";") if s.strip()
-                ]
-            task = {
-                "type": "calibrate",
-                "generator": generator,
-                "outer": element_arg(args.outer),
-                "inner": element_arg(args.inner),
-                "n": args.n,
-                "replications": args.replications,
-            }
-        config.tasks = [task]
-        code, report = run(config, out=args.out)
-        if not args.out:
-            sys.stdout.write(report)
-        return code
+        code, report = run(_config_from_args(args))
+        if code != 1 and out:
+            _write(out, "--out", report)
     except ConfigError as exc:
-        sys.stderr.write(f"configuration error at {exc.path}: "
-                         f"{exc.args[0].split(': ', 1)[-1]}\n")
-        return 1
+        code, report = 1, f"configuration error at {exc}\n"
+    if code == 1:
+        sys.stderr.write(report)
+    elif not out:
+        sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

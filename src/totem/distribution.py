@@ -345,7 +345,7 @@ def distribution_from_dict(doc, space=None):
     """Rebuild a distribution; verifies the fingerprint against ``space``."""
     from .entity import AttributeDomain, EntitySpace  # deferred: avoids cycle
 
-    if doc.get("format") != "totem-distribution":
+    if not isinstance(doc, dict) or doc.get("format") != "totem-distribution":
         raise DataError("not a serialized distribution document")
     if space is None:
         domains = [
@@ -370,5 +370,9 @@ def save_distribution(dist, path):
 
 
 def load_distribution(path, space=None):
-    with open(path, "r", encoding="utf-8") as handle:
-        return distribution_from_dict(json.load(handle), space=space)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise DataError(f"cannot read a distribution from {path}: {exc}") from exc
+    return distribution_from_dict(doc, space=space)

@@ -249,6 +249,8 @@ def _philox(seed, stream=0):
 
 def _draw_counts(dist, n, rng):
     """One multinomial draw over the positive-weight entities."""
+    if n > np.iinfo(np.int64).max:
+        raise TotemError(f"sample size {n} is beyond the sampler's 64-bit range")
     weights = dist.weights
     counts = np.zeros(dist.space.n_entities, dtype=np.int64)
     support = np.flatnonzero(weights > 0.0)

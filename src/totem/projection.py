@@ -482,18 +482,16 @@ def ipf_project(
 ):
     """Iterative proportional fitting for binary (marginal) constraints.
 
-    Cycles through the rows of the binary constraint matrix.  The
-    ``"proportional"`` variant rescales each row's support by
-    ``target/current`` and converges whenever the targets are jointly
-    feasible; the ``"exponential"`` variant applies
-    ``exp(target/current - 1)`` per entity instead and is kept for
-    comparison (no general convergence guarantee, arguments are capped to
-    stay finite).  A normalization row is appended automatically when the
-    given rows do not already imply it.  Zero targets zero out their
-    row's support and flag the result as a boundary solution.
+    Cycles through the rows of the binary constraint matrix, rescaling
+    each row's support by ``target/current``; this converges whenever the
+    targets are jointly feasible.  A normalization row is appended
+    automatically when the given rows do not already imply it.  Zero
+    targets zero out their row's support and flag the result as a
+    boundary solution.  ``variant`` must be ``"proportional"``, the only
+    update there is; the keyword stays so that calls spelling it out work.
     """
-    if variant not in ("proportional", "exponential"):
-        raise ProjectionError(f"unknown IPF variant {variant!r}")
+    if variant != "proportional":
+        raise ProjectionError(f"unknown IPF variant {variant!r}; expected 'proportional'")
     if max_cycles < 1:
         raise ProjectionError(f"max_cycles must be at least 1, got {max_cycles!r}")
     space = reference.space
@@ -543,11 +541,7 @@ def ipf_project(
                 raise ProjectionError(
                     f"row support lost all mass while targeting {target}"
                 )
-            if variant == "proportional":
-                p[on] *= target / current
-            else:
-                arg = min(target / current - 1.0, 200.0)
-                p[on] *= np.exp(arg)
+            p[on] *= target / current
         residual = max(
             abs(float(p[(row > 0.0) & support].sum()) - target)
             for row, target in work_rows
@@ -573,5 +567,5 @@ def ipf_project(
         divergence_from_reference=i_divergence(dist, reference),
         element_fingerprint=element.fingerprint,
         boundary=boundary,
-        method=f"ipf-{variant}",
+        method="ipf-proportional",
     )

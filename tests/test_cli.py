@@ -1,7 +1,11 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from totem import cli
 from totem.cli import AnalysisConfig, main, run
 
 
@@ -83,6 +87,17 @@ class TestRun:
         code, report = run(coin_config)
         assert code == 2
         assert "error" in report
+
+    def test_repeated_projection_uses_its_own_budget(self, coin_config):
+        coin_config.tasks = [
+            {"type": "project", "element": "spectrum"},
+            {"type": "project", "element": "spectrum", "max_iter": 1},
+        ]
+        code, report = run(coin_config)
+        assert code == 2
+        first, second = report.split("task 2: project")
+        assert "error" not in first
+        assert "error" in second
 
     def test_seed_echoed_and_17_digits(self, coin_config):
         code, report = run(coin_config)
@@ -187,6 +202,31 @@ class TestMain:
         assert code == 0
         assert "totem report" in out_path.read_text()
 
+    @pytest.mark.parametrize("target", ["--out", "tasks[0].out"])
+    def test_unwritable_output_is_configuration_error(self, coin_config, tmp_path,
+                                                      target, capsys):
+        argv_out = []
+        if target == "--out":
+            argv_out = ["--out", str(tmp_path)]
+        else:
+            coin_config.tasks = [{"type": "project", "element": "mean", "out": str(tmp_path)}]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path), *argv_out])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"configuration error at {target}: cannot write" in captured.err
+        assert captured.out == ""
+
+    def test_subcommand_error_goes_to_stderr_with_out(self, coin_csv, tmp_path, capsys):
+        out_path = tmp_path / "report.txt"
+        code = main(["project", "--data", coin_csv, "--element", "mean=identity",
+                     "--use", "missing", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "configuration error at tasks[0].element:" in captured.err
+        assert not out_path.exists()
+
 
 class TestExitCodeContract:
     """Malformed inputs exit 1 with the offending field named, never a traceback."""
@@ -199,6 +239,17 @@ class TestExitCodeContract:
             ({"max_iter": "abc"}, "max_iter"),
             ({"elements": ["a"]}, "elements"),
             ({"tasks": "notalist"}, "tasks"),
+            ({"data": ["x"]}, "data"),
+            ({"data": 5}, "data"),
+            ({"space": {"domains": 5}}, "space.domains"),
+            ({"space": {"domains": [], "nullentities": 3}}, "space.nullentities"),
+            ({"reference": {"path": 5}}, "reference.path"),
+            ({"elements": {"a": [1]}}, "elements.a"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": -1}, "tol"),
+            ({"alpha": 1.5}, "alpha"),
         ],
     )
     def test_malformed_field(self, doc, field, tmp_path, capsys):
@@ -239,17 +290,38 @@ class TestExitCodeContract:
             ({"type": "project", "element": "mean", "tol": "x"}, "tasks[0].tol"),
             ({"type": "ipf", "element": "spectrum", "max_cycles": "x"},
              "tasks[0].max_cycles"),
+            ({"type": "project", "element": ["mean"]}, "tasks[0].element"),
+            ({"type": "score", "elements": 5}, "tasks[0].elements"),
+            ({**_CALIBRATE, "generator": {"example": "coin"}}, "tasks[0].generator.example"),
+            ({**_CALIBRATE, "n": 0}, "tasks[0].n"),
+            ({**_CALIBRATE, "replications": 2.5}, "tasks[0].replications"),
+            ({"type": "example", "name": ["coin"]}, "tasks[0].name"),
+            ({"type": "example", "name": "coin", "params": {"L": 2}},
+             "tasks[0].params.eta"),
+            ({"type": "project", "element": "mean", "out": 5}, "tasks[0].out"),
+            ({"type": "project", "element": "mean", "max_iters": 1}, "tasks[0].max_iters"),
+            ({"type": "project", "element": "mean", "tol": -1}, "tasks[0].tol"),
+            ({"type": "ipf", "element": "spectrum", "variant": "exponential"},
+             "tasks[0].variant"),
         ],
     )
     def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):
+        # the data file does not exist: every task field is checked before it is read
+        coin_config.data = str(tmp_path / "absent.csv")
         coin_config.tasks = [task]
         config_path = tmp_path / "analysis.json"
         config_path.write_text(coin_config.to_json())
         code = main(["run", str(config_path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert f"configuration error at {field}:" in captured.out
+        assert f"configuration error at {field}:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_oversized_calibration_sample_is_configuration_error(self, coin_config):
+        coin_config.tasks = [{**self._CALIBRATE, "n": 2**63}]
+        code, report = run(coin_config)
+        assert code == 1
+        assert report.startswith("configuration error at tasks[0]: sample size")
 
     def test_duplicate_declared_levels(self, coin_config, tmp_path, capsys):
         coin_config.space["domains"][1]["levels"] = ["head", "head"]
@@ -258,5 +330,126 @@ class TestExitCodeContract:
         code = main(["run", str(config_path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "configuration error at space.domains[1]:" in captured.out
+        assert "configuration error at space.domains[1]:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+# --- fuzzing: any config document or command line exits 0, 1 or 2 -------------
+
+def _field_names():
+    names = {"bogus", "domains", "nullentities", "levels", "path", "example", "type"}
+    names.update(AnalysisConfig.FIELDS)
+    for table in cli._TASKS.values():
+        names.update(table)
+    for _, params in cli._EXAMPLES.values():
+        names.update(params)
+    return sorted(names)
+
+
+# No path separator in drawn text, so a drawn output path stays in the working directory.
+_TEXT = st.text(alphabet="abehdlt=,;:()_ \0", max_size=6)
+_WORDS = st.sampled_from(
+    ["mean", "spectrum", "coin", "ising", "uniform", "identity", "success(head)",
+     "s1=head,tail", "L=2", "eta=0.5", "0.5", "2", "head,tail", "project", "test"]
+)
+# Numbers stay small so that a drawn sample size, replication count or coin
+# length keeps each run short.
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 6) | _TEXT | _WORDS
+            | st.floats(-8, 8) | st.sampled_from([float("nan"), float("inf"), 1e-300]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_field_names()) | _TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+# one valid task per type; a drawn task overlays drawn fields on one of them
+_VALID_TASKS = {
+    "project": {"element": "spectrum"},
+    "score": {},
+    "test": {"outer": "mean", "inner": "spectrum"},
+    "ipf": {"element": "spectrum"},
+    "calibrate": {"generator": {"example": {"name": "coin", "params": {"L": 2, "eta": 0.5}}},
+                  "outer": "mean", "inner": "spectrum", "n": 20, "replications": 2},
+    "example": {"name": "coin", "params": {"L": 2, "eta": 0.5}},
+}
+
+
+def _overlays(names):
+    """No change three times in four, else one or two fields drawn from ``names``."""
+    fields = st.dictionaries(st.sampled_from(names), _JSON, min_size=1, max_size=2)
+    return st.integers(0, 3).flatmap(lambda k: fields if k == 0 else st.just({}))
+
+
+_TASK_DOCS = st.builds(
+    lambda kind, fields: {"type": kind, **_VALID_TASKS.get(kind, {}), **fields},
+    st.sampled_from([*cli._TASKS, "bogus"]),
+    _overlays(_field_names()),
+)
+
+
+def _exit_code(argv, capsys):
+    """main's exit code; a usage error is argparse's SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.match(r"configuration error at .+?: ", captured.err), captured.err
+    return code
+
+
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(
+    tasks=st.lists(_TASK_DOCS, max_size=2),
+    top=_overlays([*AnalysisConfig.FIELDS, "bogus"]),
+)
+def test_fuzzed_config_documents(coin_config, tmp_path, monkeypatch, capsys, tasks, top):
+    monkeypatch.chdir(tmp_path)
+    doc = {**coin_config.to_dict(), "tasks": tasks, **top}
+    config_path = tmp_path / "fuzz.json"
+    config_path.write_text(json.dumps(doc))
+    _exit_code(["run", str(config_path)], capsys)
+
+
+_SUBCOMMAND_FLAGS = {
+    "project": ["--use"],
+    "score": ["--use"],
+    "test": ["--outer", "--inner"],
+    "ipf": ["--use"],
+    "calibrate": ["--generator", "--outer", "--inner", "--N", "--replications"],
+}
+_COMMON_FLAGS = ["--config", "--data", "--domain", "--nullentity", "--reference", "--element",
+                 "--seed", "--tol", "--alpha", "--out"]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzzed_command_lines(coin_config, coin_csv, tmp_path, monkeypatch, capsys, data):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "analysis.json"
+    config_path.write_text(coin_config.to_json())
+    command = data.draw(st.sampled_from(["run", "example", *_SUBCOMMAND_FLAGS]))
+    values = _TEXT | _WORDS | st.sampled_from(
+        [str(config_path), coin_csv, "s2=head,tail", "mean=identity;success(head)",
+         "coin:L=2,eta=0.5", "k_marginal(1, head)", "-1", "nan"]
+    )
+    if command == "run":
+        argv = [command, data.draw(st.sampled_from([str(config_path), "absent.json"]) | _TEXT)]
+        flags = ["--seed", "--tol", "--alpha", "--out"]
+    elif command == "example":
+        argv = [command, data.draw(st.sampled_from(sorted(cli._EXAMPLES)) | _TEXT)]
+        flags = ["--param", "--out"]
+    else:
+        argv = [command]
+        flags = _COMMON_FLAGS + _SUBCOMMAND_FLAGS[command]
+    for flag, value in data.draw(st.lists(st.tuples(st.sampled_from(flags), values),
+                                          max_size=6)):
+        # an --out value is drawn text only: it is written to the working directory
+        argv += [flag, data.draw(_TEXT) if flag == "--out" else value]
+    _exit_code(argv, capsys)

@@ -364,21 +364,6 @@ class TestIpf:
             via_newton = newton_project(ref, Totemplex(element, f))
             assert max_norm_distance(via_ipf.distribution, via_newton.distribution) < 1e-8
 
-    def test_exponential_variant_agrees(self):
-        space = build_entity_space(
-            [AttributeDomain("row", ["r1", "r2"]), AttributeDomain("col", ["c1", "c2"])]
-        )
-        rows = np.array(
-            [
-                marginal_op(space, "row", "r1").eigenvalues,
-                marginal_op(space, "col", "c1").eigenvalues,
-            ]
-        )
-        targets = np.array([0.6, 0.7])
-        prop = ipf_project(uniform(space), rows, targets, variant="proportional")
-        expo = ipf_project(uniform(space), rows, targets, variant="exponential")
-        assert max_norm_distance(prop.distribution, expo.distribution) < 1e-8
-
     def test_zero_target_is_boundary(self):
         space = build_entity_space(
             [AttributeDomain("row", ["r1", "r2"]), AttributeDomain("col", ["c1", "c2"])]
