@@ -160,6 +160,7 @@ _RULES = {
     "alpha": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "n": (lambda v: v >= 1, "at least 1"),
     "replications": (lambda v: v >= 1, "at least 1"),
+    "max_iter": (lambda v: v >= 1, "at least 1"),
 }
 
 # required int, float and float-list fields
@@ -709,8 +710,15 @@ def _spec_list(text):
     return [spec.strip() for spec in text.split(";") if spec.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError("command line", message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="totem",
         description="Constraint-driven distribution fitting, scoring and testing "
                     "on finite entity spaces.",
@@ -747,10 +755,11 @@ def main(argv=None):
                       help="key=value builder parameter (repeatable)")
     p_ex.add_argument("--out", default=None, help="write the distribution to this file")
 
-    args = parser.parse_args(argv)
-    # the report goes to --out or stdout; example's --out is its distribution
-    out = None if args.command == "example" else args.out
+    out = None
     try:
+        args = parser.parse_args(argv)
+        # the report goes to --out or stdout; example's --out is its distribution
+        out = None if args.command == "example" else args.out
         code, report = run(_config_from_args(args))
         if code != 1 and out:
             _write(out, "--out", report)

@@ -453,12 +453,4 @@ def empirical_distribution(space, data):
             ) from None
     counts = np.zeros(space.n_entities, dtype=np.int64)
     np.add.at(counts, np.ravel_multi_index(codes, space.shape), data.counts)
-
-    violations = counts[~space.admissible_mask]
-    if violations.any():
-        bad = np.flatnonzero(~space.admissible_mask)[violations > 0][0]
-        raise DataError(
-            f"declared nullentity {space.entity_at(int(bad))!r} observed "
-            f"{int(counts[bad])} time(s) in the data"
-        )
     return Distribution.from_counts(space, counts)

@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .distribution import Distribution, i_divergence
+from .distribution import Distribution
 from .errors import NestingError, ProjectionError, TotemError
-from .operators import Totemplex, fapp_equivalent, is_nested
-from .projection import newton_project
+from .operators import Totemplex, _joint_groups, fapp_equivalent, is_nested
+from .projection import _project_groups
 
 __all__ = [
     "ScoreReport",
@@ -132,8 +132,8 @@ def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
     """
     if n < 1:
         raise TotemError(f"sample size must be positive, got {n}")
-    result = newton_project(reference, plex, tol=tol, max_iter=max_iter)
-    divergence = i_divergence(plex.empirical, result.distribution)
+    fit = _project_groups(reference, plex, tol, max_iter)
+    divergence = _data_divergence(plex.empirical, reference, plex.element, fit)
     kernel_dim = plex.element.kernel_dim
     diverged = math.isinf(divergence)
     score = -math.inf if diverged else -n * divergence + 0.5 * kernel_dim * math.log(n)
@@ -196,7 +196,9 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     ``Q = 2N D(q_inner || q_outer)`` for the two projections of the
     reference, with ``rank(inner) - rank(outer)`` degrees of freedom.
     Rejecting means the finer description extracts information the
-    coarser one misses at level ``alpha``.
+    coarser one misses at level ``alpha``.  Both projections stay on their
+    elements' column groups and ``Q`` is summed over the joint groups, so
+    no entity-level distribution is built.
     """
     if n < 1:
         raise TotemError(f"sample size must be positive, got {n}")
@@ -212,11 +214,9 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise NestingError(
             "elements have equal rank and row space; zero degrees of freedom"
         )
-    q_outer = newton_project(reference, Totemplex(outer, empirical),
-                             tol=tol, max_iter=max_iter).distribution
-    q_inner = newton_project(reference, Totemplex(inner, empirical),
-                             tol=tol, max_iter=max_iter).distribution
-    div = i_divergence(q_inner, q_outer)
+    outer_fit = _project_groups(reference, Totemplex(outer, empirical), tol, max_iter)
+    inner_fit = _project_groups(reference, Totemplex(inner, empirical), tol, max_iter)
+    div = _nested_divergence(reference, inner, inner_fit, outer, outer_fit)
     q_stat = 2.0 * n * div
     if q_stat < -1e-10:
         raise TotemError(f"negative test statistic {q_stat}")
@@ -236,6 +236,44 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         inner_fingerprint=inner.fingerprint,
         p_value_underflow=underflow,
     )
+
+
+def _data_divergence(empirical, reference, element, fit):
+    """``D(f || q)`` for the projection ``q_e = v_e r_g`` of ``fit``.
+
+    ``sum_e f_e log(f_e / v_e) - sum_g F_g log r_g`` with ``F`` the data's
+    group sums: one pass over the data's support and one over the groups.
+    ``math.inf`` when the data has mass on a group the projection zeroes.
+    """
+    f = empirical.admissible
+    seen = f > 0.0
+    f_seen = f[seen]
+    mass = element.group_sums(f)
+    on = mass > 0.0
+    ratio = fit.ratio[on]
+    if np.any(ratio <= 0.0):
+        return math.inf
+    data_term = float(np.sum(f_seen * (np.log(f_seen) - np.log(reference.admissible[seen]))))
+    return max(data_term - float(np.sum(mass[on] * np.log(ratio))), 0.0)
+
+
+def _nested_divergence(reference, inner, inner_fit, outer, outer_fit):
+    """``D(q_inner || q_outer)`` summed over the joint column groups.
+
+    An entity in inner group ``g`` and outer group ``h`` has projections
+    ``v_e r_g`` and ``v_e s_h``, so the divergence is
+    ``sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh`` the reference mass
+    of the entities in both.
+    """
+    g, h, pair = _joint_groups(inner, outer)
+    v = np.bincount(pair, weights=reference.admissible, minlength=len(g))
+    r = inner_fit.ratio[g]
+    s = outer_fit.ratio[h]
+    mass = r * v
+    on = mass > 0.0
+    if np.any(s[on] <= 0.0):
+        return math.inf
+    return max(float(np.sum(mass[on] * (np.log(r[on]) - np.log(s[on])))), 0.0)
 
 
 # --- seeded simulation ------------------------------------------------------

@@ -463,32 +463,39 @@ def is_nested(outer, inner, tol=PIVOT_TOL):
 
     The coarser (outer) description is then implied by the finer (inner)
     one, and the inner feasible family sits inside the outer family.
+    Decided on the distinct joint columns of both elements.
     """
     if not outer.space.same_space(inner.space):
         raise SpaceError("elements live on different spaces")
-    _, kept = _row_basis(_joint_columns(inner, outer), tol)
-    return kept[-1] < inner.rank
+    g, h, _ = _joint_groups(inner, outer)
+    joint = np.vstack([inner.columns[0][:, g], outer.columns[0][:, h]])
+    return _row_basis(joint, tol)[1][-1] < inner.rank
 
 
-def _joint_columns(a, b):
-    """Distinct columns of ``a.matrix`` stacked on ``b.matrix``.
+def _joint_groups(a, b):
+    """The joint column groups of two elements: ``(g, h, pair)``.
 
     Two entities share a joint column iff they share a column in both
-    elements, so the joint groups are the distinct pairs of group indices.
+    elements, so the joint groups are the distinct pairs of group indices
+    ``(g[k], h[k])``; ``pair`` is each admissible entity's joint group.
     """
     columns_a, group_a = a.columns
     columns_b, group_b = b.columns
-    if columns_a is a.matrix or columns_b is b.matrix:
-        return np.vstack([a.matrix, b.matrix])
+    if columns_a is a.matrix:  # every entity is its own group
+        return group_a, group_b, group_a
+    if columns_b is b.matrix:
+        return group_a, group_b, group_b
     width = columns_b.shape[1]
     pairs = group_a * width + group_b
     # a dense table of pair counts while it is no larger than the entity
     # count (one pass); a sort otherwise, so memory stays O(n)
     if columns_a.shape[1] * width <= len(pairs):
-        present = np.flatnonzero(np.bincount(pairs, minlength=columns_a.shape[1] * width))
+        seen = np.bincount(pairs, minlength=columns_a.shape[1] * width) > 0
+        present = np.flatnonzero(seen)
+        pair = (np.cumsum(seen) - 1)[pairs]
     else:
-        present = np.unique(pairs)
-    return np.vstack([columns_a[:, present // width], columns_b[:, present % width]])
+        present, pair = np.unique(pairs, return_inverse=True)
+    return present // width, present % width, pair
 
 
 class Totemplex:

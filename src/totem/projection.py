@@ -13,13 +13,15 @@ iteration runs on the element's distinct columns
 (:attr:`~totem.operators.ConstructingElement.columns`) with the reference
 mass summed per column group, so the Jacobian, the residual and the step
 all sum over distinct columns, and the result is lifted back as
-``q_e = v_e q_g / v_g``.  The multiplier fit solves one least-squares
-equation per distinct column.  The Jacobian is symmetric positive
-definite on the interior, so it is solved by Cholesky; a singular
-factorization triggers one automatic fallback that chains the projection
-one operator at a time (:func:`chained_project`).  :func:`ipf_project`
-covers the classic cyclic update for purely binary (marginal)
-constraints.
+``q_e = v_e q_g / v_g``.  The residual and the divergence from the
+reference are computed on the groups too; the nested test and the score
+use the group masses directly and never lift.  The multiplier fit solves
+one least-squares equation per distinct column.  The Jacobian is
+symmetric positive definite on the interior, so it is solved by Cholesky;
+a singular factorization triggers one automatic fallback that chains the
+projection one operator at a time (:func:`chained_project`).
+:func:`ipf_project` covers the classic cyclic update for purely binary
+(marginal) constraints.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  Boundary targets (a zero marginal) cannot be met
@@ -31,8 +33,9 @@ clamped when its largest per-entity weight falls below ``_CLAMP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum, log
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -200,6 +203,57 @@ def newton_project(
         Iteration budget exhausted; the caller may retry with
         :func:`chained_project` and a finer stage partition.
     """
+    fit = _project_groups(reference, plex, tol, max_iter, damping, _allow_fallback)
+    element = plex.element
+    columns, group = element.columns
+    q_adm = fit.q if columns is element.matrix else reference.admissible * fit.ratio[group]
+    return ProjectionResult(
+        distribution=Distribution.from_admissible_weights(plex.space, q_adm, renormalize=True),
+        multipliers=fit.multipliers,
+        iterations=fit.iterations,
+        residual=float(np.max(np.abs(columns @ fit.q - plex.targets))),
+        divergence_from_reference=fit.divergence,
+        element_fingerprint=element.fingerprint,
+        boundary=fit.boundary,
+        method=fit.method,
+    )
+
+
+class _GroupFit(NamedTuple):
+    """A projection on an element's column groups.
+
+    ``q`` is the projected mass and ``v`` the reference mass of each group
+    (admissible entities only); the projection of an entity ``e`` in group
+    ``g`` is ``v_e q_g / v_g``.
+    """
+
+    q: np.ndarray
+    v: np.ndarray
+    multipliers: np.ndarray
+    iterations: int
+    boundary: bool
+    method: str
+
+    @property
+    def ratio(self):
+        """``q_e / v_e`` of each group's entities (zero where ``v_g`` is)."""
+        return np.divide(self.q, self.v, out=np.zeros_like(self.q), where=self.v > 0.0)
+
+    @property
+    def divergence(self):
+        """``D(q || v) = sum_g q_g log(q_g / v_g)``."""
+        on = self.q > 0.0
+        q = self.q[on]
+        return max(float(np.sum(q * (np.log(q) - np.log(self.v[on])))), 0.0)
+
+
+def _project_groups(reference, plex, tol, max_iter, damping=True, allow_fallback=True):
+    """The projection of ``reference`` onto ``plex``'s family, per column group.
+
+    Everything :func:`newton_project` does except lifting the result to
+    entities.  A singular Jacobian falls back to :func:`_prefix_fallback`
+    (when ``allow_fallback``), whose distribution is summed per group.
+    """
     if not reference.space.same_space(plex.space):
         raise SpaceError("reference and constraints live on different spaces")
     _check_compatible(reference, plex.empirical)
@@ -221,18 +275,14 @@ def newton_project(
         q_groups, theta, kept, used, log_c, clamped = _solve_on_support(
             columns, t_full, mass, peak, support, tol, max_iter, damping
         )
-        boundary = boundary or clamped
     except SingularJacobianError:
-        if not _allow_fallback:
+        if not allow_fallback:
             raise
-        return _prefix_fallback(reference, plex, tol, max_iter, damping)
+        result = _prefix_fallback(reference, plex, tol, max_iter, damping)
+        q_groups = element.group_sums(result.distribution.admissible)
+        return _GroupFit(q_groups, mass, _fit_multipliers(columns, q_groups, mass),
+                         result.iterations, result.boundary, result.method)
 
-    if columns is element.matrix:
-        q_adm = q_groups
-    else:
-        ratio = np.divide(q_groups, mass, out=np.zeros_like(q_groups), where=mass > 0.0)
-        q_adm = ref_adm * ratio[group]
-    dist = Distribution.from_admissible_weights(plex.space, q_adm, renormalize=True)
     if kept is not None:
         # exponential form in the element basis: undo the normalization
         # constants along the coefficients representing the identity row
@@ -241,17 +291,8 @@ def newton_project(
         )[0]
         multipliers = np.asarray(theta, dtype=np.float64) - log_c * identity_coef
     else:
-        multipliers = _fit_multipliers(element, dist, reference)
-    return ProjectionResult(
-        distribution=dist,
-        multipliers=multipliers,
-        iterations=used,
-        residual=float(np.max(np.abs(constraint_residual(dist, plex)))),
-        divergence_from_reference=i_divergence(dist, reference),
-        element_fingerprint=plex.element.fingerprint,
-        boundary=bool(boundary),
-        method="newton",
-    )
+        multipliers = _fit_multipliers(columns, q_groups, mass)
+    return _GroupFit(q_groups, mass, multipliers, used, bool(boundary or clamped), "newton")
 
 
 def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter, damping):
@@ -362,43 +403,35 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter, damp
         )
 
 
-def _fit_multipliers(element, dist, reference):
+def _fit_multipliers(columns, q, v):
     """Least-squares multiplier gauge on the positive support.
 
     One equation ``theta . m = log(q_g / v_g)`` per distinct column with
-    positive weight.  Within a group ``q_e / v_e`` is constant, so the
-    system is the per-entity one with repeated equations removed and has
-    the same minimum-norm solution.
+    positive projected mass ``q_g`` (``v_g`` is the group's reference mass).
+    Within a group ``q_e / v_e`` is constant, so the system is the
+    per-entity one with repeated equations removed and has the same
+    minimum-norm solution.
     """
-    q = dist.admissible
-    positive = q > 0.0
-    q = element.group_sums(q)
-    v = element.group_sums(np.where(positive, reference.admissible, 0.0))
     pos = q > 0.0
     rhs = np.log(q[pos]) - np.log(v[pos])
-    return np.linalg.lstsq(element.columns[0][:, pos].T, rhs, rcond=None)[0]
+    return np.linalg.lstsq(columns[:, pos].T, rhs, rcond=None)[0]
+
+
+def _multipliers_of(element, dist, reference):
+    """:func:`_fit_multipliers` of an entity-level projection ``dist``."""
+    return _fit_multipliers(element.columns[0], element.group_sums(dist.admissible),
+                            element.group_sums(reference.admissible))
 
 
 def _prefix_fallback(reference, plex, tol, max_iter, damping):
     """One-operator-per-stage chained solve, used after a singular Jacobian."""
     ops = plex.element.operators
-    stages = []
-    for nu in range(1, len(ops) + 1):
-        element = make_element(list(ops[:nu]), mode="auto-reduce")
-        stages.append(Totemplex(element, plex.empirical))
-    result = chained_project(
-        reference, stages, tol=tol, max_iter=max_iter, damping=damping
-    )
-    return ProjectionResult(
-        distribution=result.distribution,
-        multipliers=_fit_multipliers(plex.element, result.distribution, reference),
-        iterations=result.iterations,
-        residual=float(np.max(np.abs(constraint_residual(result.distribution, plex)))),
-        divergence_from_reference=result.divergence_from_reference,
-        element_fingerprint=plex.element.fingerprint,
-        boundary=result.boundary,
-        method="newton+chained",
-    )
+    stages = [
+        Totemplex(make_element(list(ops[:nu]), mode="auto-reduce"), plex.empirical)
+        for nu in range(1, len(ops) + 1)
+    ]
+    result = chained_project(reference, stages, tol=tol, max_iter=max_iter, damping=damping)
+    return replace(result, method="newton+chained")
 
 
 def chained_project(
@@ -445,7 +478,7 @@ def chained_project(
     final = plexes[-1]
     return ProjectionResult(
         distribution=result.distribution,
-        multipliers=_fit_multipliers(final.element, result.distribution, reference),
+        multipliers=_multipliers_of(final.element, result.distribution, reference),
         iterations=iterations,
         residual=float(np.max(np.abs(constraint_residual(result.distribution, final)))),
         divergence_from_reference=i_divergence(result.distribution, reference),
@@ -561,7 +594,7 @@ def ipf_project(
     element = make_element(ops, mode="auto-reduce")
     return ProjectionResult(
         distribution=dist,
-        multipliers=_fit_multipliers(element, dist, reference),
+        multipliers=_multipliers_of(element, dist, reference),
         iterations=cycles,
         residual=float(np.max(np.abs(rows @ dist.admissible - targets))),
         divergence_from_reference=i_divergence(dist, reference),

@@ -250,6 +250,7 @@ class TestExitCodeContract:
             ({"tol": float("nan")}, "tol"),
             ({"tol": -1}, "tol"),
             ({"alpha": 1.5}, "alpha"),
+            ({"max_iter": -1}, "max_iter"),
         ],
     )
     def test_malformed_field(self, doc, field, tmp_path, capsys):
@@ -260,6 +261,29 @@ class TestExitCodeContract:
         assert code == 1
         assert f"configuration error at {field}:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["calibrate", "--generator", "coin:L=2,eta=0.5", "--outer", "mean",
+              "--inner", "spectrum", "--replications", "2"],
+             "the following arguments are required: --N"),
+            (["run", "analysis.json", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'"),
+        ],
+    )
+    def test_usage_error_is_configuration_error(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"configuration error at command line: {message}\n"
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "usage: totem run" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.json")])
@@ -303,6 +327,9 @@ class TestExitCodeContract:
             ({"type": "project", "element": "mean", "tol": -1}, "tasks[0].tol"),
             ({"type": "ipf", "element": "spectrum", "variant": "exponential"},
              "tasks[0].variant"),
+            ({"type": "project", "element": "mean", "max_iter": -1}, "tasks[0].max_iter"),
+            ({"type": "test", "outer": "mean", "inner": "spectrum", "max_iter": 0},
+             "tasks[0].max_iter"),
         ],
     )
     def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):
@@ -388,7 +415,7 @@ _TASK_DOCS = st.builds(
 
 
 def _exit_code(argv, capsys):
-    """main's exit code; a usage error is argparse's SystemExit."""
+    """main's exit code; ``--help`` is argparse's SystemExit."""
     try:
         code = main(argv)
     except SystemExit as exc:

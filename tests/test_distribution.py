@@ -5,6 +5,7 @@ import pytest
 
 from totem import (
     AttributeDomain,
+    DataError,
     Distribution,
     RegularizationWarning,
     SpaceError,
@@ -67,6 +68,15 @@ class TestConstruction:
         space = quad_space(nullentities=[("a", "y")])
         u = uniform(space, "full")
         assert u.weight_of(("a", "y")) == 0.25
+
+    def test_counts_on_a_nullentity_rejected(self):
+        space = quad_space(nullentities=[("a", "y")])
+        counts = np.zeros(space.n_entities, dtype=np.int64)
+        counts[space.index_of(("b", "x"))] = 3
+        assert Distribution.from_counts(space, counts.copy()).weight_of(("b", "x")) == 1.0
+        counts[space.index_of(("a", "y"))] = 1
+        with pytest.raises(DataError, match=r"nullentity \('a', 'y'\) observed 1 time"):
+            Distribution.from_counts(space, counts)
 
     def test_uniform_bernoulli_cube(self):
         domains = [AttributeDomain(f"s{i}", ["head", "tail"]) for i in range(3)]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -6,15 +7,18 @@ import pytest
 
 from totem import (
     AttributeDomain,
+    DataError,
     Distribution,
     EntitySpace,
     NestingError,
+    SingularJacobianError,
     Totemplex,
     TotemError,
     binomial_test_statistic_closed_form,
     calibration_experiment,
     chi2_cdf,
     chi2_sf,
+    constraint_residual,
     i_divergence,
     i_score,
     i_test,
@@ -23,6 +27,7 @@ from totem import (
     ks_distance,
     make_element,
     marginal_op,
+    newton_project,
     sample_multinomial,
     select_element,
     uniform,
@@ -37,6 +42,8 @@ from totem.closed_forms import (
     two_coin_space,
     two_coin_split_element,
 )
+
+from totem import projection
 
 from helpers import random_distribution, random_space
 
@@ -384,6 +391,18 @@ class TestCalibration:
         np.testing.assert_array_equal(a.q_values, b.q_values)
 
 
+    def test_generator_mass_on_a_nullentity_is_a_data_error(self):
+        space = EntitySpace(
+            [AttributeDomain(f"s{i + 1}", ["head", "tail"]) for i in range(2)],
+            nullentities=[("head", "tail")],
+        )
+        generator = uniform(space, "full")  # a quarter of its mass is inadmissible
+        with pytest.raises(DataError, match="nullentity"):
+            calibration_experiment(
+                generator, coin_element(space), k_marginal_element(space), 200, 3, seed=1
+            )
+
+
 class TestKsDistance:
     def test_exact_sample_from_cdf_inverse(self):
         # uniform grid pushed through the inverse CDF has vanishing distance
@@ -428,3 +447,127 @@ class TestBicCorrespondence:
                     - 2 * n * cross_entropy(f, f)
                 )
             assert int(np.argmax(scores)) == int(np.argmin(bics))
+
+
+# --- the group-level statistics against their entity-level definitions ---------
+
+def _boundary_shell_data(length, n, seed):
+    """A 0.6-coin sample with the count shells 0, 1 and ``length`` emptied."""
+    space = coin_space(length)
+    counts = sample_multinomial(binomial_projection_closed_form(length, 0.6, space), n, seed)
+    for k in (0, 1, length):
+        shell = k_marginal_op(space, k, "head").eigenvalues > 0.0
+        counts[space.admissible_indices[shell]] = 0
+    return space, Distribution.from_counts(space, counts)
+
+
+def _trials_element(space, trials):
+    """The identity and the head marginal of each of the first ``trials`` trials."""
+    return make_element(
+        [identity_op(space)]
+        + [marginal_op(space, [f"s{i + 1}"], ["head"]) for i in range(trials)]
+    )
+
+
+def _pair_element(space, trials):
+    per_trial = _trials_element(space, trials)
+    pair = marginal_op(space, ["s1", "s2"], ["head", "head"])
+    return make_element([*per_trial.operators, pair])
+
+
+@functools.cache
+def _nested_cases():
+    """(space, reference, outer, inner, data, N) covering the group layouts."""
+    space, f = _boundary_shell_data(12, 5000, seed=5)
+    rng = np.random.default_rng(17)
+    ref = random_distribution(rng, space, alpha=2.0)  # not constant on any group
+    small = coin_space(6)
+    f6 = random_distribution(rng, small, alpha=1.0)
+    ref6 = random_distribution(rng, small, alpha=2.0)
+    spaced = EntitySpace(
+        [AttributeDomain(f"s{i + 1}", ["head", "tail"]) for i in range(4)],
+        nullentities=[("head", "tail", "tail", "head"), ("tail", "head", "tail", "tail")],
+    )
+    fn = random_distribution(rng, spaced, alpha=1.0)
+    return (
+        (space, uniform(space), coin_element(space), k_marginal_element(space), f, 5000),
+        (space, ref, coin_element(space), k_marginal_element(space), f, 5000),
+        # inner G = n, outer G < n
+        (small, ref6, coin_element(small), _trials_element(small, 6), f6, 800),
+        # both G = n
+        (small, ref6, _trials_element(small, 6), _pair_element(small, 6), f6, 800),
+        # G_inner * G_outer > n: the joint groups are found by a sort
+        (small, ref6, _trials_element(small, 4), _trials_element(small, 5), f6, 800),
+        # reference mass on nullentities
+        (spaced, uniform(spaced, "full"), coin_element(spaced), k_marginal_element(spaced),
+         fn, 300),
+    )
+
+
+def _assert_projection_pinned(result, reference, plex):
+    """Group-level residual and divergence equal their entity-level values."""
+    dist = result.distribution
+    expected = i_divergence(dist, reference)
+    assert result.divergence_from_reference == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # the targets are expectations of order one
+    residual = float(np.max(np.abs(constraint_residual(dist, plex))))
+    assert abs(result.residual - residual) <= 1e-12
+
+
+class TestGroupLevelStatistics:
+    """Q, the score's divergence and the projection diagnostics are summed on
+    column groups; each equals the entity-level formula on the lifted
+    distributions."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_entity_level(self, case):
+        space, ref, outer, inner, f, n = _nested_cases()[case]
+        plexes = [Totemplex(outer, f), Totemplex(inner, f)]
+        fits = [newton_project(ref, plex) for plex in plexes]
+        for fit, plex in zip(fits, plexes):
+            _assert_projection_pinned(fit, ref, plex)
+            expected = i_divergence(f, fit.distribution)
+            assert i_score(ref, plex, n).divergence == pytest.approx(expected, rel=1e-12, abs=0.0)
+        q_outer, q_inner = (fit.distribution for fit in fits)
+        expected = 2 * n * i_divergence(q_inner, q_outer)
+        assert expected > 1e-3
+        report = i_test(ref, outer, inner, f, n)
+        assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_boundary_shells_clamp(self):
+        space, ref, outer, inner, f, n = _nested_cases()[0]
+        assert newton_project(ref, Totemplex(inner, f)).boundary
+
+    def test_chained_fallback(self, monkeypatch):
+        space, ref, outer, inner, f, n = _nested_cases()[1]
+        solve = projection._solve_on_support
+
+        def singular_on_inner(columns, *args):
+            if columns is inner.columns[0]:
+                raise SingularJacobianError("forced")
+            return solve(columns, *args)
+
+        monkeypatch.setattr(projection, "_solve_on_support", singular_on_inner)
+        plex = Totemplex(inner, f)
+        fit = newton_project(ref, plex)
+        assert fit.method == "newton+chained"
+        _assert_projection_pinned(fit, ref, plex)
+        expected = i_divergence(f, fit.distribution)
+        assert i_score(ref, plex, n).divergence == pytest.approx(expected, rel=1e-12, abs=0.0)
+        q_outer = newton_project(ref, Totemplex(outer, f)).distribution
+        expected = 2 * n * i_divergence(fit.distribution, q_outer)
+        report = i_test(ref, outer, inner, f, n)
+        assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_i_test_builds_no_distribution(self, monkeypatch):
+        space, ref, outer, inner, f, n = _nested_cases()[1]
+        built = []
+        init = Distribution.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Distribution, "__init__", counting_init)
+        i_test(ref, outer, inner, f, n)
+        assert not built
