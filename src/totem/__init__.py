@@ -97,7 +97,6 @@ from .operators import (
     operator_from_spec,
     product_op,
     projector_op,
-    rref,
     row_rank,
     success_op,
 )

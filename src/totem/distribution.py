@@ -92,7 +92,7 @@ class Distribution:
         self.counts = None
         self.n_samples = None
         if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = np.array(counts, dtype=np.int64)  # a copy, frozen below
             counts.setflags(write=False)
             self.counts = counts
             self.n_samples = int(counts.sum()) if n_samples is None else int(n_samples)

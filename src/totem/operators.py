@@ -7,7 +7,7 @@ distributions through its expectations; two elements with the same row
 space describe the same family and are *equivalent for all practical
 purposes* (FAPP).  Rank, auto-reduce, nesting, equivalence and kernels
 all derive from one orthonormal row basis, and classification and
-projection build on them; :func:`rref` is kept as a reference form.
+projection build on them.
 
 Entities that share an eigenvalue column are indistinguishable to an
 element: its expectations, its projections (``q_e / v_e`` depends on an
@@ -46,12 +46,11 @@ __all__ = [
     "kernel_basis",
     "fapp_equivalent",
     "is_nested",
-    "rref",
     "row_rank",
     "operator_from_spec",
 ]
 
-#: Relative pivot threshold for rank / RREF / independence decisions.
+#: Relative pivot threshold for rank and independence decisions.
 #: Eigenvalue matrices mix 0/1 indicators with real moments of very
 #: different scales, so the threshold is relative to the largest entry.
 PIVOT_TOL = 1e-9
@@ -63,7 +62,9 @@ class CharacteristicOperator:
     __slots__ = ("space", "eigenvalues", "label")
 
     def __init__(self, space, eigenvalues, label=""):
-        eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        # a copy: freezing the caller's array (or a view of it) would tie
+        # the operator to later writes there
+        eigenvalues = np.array(eigenvalues, dtype=np.float64)
         if eigenvalues.shape != (space.n_admissible,):
             raise OperatorError(
                 f"expected {space.n_admissible} eigenvalues, got {eigenvalues.shape}"
@@ -206,39 +207,6 @@ def product_op(a, b):
 def _scale(matrix):
     m = float(np.max(np.abs(matrix), initial=0.0))
     return m if m > 0.0 else 1.0
-
-
-def rref(matrix, tol=PIVOT_TOL):
-    """Canonical reduced row-echelon form.
-
-    Columns are processed left to right with partial row pivoting; a
-    column whose remaining entries all fall below ``tol * max|entry|`` is
-    skipped.  Returns ``(R, pivot_columns)`` where ``R`` keeps only the
-    nonzero rows, so equal row spaces give identical output.
-    """
-    r = np.array(matrix, dtype=np.float64, copy=True)
-    if r.ndim != 2:
-        raise OperatorError("rref expects a 2-d matrix")
-    n_rows, n_cols = r.shape
-    thresh = tol * _scale(r)
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        sub = np.abs(r[row:, col])
-        best = int(np.argmax(sub)) + row
-        if abs(r[best, col]) <= thresh:
-            continue
-        if best != row:
-            r[[row, best]] = r[[best, row]]
-        r[row] /= r[row, col]
-        factors = r[:, col].copy()
-        factors[row] = 0.0
-        r -= np.outer(factors, r[row])
-        pivots.append(col)
-        row += 1
-    return r[: len(pivots)], pivots
 
 
 def row_rank(matrix, tol=PIVOT_TOL):

@@ -8,20 +8,21 @@ works covariantly in probability space: with constraint residuals
 each step multiplies the weights by ``exp(-m(e) . J^{-1} F)`` and
 accumulates the exponential-family multipliers by the same increment.
 The solution has the form ``q_e = v_e exp(theta . m(e))``, so ``q_e / v_e``
-depends on an entity only through its operator column ``m(e)``: the
-iteration runs on the element's distinct columns
+depends on an entity only through its operator column ``m(e)``: every
+solver runs on the element's distinct columns
 (:attr:`~totem.operators.ConstructingElement.columns`) with the reference
-mass summed per column group, so the Jacobian, the residual and the step
-all sum over distinct columns, and the result is lifted back as
-``q_e = v_e q_g / v_g``.  The residual and the divergence from the
-reference are computed on the groups too; the nested test and the score
-use the group masses directly and never lift.  The multiplier fit solves
-one least-squares equation per distinct column.  The Jacobian is
-symmetric positive definite on the interior, so it is solved by Cholesky;
-a singular factorization triggers one automatic fallback that chains the
-projection one operator at a time (:func:`chained_project`).
-:func:`ipf_project` covers the classic cyclic update for purely binary
-(marginal) constraints.
+mass summed per column group.  Newton's Jacobian, residual and step sum
+over distinct columns; :func:`chained_project` passes group masses from
+one stage to the next, finer one; :func:`ipf_project`, the classic cyclic
+update for purely binary (marginal) constraints, rescales group masses.
+Each solver returns group masses, and one function lifts them back as
+``q_e = v_e q_g / v_g`` and takes the residual and the divergence from the
+reference on the groups; the nested test and the score use the group
+masses directly and never lift.  The multiplier fit solves one
+least-squares equation per distinct column.  The Jacobian is symmetric
+positive definite on the interior, so it is solved by Cholesky; a
+singular factorization triggers one automatic fallback that chains the
+projection one operator at a time.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  Boundary targets (a zero marginal) cannot be met
@@ -33,14 +34,14 @@ clamped when its largest per-entity weight falls below ``_CLAMP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum, log
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .distribution import Distribution, i_divergence
+from .distribution import Distribution
 from .errors import (
     IncompatibleReferenceError,
     NestingError,
@@ -52,6 +53,7 @@ from .errors import (
 from .operators import (
     CharacteristicOperator,
     Totemplex,
+    _joint_groups,
     _row_basis,
     is_nested,
     make_element,
@@ -162,15 +164,7 @@ def _zero_target_support(matrix, targets, support):
     return support, clamped
 
 
-def newton_project(
-    reference,
-    plex,
-    *,
-    tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER,
-    damping=True,
-    _allow_fallback=True,
-):
+def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Project ``reference`` onto the family described by ``plex``.
 
     Parameters
@@ -184,10 +178,6 @@ def newton_project(
         Convergence threshold on the largest constraint mismatch.
     max_iter : int
         Total Newton iteration budget (shared across boundary re-poses).
-    damping : bool
-        Halve the multiplicative exponent (up to 30 times) whenever a full
-        step increases the quadratic merit or overflows; keeps iterates
-        strictly positive without any further machinery.
 
     Returns
     -------
@@ -198,25 +188,14 @@ def newton_project(
     IncompatibleReferenceError
         Reference has no weight on an observed entity.
     SingularJacobianError
-        Constraint Jacobian numerically singular and fallback disabled.
+        Constraint Jacobian numerically singular, also after the chained
+        fallback.
     NonConvergenceError
         Iteration budget exhausted; the caller may retry with
         :func:`chained_project` and a finer stage partition.
     """
-    fit = _project_groups(reference, plex, tol, max_iter, damping, _allow_fallback)
-    element = plex.element
-    columns, group = element.columns
-    q_adm = fit.q if columns is element.matrix else reference.admissible * fit.ratio[group]
-    return ProjectionResult(
-        distribution=Distribution.from_admissible_weights(plex.space, q_adm, renormalize=True),
-        multipliers=fit.multipliers,
-        iterations=fit.iterations,
-        residual=float(np.max(np.abs(columns @ fit.q - plex.targets))),
-        divergence_from_reference=fit.divergence,
-        element_fingerprint=element.fingerprint,
-        boundary=fit.boundary,
-        method=fit.method,
-    )
+    fit = _project_groups(reference, plex, tol, max_iter)
+    return _result(reference, plex.element, fit, plex.element.columns[0], plex.targets)
 
 
 class _GroupFit(NamedTuple):
@@ -247,42 +226,67 @@ class _GroupFit(NamedTuple):
         return max(float(np.sum(q * (np.log(q) - np.log(self.v[on])))), 0.0)
 
 
-def _project_groups(reference, plex, tol, max_iter, damping=True, allow_fallback=True):
-    """The projection of ``reference`` onto ``plex``'s family, per column group.
+def _result(reference, element, fit, rows, targets):
+    """The :class:`ProjectionResult` of a fit on ``element``'s column groups.
 
-    Everything :func:`newton_project` does except lifting the result to
-    entities.  A singular Jacobian falls back to :func:`_prefix_fallback`
-    (when ``allow_fallback``), whose distribution is summed per group.
+    The distribution is lifted to entities as ``q_e = v_e q_g / v_g``; the
+    residual is that of ``rows`` (one column per group) against
+    ``targets``, and the divergence is ``D(q || v)`` on the groups.
     """
+    columns, group = element.columns
+    q_adm = fit.q if columns is element.matrix else reference.admissible * fit.ratio[group]
+    return ProjectionResult(
+        distribution=Distribution.from_admissible_weights(element.space, q_adm, renormalize=True),
+        multipliers=fit.multipliers,
+        iterations=fit.iterations,
+        residual=float(np.max(np.abs(rows @ fit.q - targets))),
+        divergence_from_reference=fit.divergence,
+        element_fingerprint=element.fingerprint,
+        boundary=fit.boundary,
+        method=fit.method,
+    )
+
+
+def _check_reference(reference, plex):
     if not reference.space.same_space(plex.space):
         raise SpaceError("reference and constraints live on different spaces")
     _check_compatible(reference, plex.empirical)
-    element = plex.element
-    columns, group = element.columns
-    t_full = plex.targets
+
+
+def _reference_groups(reference, element):
+    """The reference mass of each column group and its largest per-entity share."""
     ref_adm = reference.admissible
     mass = element.group_sums(ref_adm)
-    # each group's largest per-entity share of its reference mass
     peak = np.zeros(len(mass))
-    np.maximum.at(peak, group, ref_adm)
-    peak = np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
+    np.maximum.at(peak, element.columns[1], ref_adm)
+    return mass, np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
 
-    support, boundary = _zero_target_support(columns, t_full, mass > 0.0)
+
+def _project_groups(reference, plex, tol, max_iter):
+    """The projection of ``reference`` onto ``plex``'s family, per column group.
+
+    Everything :func:`newton_project` does except lifting the result to
+    entities.  A singular Jacobian falls back to :func:`_prefix_fallback`.
+    """
+    _check_reference(reference, plex)
+    try:
+        return _newton_groups(plex, *_reference_groups(reference, plex.element), tol, max_iter)
+    except SingularJacobianError:
+        return _prefix_fallback(reference, plex, tol, max_iter)
+
+
+def _newton_groups(plex, mass, peak, tol, max_iter):
+    """Newton from the reference ``mass`` and ``peak`` of each column group.
+
+    Raises :class:`SingularJacobianError` rather than falling back.
+    """
+    columns = plex.element.columns[0]
+    support, boundary = _zero_target_support(columns, plex.targets, mass > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
-
-    try:
-        q_groups, theta, kept, used, log_c, clamped = _solve_on_support(
-            columns, t_full, mass, peak, support, tol, max_iter, damping
-        )
-    except SingularJacobianError:
-        if not allow_fallback:
-            raise
-        result = _prefix_fallback(reference, plex, tol, max_iter, damping)
-        q_groups = element.group_sums(result.distribution.admissible)
-        return _GroupFit(q_groups, mass, _fit_multipliers(columns, q_groups, mass),
-                         result.iterations, result.boundary, result.method)
-
+    q_groups, theta, kept, used, log_c, clamped = _solve_on_support(
+        columns, plex.targets, mass, peak, support, tol, max_iter
+    )
     if kept is not None:
         # exponential form in the element basis: undo the normalization
         # constants along the coefficients representing the identity row
@@ -295,18 +299,20 @@ def _project_groups(reference, plex, tol, max_iter, damping=True, allow_fallback
     return _GroupFit(q_groups, mass, multipliers, used, bool(boundary or clamped), "newton")
 
 
-def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter, damping):
+def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
     """Newton iteration with boundary re-posing on a shrinking support.
 
     Runs on distinct ``columns`` with the reference ``mass`` of each;
     ``peak`` is each column's largest per-entity share of its mass (1
     where a column is one entity), so ``p * peak`` is the largest entity
-    weight, which the clamp is judged on.  Returns weights per column (zero
-    off support), the accumulated multipliers, the kept row indices (None once
-    the rows had to be re-reduced), iterations used, the total log of
-    normalization constants absorbed along the way, and whether any
-    weight was clamped to zero (a genuine boundary solution, as opposed to
-    a mere reference-support restriction).
+    weight, which the clamp is judged on.  A full step that increases the
+    quadratic merit or overflows is halved, up to ``_MAX_HALVINGS``
+    times, which keeps the iterates strictly positive.  Returns weights
+    per column (zero off support), the accumulated multipliers, the kept
+    row indices (None once the rows had to be re-reduced), iterations
+    used, the total log of normalization constants absorbed along the
+    way, and whether any weight was clamped to zero (a genuine boundary
+    solution, as opposed to a mere reference-support restriction).
     """
     n_columns = columns.shape[1]
     used = 0
@@ -357,9 +363,6 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter, damp
                 trial_sum = trial.sum()
                 if np.isfinite(trial_sum) and trial_sum > 0.0:
                     trial = trial / trial_sum
-                    if not damping:
-                        chosen = (trial, step, log(trial_sum))
-                        break
                     _, _, trial_merit = _merit(m, trial, t)
                     if trial_merit <= merit * (1.0 + 1e-12):
                         chosen = (trial, step, log(trial_sum))
@@ -417,31 +420,21 @@ def _fit_multipliers(columns, q, v):
     return np.linalg.lstsq(columns[:, pos].T, rhs, rcond=None)[0]
 
 
-def _multipliers_of(element, dist, reference):
-    """:func:`_fit_multipliers` of an entity-level projection ``dist``."""
-    return _fit_multipliers(element.columns[0], element.group_sums(dist.admissible),
-                            element.group_sums(reference.admissible))
+def _prefix_fallback(reference, plex, tol, max_iter):
+    """One-operator-per-stage chained solve, used after a singular Jacobian.
 
-
-def _prefix_fallback(reference, plex, tol, max_iter, damping):
-    """One-operator-per-stage chained solve, used after a singular Jacobian."""
+    Each prefix of the element's operators is implied by the next, so the
+    stages are nested by construction and their nesting is not re-checked.
+    """
     ops = plex.element.operators
     stages = [
         Totemplex(make_element(list(ops[:nu]), mode="auto-reduce"), plex.empirical)
         for nu in range(1, len(ops) + 1)
     ]
-    result = chained_project(reference, stages, tol=tol, max_iter=max_iter, damping=damping)
-    return replace(result, method="newton+chained")
+    return _chain(reference, stages, tol, max_iter)._replace(method="newton+chained")
 
 
-def chained_project(
-    reference,
-    plexes,
-    *,
-    tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER,
-    damping=True,
-):
+def chained_project(reference, plexes, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Project through a chain of nested families, coarsest first.
 
     Every stage's element must be implied by the next stage's element
@@ -455,7 +448,6 @@ def chained_project(
     plexes = list(plexes)
     if not plexes:
         raise ProjectionError("chained projection needs at least one stage")
-    space = plexes[0].space
     for i in range(len(plexes) - 1):
         if not is_nested(plexes[i].element, plexes[i + 1].element):
             raise NestingError(
@@ -463,29 +455,46 @@ def chained_project(
                 f"{list(plexes[i].element.labels)} do not lie in the row space "
                 f"of {list(plexes[i + 1].element.labels)}"
             )
-    current = reference
+    final = plexes[-1]
+    fit = _chain(reference, plexes, tol, max_iter)
+    return _result(reference, final.element, fit, final.element.columns[0], final.targets)
+
+
+def _chain(reference, plexes, tol, max_iter):
+    """Newton through nested ``plexes`` on column groups, coarsest first.
+
+    A stage's projection is ``v_e`` times a ratio constant on its column
+    groups.  The next, finer stage splits each of those groups, so its
+    reference mass is its own reference mass times the coarser ratio, and
+    each entity's share of its group's mass is the original reference's.
+    """
     iterations = 0
     boundary = False
-    result = None
-    for stage in plexes:
-        result = newton_project(
-            current, stage, tol=tol, max_iter=max_iter, damping=damping,
-            _allow_fallback=False,
-        )
-        iterations += result.iterations
-        boundary = boundary or result.boundary
-        current = result.distribution
-    final = plexes[-1]
-    return ProjectionResult(
-        distribution=result.distribution,
-        multipliers=_multipliers_of(final.element, result.distribution, reference),
-        iterations=iterations,
-        residual=float(np.max(np.abs(constraint_residual(result.distribution, final)))),
-        divergence_from_reference=i_divergence(result.distribution, reference),
-        element_fingerprint=final.element.fingerprint,
-        boundary=boundary,
-        method="chained",
-    )
+    fit = previous = None
+    for i, plex in enumerate(plexes):
+        _check_reference(reference, plex)
+        element = plex.element
+        v, peak = _reference_groups(reference, element)
+        mass = v
+        if fit is not None:
+            g, parent, _ = _joint_groups(element, previous)
+            if len(g) != len(v):
+                raise NestingError(
+                    f"stage {i - 1} is not implied by stage {i}: some entities share "
+                    f"a column of stage {i} but not of stage {i - 1}"
+                )
+            mass = v * fit.ratio[parent]
+            observed = element.group_sums(plex.empirical.admissible) > 0.0
+            if np.any(observed & (mass <= 0.0)):
+                raise IncompatibleReferenceError(
+                    f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
+                )
+        fit = _newton_groups(plex, mass, peak, tol, max_iter)._replace(v=v)
+        iterations += fit.iterations
+        boundary = boundary or fit.boundary
+        previous = element
+    multipliers = _fit_multipliers(previous.columns[0], fit.q, fit.v)
+    return _GroupFit(fit.q, fit.v, multipliers, iterations, boundary, "chained")
 
 
 def _binary_rows(constraints, space):
@@ -537,48 +546,38 @@ def ipf_project(
     if targets.min(initial=0.0) < -1e-12 or targets.max(initial=0.0) > 1.0 + 1e-12:
         raise ProjectionError("marginal targets must lie in [0, 1]")
 
-    ref_adm = reference.admissible
-    support = ref_adm > 0.0
-    boundary = False
-    for row, target in zip(rows, targets):
-        if target == 0.0:
-            forced = support & (row > 0.0)
-            if forced.any():
-                boundary = True
-                support = support & ~forced
-        elif not (support & (row > 0.0)).any():
-            raise ProjectionError(
-                f"target {target} is positive on a row whose support has zero "
-                "reference mass"
-            )
+    ops = [CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)]
+    element = make_element(ops, mode="auto-reduce")
+    # A row the element drops lies within PIVOT_TOL of its row space, so a
+    # binary row takes one value on each of the element's column groups.
+    rows = rows[:, np.unique(element.columns[1], return_index=True)[1]]
+    v = element.group_sums(reference.admissible)
+    support, boundary = _zero_target_support(rows, targets, v > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
 
-    work_rows = [(rows[i], targets[i]) for i in range(rows.shape[0])]
+    work = [(support & (row > 0.0), target) for row, target in zip(rows, targets)]
     # stacked last, the all-ones row is kept iff the rows do not imply it
     kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
-    if kept[-1] == rows.shape[0]:
-        work_rows.append((np.ones(space.n_admissible), 1.0))
+    if kept[-1] == len(targets):
+        work.append((support, 1.0))
 
-    p = np.where(support, ref_adm, 0.0)
+    p = np.where(support, v, 0.0)
     p = p / p.sum()
     cycles = 0
     while cycles < max_cycles:
         cycles += 1
-        for row, target in work_rows:
-            on = (row > 0.0) & support
+        for on, target in work:
             current = float(p[on].sum())
             if current <= 0.0:
                 if target == 0.0:
                     continue
                 raise ProjectionError(
-                    f"row support lost all mass while targeting {target}"
+                    f"target {target} is positive on a row whose support has no "
+                    "reference mass left"
                 )
             p[on] *= target / current
-        residual = max(
-            abs(float(p[(row > 0.0) & support].sum()) - target)
-            for row, target in work_rows
-        )
+        residual = max(abs(float(p[on].sum()) - target) for on, target in work)
         if residual <= tol:
             break
     else:
@@ -587,18 +586,7 @@ def ipf_project(
             f"(residual {residual!r}); the targets may be jointly infeasible"
         )
 
-    dist = Distribution.from_admissible_weights(space, p, renormalize=True)
-    ops = [
-        CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)
-    ]
-    element = make_element(ops, mode="auto-reduce")
-    return ProjectionResult(
-        distribution=dist,
-        multipliers=_multipliers_of(element, dist, reference),
-        iterations=cycles,
-        residual=float(np.max(np.abs(rows @ dist.admissible - targets))),
-        divergence_from_reference=i_divergence(dist, reference),
-        element_fingerprint=element.fingerprint,
-        boundary=boundary,
-        method="ipf-proportional",
-    )
+    q = p / p.sum()
+    fit = _GroupFit(q, v, _fit_multipliers(element.columns[0], q, v), cycles, boundary,
+                    "ipf-proportional")
+    return _result(reference, element, fit, rows, targets)

@@ -1,8 +1,9 @@
-"""Shared random-problem builders for the test suite.
+"""Shared random-problem builders and reference algorithms for the test suite.
 
 Everything is driven by an explicit numpy Generator so each test pins its
 own seed; builders re-draw on the measure-zero degenerate cases instead
-of failing.
+of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
+library's faster forms are checked against.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from totem import (
     kernel_basis,
     make_element,
 )
+from totem.operators import PIVOT_TOL, _row_basis
 
 
 def random_space(rng, max_attrs=3, max_levels=4, entity_cap=None):
@@ -85,3 +87,66 @@ def random_totemplex(rng, space, rank, alpha=5.0):
     element = random_element(rng, space, rank)
     empirical = random_distribution(rng, space, alpha)
     return Totemplex(element, empirical)
+
+
+def rref(matrix, tol=PIVOT_TOL):
+    """Canonical reduced row-echelon form.
+
+    Columns are processed left to right with partial row pivoting; a
+    column whose remaining entries all fall below ``tol * max|entry|`` is
+    skipped.  Returns ``(R, pivot_columns)`` where ``R`` keeps only the
+    nonzero rows, so equal row spaces give identical output.
+    """
+    r = np.array(matrix, dtype=np.float64, copy=True)
+    n_rows, n_cols = r.shape
+    thresh = tol * (float(np.max(np.abs(r), initial=0.0)) or 1.0)
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        sub = np.abs(r[row:, col])
+        best = int(np.argmax(sub)) + row
+        if abs(r[best, col]) <= thresh:
+            continue
+        if best != row:
+            r[[row, best]] = r[[best, row]]
+        r[row] /= r[row, col]
+        factors = r[:, col].copy()
+        factors[row] = 0.0
+        r -= np.outer(factors, r[row])
+        pivots.append(col)
+        row += 1
+    return r[: len(pivots)], pivots
+
+
+def ipf_entitywise(reference, rows, targets, tol=1e-10, max_cycles=10_000):
+    """Cyclic proportional fitting over every admissible entity.
+
+    Returns the normalized admissible weights and the cycles used, or
+    ``None`` when ``max_cycles`` runs out.  Zero targets remove their row's
+    support first; a normalization row is appended when the rows do not
+    imply it on the support.
+    """
+    ref_adm = reference.admissible
+    support = ref_adm > 0.0
+    for row, target in zip(rows, targets):
+        if target == 0.0:
+            support = support & ~(row > 0.0)
+    work = [(row, target) for row, target in zip(rows, targets)]
+    kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
+    if kept[-1] == len(rows):
+        work.append((np.ones(len(ref_adm)), 1.0))
+    p = np.where(support, ref_adm, 0.0)
+    p = p / p.sum()
+    for cycles in range(1, max_cycles + 1):
+        for row, target in work:
+            on = (row > 0.0) & support
+            current = float(p[on].sum())
+            if current > 0.0:
+                p[on] *= target / current
+        residual = max(abs(float(p[(row > 0.0) & support].sum()) - target)
+                       for row, target in work)
+        if residual <= tol:
+            return p / p.sum(), cycles
+    return None

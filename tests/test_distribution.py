@@ -53,6 +53,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.weights[0] = 1.0
 
+    def test_caller_counts_stay_writable_and_apart(self):
+        counts = np.array([1, 3])
+        dist = Distribution.from_counts(pair_space(), counts)
+        counts[0] = 7
+        assert dist.counts.tolist() == [1, 3]
+        with pytest.raises(ValueError):
+            dist.counts[0] = 7
+
     def test_uniform_full_support(self):
         space = quad_space()
         np.testing.assert_allclose(uniform(space, "full").weights, 0.25)

@@ -24,7 +24,6 @@ from totem import (
     operator_from_spec,
     product_op,
     row_rank,
-    rref,
     success_op,
     uniform,
 )
@@ -39,7 +38,7 @@ from totem.closed_forms import (
 from totem import operators
 from totem.operators import PIVOT_TOL, _column_partition
 
-from helpers import random_element, random_nested_pair, random_space
+from helpers import random_element, random_nested_pair, random_space, rref
 
 
 @pytest.fixture
@@ -58,6 +57,15 @@ def grid_f(grid):
 
 
 class TestBuilders:
+    def test_operator_copies_the_callers_eigenvalues(self, grid):
+        m = np.zeros((2, grid.n_admissible))
+        m[1] = [1.0, 0.0, 1.0, 0.0]
+        op = CharacteristicOperator(grid, m[1])
+        m[1, 1] = 5.0
+        assert op.eigenvalues.tolist() == [1.0, 0.0, 1.0, 0.0]
+        with pytest.raises(ValueError):
+            op.eigenvalues[1] = 5.0
+
     def test_identity_is_all_ones(self, grid):
         np.testing.assert_array_equal(identity_op(grid).eigenvalues, 1.0)
 

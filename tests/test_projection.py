@@ -26,6 +26,7 @@ from totem import (
     marginal_op,
     max_norm_distance,
     newton_project,
+    product_op,
     sample_multinomial,
     success_op,
     uniform,
@@ -40,6 +41,7 @@ from totem.closed_forms import (
 from totem.projection import _solve_on_support, _zero_target_support
 
 from helpers import (
+    ipf_entitywise,
     random_distribution,
     random_element,
     random_feasible_point,
@@ -276,9 +278,10 @@ class TestDiagnostics:
         plex = Totemplex(k_marginal_element(space), f)
         ref = uniform(space)
         direct = newton_project(ref, plex)
-        staged = _prefix_fallback(ref, plex, tol=1e-10, max_iter=200, damping=True)
+        staged = _prefix_fallback(ref, plex, 1e-10, 200)
         assert staged.method == "newton+chained"
-        assert max_norm_distance(direct.distribution, staged.distribution) < 1e-8
+        q_direct = plex.element.group_sums(direct.distribution.admissible)
+        assert np.max(np.abs(staged.q - q_direct)) < 1e-8
 
     def test_result_serializes(self):
         plex, space = coin_plex(2, 0.75)
@@ -311,6 +314,62 @@ class TestChained:
         chained = chained_project(ref, stages)
         direct = newton_project(ref, Totemplex(k_marginal_element(space), f))
         assert max_norm_distance(chained.distribution, direct.distribution) < 1e-8
+
+    def test_group_chain_matches_stage_by_stage_lift(self):
+        # the old chain: each stage's entity-level projection is the next
+        # stage's reference
+        space = coin_space(4)
+        rng = np.random.default_rng(31)
+        ref = random_distribution(rng, space, alpha=1.0)
+        f = empirical_counts_coin(space)
+        trials = [marginal_op(space, d.name, "head") for d in space.domains]
+        shells = k_marginal_element(space).operators
+        chains = [
+            [coin_element(space),
+             make_element(list(coin_element(space).operators) + [shells[0]]),
+             k_marginal_element(space)],
+            [coin_element(space),
+             make_element([identity_op(space)] + trials),
+             make_element([identity_op(space)] + trials + [product_op(trials[0], trials[1])])],
+        ]
+        for elements in chains:
+            stages = [Totemplex(element, f) for element in elements]
+            chained = chained_project(ref, stages)
+            current = ref
+            for stage in stages:
+                current = newton_project(current, stage).distribution
+            np.testing.assert_allclose(chained.distribution.admissible, current.admissible,
+                                       rtol=1e-12, atol=0.0)
+            assert chained.divergence_from_reference == pytest.approx(
+                i_divergence(current, ref), rel=1e-12)
+            expected = np.max(np.abs(constraint_residual(current, stages[-1])))
+            assert abs(chained.residual - expected) < 1e-14
+            assert chained.method == "chained"
+
+    def test_stage_columns_must_refine(self):
+        # nested within PIVOT_TOL, but two entities that share a column of
+        # the finer stage differ in the coarser one
+        space = coin_space(2)
+        f = empirical_counts_coin(space)
+        nudged = success_op(space, "head").eigenvalues.copy()
+        nudged[1] += 1e-12
+        coarse = make_element([identity_op(space), CharacteristicOperator(space, nudged)])
+        with pytest.raises(NestingError, match="share a column"):
+            chained_project(uniform(space), [Totemplex(coarse, f),
+                                             Totemplex(coin_element(space), f)])
+
+    def test_stage_that_zeroes_later_data_rejected(self):
+        space = build_entity_space(
+            [AttributeDomain("a", ["x", "y"]), AttributeDomain("b", ["u", "w"])]
+        )
+        coarse = make_element([identity_op(space), marginal_op(space, "a", "x")])
+        fine = make_element([identity_op(space), marginal_op(space, "a", "x"),
+                             marginal_op(space, "b", "u")])
+        f_coarse = Distribution.from_admissible_weights(space, np.array([0.0, 0.0, 0.5, 0.5]))
+        f_fine = Distribution.from_admissible_weights(space, np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(IncompatibleReferenceError):
+            chained_project(uniform(space), [Totemplex(coarse, f_coarse),
+                                             Totemplex(fine, f_fine)])
 
     def test_nesting_violation_rejected(self):
         space = build_entity_space(
@@ -363,6 +422,43 @@ class TestIpf:
             element = make_element(ops, mode="auto-reduce")
             via_newton = newton_project(ref, Totemplex(element, f))
             assert max_norm_distance(via_ipf.distribution, via_newton.distribution) < 1e-8
+
+    def test_group_cycles_match_entitywise_cycles(self):
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 40:
+            space = random_space(rng, max_attrs=3, max_levels=3)
+            marginals = [marginal_op(space, d.name, level).eigenvalues
+                         for d in space.domains for level in d.levels]
+            pick = rng.choice(len(marginals), size=int(rng.integers(1, len(marginals) + 1)),
+                              replace=False)
+            rows = np.array([marginals[i] for i in pick])
+            if rng.random() < 0.3:
+                rows = np.vstack([rows, rows[0]])
+            w = rng.gamma(1.0, size=space.n_admissible)
+            if rng.random() < 0.5:
+                w[rng.random(space.n_admissible) < 0.25] = 0.0
+            if not w.any():
+                continue
+            ref = Distribution.from_admissible_weights(space, w, renormalize=True)
+            data = rng.gamma(1.0, size=space.n_admissible) * (w > 0.0)
+            if rng.random() < 0.5:
+                data[rows[int(rng.integers(len(rows)))] > 0.0] = 0.0
+            if not data.any():
+                continue
+            targets = rows @ (data / data.sum())
+            expected, cycles = ipf_entitywise(ref, rows, targets)
+            result = ipf_project(ref, rows, targets)
+            assert result.iterations == cycles
+            np.testing.assert_allclose(result.distribution.admissible, expected,
+                                       rtol=1e-12, atol=0.0)
+            assert result.boundary == bool(np.any(targets == 0.0) and
+                                           np.any(rows[targets == 0.0] @ w > 0.0))
+            lifted = Distribution.from_admissible_weights(space, expected)
+            assert result.divergence_from_reference == pytest.approx(
+                i_divergence(lifted, ref), rel=1e-12)
+            assert abs(result.residual - np.max(np.abs(rows @ expected - targets))) < 1e-14
+            checked += 1
 
     def test_zero_target_is_boundary(self):
         space = build_entity_space(
@@ -430,7 +526,7 @@ def _direct_projection(reference, plex):
     """The projection solved over every entity, without column lumping."""
     m, t, v = plex.element.matrix, plex.targets, reference.admissible
     support, _ = _zero_target_support(m, t, v > 0.0)
-    q = _solve_on_support(m, t, v, np.ones(len(v)), support, 1e-10, 200, True)[0]
+    q = _solve_on_support(m, t, v, np.ones(len(v)), support, 1e-10, 200)[0]
     return q / q.sum()
 
 
