@@ -483,12 +483,8 @@ def _run_test(analysis, f, i, lines):
 
 def _run_ipf(analysis, f, i, lines):
     element = analysis.elements[f["element"]]
-    rows = element.matrix
-    if not np.all((np.abs(rows) < 1e-12) | (np.abs(rows - 1.0) < 1e-12)):
-        raise ConfigError(f"tasks[{i}].element", "iterative proportional fitting needs "
-                          "an element of binary (marginal) operators")
     result = ipf_project(
-        analysis.reference, rows, element.expectations(analysis.empirical),
+        analysis.reference, element.matrix, element.expectations(analysis.empirical),
         tol=f["tol"], max_cycles=f["max_cycles"],
     )
     _kv(lines, "element", f["element"])

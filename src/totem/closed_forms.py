@@ -22,6 +22,7 @@ from .distribution import Distribution
 from .entity import AttributeDomain, EntitySpace
 from .errors import ProjectionError, SpaceError, TotemError
 from .operators import (
+    _success_count,
     identity_op,
     k_marginal_op,
     make_element,
@@ -71,43 +72,42 @@ def two_coin_space(length):
     return EntitySpace(domains)
 
 
-def _success_counts(space, length):
-    count = np.zeros(space.n_admissible)
-    for i in range(length):
-        codes = space.level_codes(f"s{i + 1}")
-        count += (codes == space.attribute(f"s{i + 1}").position(SUCCESS)).astype(float)
-    return np.rint(count).astype(np.int64)
+def _trials(space):
+    """Names of the trial attributes (``s1``, ``s2``, ...) of a coin space."""
+    return [d.name for d in space.domains if d.name.startswith("s")]
+
+
+def _successes(space):
+    """Per admissible entity, the int64 number of trials at ``head``."""
+    return _success_count(space, SUCCESS, _trials(space))[1]
 
 
 def coin_element(space):
     """{identity, success rate}: the single-mean description."""
-    trials = [d.name for d in space.domains if d.name.startswith("s")]
-    return make_element([identity_op(space), success_op(space, SUCCESS, trials)])
+    return make_element([identity_op(space), success_op(space, SUCCESS, _trials(space))])
 
 
 def k_marginal_element(space):
     """All success-count indicators; they resolve the identity."""
-    trials = [d.name for d in space.domains if d.name.startswith("s")]
+    trials = _trials(space)
     ops = [k_marginal_op(space, k, SUCCESS, trials) for k in range(len(trials) + 1)]
     return make_element(ops)
 
 
 def two_coin_pooled_element(space):
     """{identity, group-A prevalence, pooled success rate}."""
-    trials = [d.name for d in space.domains if d.name.startswith("s")]
     return make_element(
         [
             identity_op(space),
             marginal_op(space, "group", "A"),
-            success_op(space, SUCCESS, trials),
+            success_op(space, SUCCESS, _trials(space)),
         ]
     )
 
 
 def two_coin_split_element(space):
     """Group prevalences plus per-group success rates; symmetric in A/B."""
-    trials = [d.name for d in space.domains if d.name.startswith("s")]
-    h = success_op(space, SUCCESS, trials)
+    h = success_op(space, SUCCESS, _trials(space))
     pa = marginal_op(space, "group", "A")
     pb = marginal_op(space, "group", "B")
     return make_element([pa, pb, product_op(h, pa), product_op(h, pb)])
@@ -127,7 +127,7 @@ def binomial_projection_closed_form(length, eta, space=None):
     _check_rate("eta", eta)
     if space is None:
         space = coin_space(length)
-    l = _success_counts(space, length)
+    l = _successes(space)
     weights = eta ** l * (1.0 - eta) ** (length - l)
     return Distribution.from_admissible_weights(space, weights)
 
@@ -145,7 +145,7 @@ def k_marginal_projection_closed_form(length, phi, space=None):
         raise TotemError("phi must be a probability vector over success counts")
     if space is None:
         space = coin_space(length)
-    l = _success_counts(space, length)
+    l = _successes(space)
     shell = np.array([comb(length, k) for k in range(length + 1)], dtype=np.float64)
     weights = phi[l] / shell[l]
     return Distribution.from_admissible_weights(space, weights, renormalize=True)
@@ -158,7 +158,7 @@ def two_coin_projection_closed_form(length, phi_a, eta_a, eta_b, space=None):
     _check_rate("eta_b", eta_b)
     if space is None:
         space = two_coin_space(length)
-    l = _success_counts(space, length)
+    l = _successes(space)
     in_a = space.level_codes("group") == space.attribute("group").position("A")
     eta = np.where(in_a, eta_a, eta_b)
     phi = np.where(in_a, phi_a, 1.0 - phi_a)
@@ -190,23 +190,14 @@ def binomial_test_statistic_closed_form(length, phi, eta=None):
 
 # --- pair-coupled (Ising-like) generator -----------------------------------
 
-def _ising_weights(space, length, h, j, i0, j0):
-    s = np.vstack(
-        [
-            (space.level_codes(f"s{i + 1}") == space.attribute(f"s{i + 1}").position(SUCCESS))
-            for i in range(length)
-        ]
-    ).astype(np.float64)
-    energy = j * s[i0] * s[j0] + h * s.sum(axis=0)
+def _ising_weights(space, h, j, i0, j0):
+    """Weights, success counts and the 0/1 indicators of trials ``i0``, ``j0``."""
+    trials = _trials(space)
+    l = _successes(space)
+    si, sj = (marginal_op(space, trials[i], SUCCESS).eigenvalues for i in (i0, j0))
+    energy = j * si * sj + h * l
     w = np.exp(energy - energy.max())
-    return w / w.sum(), s
-
-
-def _ising_observables(space, length, h, j, i0, j0):
-    w, s = _ising_weights(space, length, h, j, i0, j0)
-    mean_rate = float((w * s.mean(axis=0)).sum())
-    corr = float((w * s[i0] * s[j0]).sum() - (w * s[i0]).sum() * (w * s[j0]).sum())
-    return mean_rate, corr
+    return w / w.sum(), l, si, sj
 
 
 def ising_parameters(length, eta, kappa, i0=0, j0=1, *, tol=1e-13, max_iter=100):
@@ -235,7 +226,9 @@ def ising_parameters(length, eta, kappa, i0=0, j0=1, *, tol=1e-13, max_iter=100)
     j = kappa / (eta ** 2 * (1.0 - eta) ** 2)
 
     def residual(hh, jj):
-        mean_rate, corr = _ising_observables(space, length, hh, jj, i0, j0)
+        w, l, si, sj = _ising_weights(space, hh, jj, i0, j0)
+        mean_rate = float((w * (l / length)).sum())
+        corr = float((w * si * sj).sum() - (w * si).sum() * (w * sj).sum())
         return np.array([mean_rate - eta, corr - kappa])
 
     res = residual(h, j)
@@ -283,7 +276,7 @@ def ising_coin_generator(length, eta, kappa, i0=0, j0=1):
         return binomial_projection_closed_form(length, eta)
     h, j = ising_parameters(length, eta, kappa, i0, j0)
     space = coin_space(length)
-    w, _ = _ising_weights(space, length, h, j, i0, j0)
+    w = _ising_weights(space, h, j, i0, j0)[0]
     return Distribution.from_admissible_weights(space, w, renormalize=True)
 
 
@@ -337,11 +330,16 @@ def logistic_model_distribution(m, beta0, betas, space=None, profile_weights=Non
         marginal = np.full(space.n_admissible, 0.5 ** m)
     else:
         profile_weights = np.asarray(profile_weights, dtype=np.float64)
-        codes = np.zeros(space.n_admissible, dtype=np.int64)
-        for name in names:
-            codes = codes * 2 + space.level_codes(name)
-        marginal = profile_weights[codes]
+        marginal = profile_weights[_profile_codes(space, names)]
     return Distribution.from_admissible_weights(space, cond * marginal, renormalize=True)
+
+
+def _profile_codes(space, names):
+    """Per admissible entity, its binary levels on ``names`` read as a base-2 number."""
+    codes = np.zeros(space.n_admissible, dtype=np.int64)
+    for name in names:
+        codes = codes * 2 + space.level_codes(name)
+    return codes
 
 
 def logistic_conditionals(q):
@@ -352,21 +350,14 @@ def logistic_conditionals(q):
     """
     space = q.space
     names = [d.name for d in space.domains if d.name != "y"]
-    m = len(names)
-    profiles = list(itertools.product("01", repeat=m))
-    y = space.level_codes("y")
-    codes = np.zeros(space.n_admissible, dtype=np.int64)
-    for name in names:
-        codes = codes * 2 + space.level_codes(name)
+    profiles = list(itertools.product("01", repeat=len(names)))
+    codes = _profile_codes(space, names)
     w = q.admissible
-    probs = np.empty(len(profiles))
-    for i in range(len(profiles)):
-        mass = float(w[codes == i].sum())
-        if mass <= 0.0:
-            probs[i] = math.nan
-            continue
-        on = float(w[(codes == i) & (y == 1)].sum())
-        probs[i] = on / mass
+    mass = np.bincount(codes, weights=w, minlength=len(profiles))
+    on = np.bincount(codes, weights=w * (space.level_codes("y") == 1), minlength=len(profiles))
+    probs = np.full(len(profiles), math.nan)
+    positive = mass > 0.0
+    probs[positive] = on[positive] / mass[positive]
     return profiles, probs
 
 

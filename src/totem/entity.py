@@ -9,7 +9,9 @@ through an admissibility mask; everything downstream works on the
 admissible subset.
 
 All types here are immutable after construction and safe to share across
-threads.
+threads.  The one member built lazily, an entity space's table of level
+codes, depends only on the space's shape and admissible entities: any
+thread that builds it builds the same read-only table.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ class EntitySpace:
         "_axis_of",
         "_compact",
         "_fingerprint",
+        "_codes",
     )
 
     def __init__(self, domains, nullentities=(), entity_cap=DEFAULT_ENTITY_CAP):
@@ -178,6 +181,7 @@ class EntitySpace:
         compact[self.admissible_indices] = np.arange(self.n_admissible)
         compact.setflags(write=False)
         self._compact = compact
+        self._codes = None
 
         h = hashlib.sha256()
         for d in domains:
@@ -250,13 +254,19 @@ class EntitySpace:
         return (self.entity_at(int(i)) for i in self.admissible_indices)
 
     def level_codes(self, name):
-        """Per-admissible-entity level position of attribute ``name``."""
+        """Per-admissible-entity level position of attribute ``name``: a
+        read-only row of one table built on first use, in the smallest
+        unsigned dtype that holds every position (uint8 for binary spaces)."""
         axis = self.axis(name)
-        sizes_after = 1
-        for s in self.shape[axis + 1 :]:
-            sizes_after *= s
-        codes = (self.admissible_indices // sizes_after) % self.shape[axis]
-        return codes.astype(np.int64)
+        if self._codes is None:
+            codes = np.empty((len(self.shape), self.n_admissible),
+                             dtype=np.min_scalar_type(max(self.shape) - 1))
+            rest = self.admissible_indices
+            for i in reversed(range(len(self.shape))):
+                rest, codes[i] = np.divmod(rest, self.shape[i])
+            codes.setflags(write=False)
+            self._codes = codes
+        return self._codes[axis]
 
     def same_space(self, other):
         return self is other or self.fingerprint == other.fingerprint

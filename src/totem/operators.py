@@ -143,13 +143,15 @@ def moment_op(space, attribute, n):
     return CharacteristicOperator(space, values ** int(n), f"moment({attribute},{int(n)})")
 
 
-def _trial_attributes(space, success, attributes):
+def _success_count(space, success, attributes):
+    """Trial count ``L`` and each admissible entity's int64 number of trials
+    at ``success``; the trials are ``attributes``, or all with that level."""
     if attributes is None:
         attributes = [d.name for d in space.domains if success in d]
         if not attributes:
             raise OperatorError(f"no attribute carries the level {success!r}")
-    else:
-        attributes = list(attributes)
+    attributes = list(attributes)
+    count = np.zeros(space.n_admissible, dtype=np.int64)
     for name in attributes:
         domain = space.attribute(name)
         if domain.size != 2:
@@ -158,7 +160,8 @@ def _trial_attributes(space, success, attributes):
             )
         if success not in domain:
             raise OperatorError(f"attribute {name!r} has no level {success!r}")
-    return attributes
+        count += space.level_codes(name) == domain.position(success)
+    return len(attributes), count
 
 
 def success_op(space, success, attributes=None):
@@ -168,12 +171,8 @@ def success_op(space, success, attributes=None):
     counts as a trial; pass ``attributes`` to restrict (e.g. when the
     space carries an extra grouping attribute).
     """
-    attributes = _trial_attributes(space, success, attributes)
-    count = np.zeros(space.n_admissible)
-    for name in attributes:
-        pos = space.attribute(name).position(success)
-        count += (space.level_codes(name) == pos).astype(np.float64)
-    return CharacteristicOperator(space, count / len(attributes), f"success({success})")
+    length, count = _success_count(space, success, attributes)
+    return CharacteristicOperator(space, count / length, f"success({success})")
 
 
 def k_marginal_op(space, k, success, attributes=None):
@@ -181,15 +180,10 @@ def k_marginal_op(space, k, success, attributes=None):
 
     Summed over ``k = 0..L`` these operators resolve the identity.
     """
-    attributes = _trial_attributes(space, success, attributes)
-    length = len(attributes)
+    length, count = _success_count(space, success, attributes)
     if not 0 <= k <= length:
         raise OperatorError(f"k={k} outside [0, {length}]")
-    count = np.zeros(space.n_admissible)
-    for name in attributes:
-        pos = space.attribute(name).position(success)
-        count += (space.level_codes(name) == pos).astype(np.float64)
-    eig = (np.rint(count).astype(np.int64) == int(k)).astype(np.float64)
+    eig = (count == int(k)).astype(np.float64)
     return CharacteristicOperator(space, eig, f"k_marginal({int(k)},{success})")
 
 
@@ -289,15 +283,16 @@ class ConstructingElement:
 
     __slots__ = ("space", "operators", "matrix", "_fingerprint", "_columns")
 
-    def __init__(self, space, operators, matrix):
+    def __init__(self, space, operators):
         self.space = space
         self.operators = tuple(operators)
-        matrix = np.asarray(matrix, dtype=np.float64)
+        # a private copy that always agrees with the operators' eigenvalues
+        matrix = np.vstack([op.eigenvalues for op in self.operators])
         matrix.setflags(write=False)
         self.matrix = matrix
         h = hashlib.sha256()
         h.update(space.fingerprint.encode())
-        h.update(matrix.tobytes())
+        h.update(matrix)
         self._fingerprint = h.hexdigest()
         self._columns = None
 
@@ -369,9 +364,9 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
             raise SpaceError("operators live on different spaces")
         if not np.any(op.eigenvalues):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
-    matrix = np.vstack([op.eigenvalues for op in operators])
     # stacked last, the all-ones row is kept iff normalization is not implied
-    _, kept = _row_basis(np.vstack([matrix, np.ones(space.n_admissible)]), tol)
+    rows = [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)]
+    _, kept = _row_basis(np.vstack(rows), tol)
     normalized = kept[-1] < len(operators)
     if not normalized:
         kept.pop()
@@ -388,14 +383,14 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
                 "the identity row is not in the element's row space; "
                 "normalization must be implied (add the identity operator)"
             )
-        return ConstructingElement(space, operators, matrix)
+        return ConstructingElement(space, operators)
 
     if mode != "auto-reduce":
         raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
     reduced = [operators[i] for i in kept]
     if not normalized:
         reduced.append(identity_op(space))
-    return ConstructingElement(space, reduced, np.vstack([op.eigenvalues for op in reduced]))
+    return ConstructingElement(space, reduced)
 
 
 def kernel_basis(element, tol=PIVOT_TOL):

@@ -46,6 +46,7 @@ from .errors import (
     IncompatibleReferenceError,
     NestingError,
     NonConvergenceError,
+    OperatorError,
     ProjectionError,
     SingularJacobianError,
     SpaceError,
@@ -509,7 +510,7 @@ def _binary_rows(constraints, space):
             f"constraint matrix must be M x {space.n_admissible}, got {rows.shape}"
         )
     if not np.all((np.abs(rows) < 1e-12) | (np.abs(rows - 1.0) < 1e-12)):
-        raise ProjectionError("iterative proportional fitting needs binary rows")
+        raise OperatorError("iterative proportional fitting needs binary rows")
     return np.rint(rows)
 
 

@@ -166,6 +166,17 @@ class TestMain:
         assert "error: max_cycles must be at least 1" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_ipf_on_non_binary_element_is_config_error(self, coin_config, tmp_path, capsys):
+        coin_config.tasks = [{"type": "ipf", "element": "mean"}]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "configuration error at tasks[0]:" in captured.err
+        assert "binary" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_example_subcommand(self, capsys):
         code = main(["example", "coin", "--param", "L=2", "--param", "eta=0.75"])
         out = capsys.readouterr().out

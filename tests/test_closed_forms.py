@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,12 @@ from totem import (
     two_coin_projection_closed_form,
     uniform,
 )
-from totem.closed_forms import coin_space, ising_parameters
+from totem.closed_forms import (
+    coin_element,
+    coin_space,
+    ising_parameters,
+    k_marginal_element,
+)
 
 
 class TestBinomialForm:
@@ -241,3 +247,38 @@ class TestProblemTypes:
         with pytest.raises(TotemError):
             LogisticProblem(m=2, betas=(1.0,))
         assert LogisticProblem(m=2).element().rank == 7
+
+
+class TestFrozenBytes:
+    """Closed-form weights and coin element fingerprints pinned bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: binomial_projection_closed_form(7, 0.3),
+             "2c6328394bcdeca5b73c053c34df2a01ed300336a5c06530a55b788c2252d734"),
+            (lambda: k_marginal_projection_closed_form(5, [0.1, 0.2, 0.0, 0.3, 0.25, 0.15]),
+             "38bcb8fd974756e0373196070cb05015d24e2ade73b22651740b31f3661c9d41"),
+            (lambda: two_coin_projection_closed_form(4, 0.35, 0.6, 0.25),
+             "45a9e5be3250b04f0a1e80f2b571b82a536f933d67c92c7f2a2859d1704c95c2"),
+            (lambda: ising_coin_generator(6, 0.55, 0.02, 1, 4),
+             "10ec43f6730f6587aea57c1fe0742ea64678eca1d3bdfab522305f440e3f07dd"),
+            (lambda: logistic_model_distribution(3, -0.4, [1.1, -0.7, 0.3]),
+             "fe8fa3ad5067cf495e4fba553ee6dcd3e354210e953d3ffb795a607c26d92503"),
+            (lambda: logistic_model_distribution(
+                3, 0.2, [0.5, 0.1, -0.9], profile_weights=np.arange(1.0, 9.0) / 36.0),
+             "7a8af04c19e05f08f421c11bb0d203e5cdc3cc4c0926090a3ab42d81d2f1b198"),
+        ],
+        ids=["binomial", "k_marginal", "two_coin", "ising", "logistic", "logistic_profiles"],
+    )
+    def test_weight_bytes(self, build, digest):
+        weights = build().weights
+        assert weights.dtype == np.float64
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == digest
+
+    def test_coin_element_fingerprints(self):
+        space = coin_space(9)
+        assert coin_element(space).fingerprint == (
+            "962013723ccae902b12b45e331a0024a188f114dba64957648256a0d0e4e20aa")
+        assert k_marginal_element(space).fingerprint == (
+            "70281de561a916eb6d8a61d88c388aedf2c9af5662ae63531c6d8eaa7b71d2d7")

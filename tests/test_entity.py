@@ -106,6 +106,34 @@ class TestEntitySpace:
         assert reordered.fingerprint != two_by_two.fingerprint
 
 
+class TestLevelCodes:
+    @pytest.mark.parametrize(
+        "sizes, nulls, dtype",
+        [
+            ((2, 2, 2), [(1, 0, 1), (0, 0, 0)], np.uint8),
+            ((3, 1, 5, 2), [(2, 0, 4, 1), (0, 0, 0, 0), (1, 0, 3, 0)], np.uint8),
+            ((2, 300, 3), [(1, 299, 2), (0, 255, 0), (0, 256, 1)], np.uint16),
+        ],
+    )
+    def test_table_matches_unravel_index(self, sizes, nulls, dtype):
+        domains = [
+            AttributeDomain(f"a{i}", [f"v{j}" for j in range(size)])
+            for i, size in enumerate(sizes)
+        ]
+        nullentities = [tuple(f"v{j}" for j in entity) for entity in nulls]
+        space = build_entity_space(domains, nullentities)
+        expected = np.unravel_index(space.admissible_indices, space.shape)
+        for axis, domain in enumerate(domains):
+            codes = space.level_codes(domain.name)
+            assert codes.dtype == dtype
+            np.testing.assert_array_equal(codes, expected[axis])
+            assert not codes.flags.writeable
+            with pytest.raises(ValueError):
+                codes[0] = 1
+            # rows of one cached table, not a copy per call
+            assert np.shares_memory(space.level_codes(domain.name), codes)
+
+
 class TestEmpiricalDistribution:
     def test_direct_counting(self, two_by_two):
         table = DataTable(

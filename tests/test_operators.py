@@ -1,3 +1,4 @@
+import hashlib
 from math import fsum
 
 import numpy as np
@@ -202,6 +203,20 @@ class TestMakeElement:
         bare = marginal_op(grid, "first", "a")
         with pytest.raises(OperatorError, match="identity"):
             make_element([bare], mode="strict")
+
+    def test_matrix_rows_are_the_operators_eigenvalues(self, grid):
+        a = marginal_op(grid, "first", "a")
+        x = marginal_op(grid, "second", "x")
+        strict = make_element([a, marginal_op(grid, "first", "b"), x])
+        reduced = make_element([a, a, x], mode="auto-reduce")  # drops a, appends identity
+        assert reduced.labels == (a.label, x.label, "identity")
+        for element in (strict, reduced):
+            assert len(element.matrix) == element.rank
+            for row, op in zip(element.matrix, element.operators):
+                assert row.tobytes() == op.eigenvalues.tobytes()
+                assert not np.shares_memory(element.matrix, op.eigenvalues)
+            with pytest.raises(ValueError):
+                element.matrix[0, 0] = 3.0
 
 
 class TestRref:
@@ -567,6 +582,52 @@ class TestColumnPartition:
         np.testing.assert_array_equal(group, expected[1])
         np.testing.assert_array_equal(columns, expected[0])
         self._check_partition(matrix, columns, group)
+
+
+def _sha256(array):
+    assert array.dtype == np.float64
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestFrozenEigenvalues:
+    """Eigenvalue bytes pinned bit for bit on a space with nullentities,
+    mixed domain sizes and trials whose success level is not first."""
+
+    @pytest.fixture
+    def space(self):
+        return EntitySpace(
+            [
+                AttributeDomain("group", ["A", "B", "C"]),
+                AttributeDomain("s1", ["head", "tail"]),
+                AttributeDomain("x", ["0", "1", "2.5"]),
+                AttributeDomain("s2", ["tail", "head"]),
+                AttributeDomain("s3", ["head", "tail"]),
+            ],
+            nullentities=[
+                ("B", "head", "1", "tail", "head"),
+                ("C", "tail", "2.5", "head", "tail"),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda sp: marginal_op(sp, ("group", "x"), ("B", "2.5")).eigenvalues,
+             "5e6d279823a07f5dc99c4925af0cad2c9dc01e10265d7bab9007573bde9ea235"),
+            (lambda sp: moment_op(sp, "x", 3).eigenvalues,
+             "5f6bd908ca8f3d57aa600d890fc680492b41550b812738cdcca46499b502ffb3"),
+            (lambda sp: success_op(sp, "head").eigenvalues,
+             "07dc2ce1a264267a18e10f246a23cd5b5c9442e1d24b1c7495eb83a276a00e67"),
+            (lambda sp: success_op(sp, "head", ["s3", "s1"]).eigenvalues,
+             "4eaebe04c1ebedca518d44aae8af9e07e65de773d5fe80af6c161c4a3377f21a"),
+            (lambda sp: np.concatenate([k_marginal_op(sp, k, "head").eigenvalues
+                                        for k in range(4)]),
+             "3a0bc6ab0814c01d1c6ec1bfc4a4cf2df09168da61b12a13ba504e5e6f075d15"),
+        ],
+        ids=["marginal", "moment", "success", "success_attributes", "k_marginal"],
+    )
+    def test_eigenvalue_bytes(self, space, build, digest):
+        assert _sha256(build(space)) == digest
 
 
 class TestOperatorSpecs:

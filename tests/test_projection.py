@@ -11,6 +11,7 @@ from totem import (
     IncompatibleReferenceError,
     NestingError,
     NonConvergenceError,
+    OperatorError,
     ProjectionError,
     Totemplex,
     build_entity_space,
@@ -473,7 +474,7 @@ class TestIpf:
     def test_non_binary_rows_rejected(self):
         space = coin_space(2)
         rows = np.array([[0.5, 0.5, 0.0, 0.0]])
-        with pytest.raises(Exception, match="binary"):
+        with pytest.raises(OperatorError, match="binary"):
             ipf_project(uniform(space), rows, np.array([0.3]))
 
     def test_zero_cycles_rejected(self):
