@@ -22,9 +22,9 @@ from .distribution import Distribution
 from .entity import AttributeDomain, EntitySpace
 from .errors import ProjectionError, SpaceError, TotemError
 from .operators import (
+    _count_indicator,
     _success_count,
     identity_op,
-    k_marginal_op,
     make_element,
     marginal_op,
     product_op,
@@ -89,9 +89,8 @@ def coin_element(space):
 
 def k_marginal_element(space):
     """All success-count indicators; they resolve the identity."""
-    trials = _trials(space)
-    ops = [k_marginal_op(space, k, SUCCESS, trials) for k in range(len(trials) + 1)]
-    return make_element(ops)
+    length, count = _success_count(space, SUCCESS, _trials(space))
+    return make_element([_count_indicator(space, count, k, SUCCESS) for k in range(length + 1)])
 
 
 def two_coin_pooled_element(space):
@@ -190,17 +189,22 @@ def binomial_test_statistic_closed_form(length, phi, eta=None):
 
 # --- pair-coupled (Ising-like) generator -----------------------------------
 
-def _ising_weights(space, h, j, i0, j0):
-    """Weights, success counts and the 0/1 indicators of trials ``i0``, ``j0``."""
+def _ising_terms(space, i0, j0):
+    """Success counts and the 0/1 indicators of trials ``i0``, ``j0``."""
     trials = _trials(space)
-    l = _successes(space)
     si, sj = (marginal_op(space, trials[i], SUCCESS).eigenvalues for i in (i0, j0))
+    return _successes(space), si, sj
+
+
+def _ising_weights(terms, h, j):
+    """Normalized weights ``exp(J s_i0 s_j0 + h l)`` per admissible entity."""
+    l, si, sj = terms
     energy = j * si * sj + h * l
     w = np.exp(energy - energy.max())
-    return w / w.sum(), l, si, sj
+    return w / w.sum()
 
 
-def ising_parameters(length, eta, kappa, i0=0, j0=1, *, tol=1e-13, max_iter=100):
+def ising_parameters(length, eta, kappa, i0=0, j0=1, *, space=None, tol=1e-13, max_iter=100):
     """Solve field and coupling for exact mean rate and pair correlator.
 
     The first-order inverse formulas
@@ -208,25 +212,31 @@ def ising_parameters(length, eta, kappa, i0=0, j0=1, *, tol=1e-13, max_iter=100)
     ``J ~ kappa / (eta^2 (1-eta)^2)`` seed a damped 2-d Newton solve so
     that the built distribution has mean success rate exactly ``eta`` and
     connected correlator between trials ``i0`` and ``j0`` exactly
-    ``kappa``.
+    ``kappa``.  The trials are numbered from 0.
     """
     _check_rate("eta", eta)
     if length < 2:
         raise TotemError("pair coupling needs at least two trials")
     if i0 == j0:
         raise TotemError("coupled trials must differ")
+    for name, trial in (("i0", i0), ("j0", j0)):
+        if not 0 <= trial < length:
+            raise TotemError(f"{name}={trial} is not a trial index in [0, {length - 1}]")
     bound = 0.5 * eta ** 2 * (1.0 - eta) ** 2
     if abs(kappa) > bound:
         raise TotemError(
             f"|kappa|={abs(kappa)} too large for eta={eta}; the expansion "
             f"seeding the solve is only valid up to {bound}"
         )
-    space = coin_space(length)
+    if space is None:
+        space = coin_space(length)
+    terms = _ising_terms(space, i0, j0)
+    l, si, sj = terms
     h = math.log(eta / (1.0 - eta)) - 2.0 * kappa / (length * eta * (1.0 - eta) ** 2)
     j = kappa / (eta ** 2 * (1.0 - eta) ** 2)
 
     def residual(hh, jj):
-        w, l, si, sj = _ising_weights(space, hh, jj, i0, j0)
+        w = _ising_weights(terms, hh, jj)
         mean_rate = float((w * (l / length)).sum())
         corr = float((w * si * sj).sum() - (w * si).sum() * (w * sj).sum())
         return np.array([mean_rate - eta, corr - kappa])
@@ -274,9 +284,9 @@ def ising_coin_generator(length, eta, kappa, i0=0, j0=1):
     """
     if kappa == 0.0:
         return binomial_projection_closed_form(length, eta)
-    h, j = ising_parameters(length, eta, kappa, i0, j0)
     space = coin_space(length)
-    w = _ising_weights(space, h, j, i0, j0)[0]
+    h, j = ising_parameters(length, eta, kappa, i0, j0, space=space)
+    w = _ising_weights(_ising_terms(space, i0, j0), h, j)
     return Distribution.from_admissible_weights(space, w, renormalize=True)
 
 

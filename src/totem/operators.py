@@ -26,7 +26,6 @@ import hashlib
 from math import fsum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OperatorError, SpaceError
 
@@ -183,6 +182,11 @@ def k_marginal_op(space, k, success, attributes=None):
     length, count = _success_count(space, success, attributes)
     if not 0 <= k <= length:
         raise OperatorError(f"k={k} outside [0, {length}]")
+    return _count_indicator(space, count, k, success)
+
+
+def _count_indicator(space, count, k, success):
+    """The ``k_marginal`` operator read off a precomputed success count."""
     eig = (count == int(k)).astype(np.float64)
     return CharacteristicOperator(space, eig, f"k_marginal({int(k)},{success})")
 
@@ -404,7 +408,7 @@ def kernel_basis(element, tol=PIVOT_TOL):
     q, kept = _row_basis(element.matrix, tol)
     if len(kept) != element.rank:  # cannot happen for a full-row-rank element
         raise OperatorError("kernel completion failed; element matrix is ill-conditioned")
-    complement = scipy.linalg.qr(q.T)[0][:, len(kept):]
+    complement = np.linalg.qr(q.T, mode="complete")[0][:, len(kept):]
     return [
         CharacteristicOperator(element.space, v, f"kernel{i}")
         for i, v in enumerate(complement.T)

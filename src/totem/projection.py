@@ -20,8 +20,8 @@ Each solver returns group masses, and one function lifts them back as
 reference on the groups; the nested test and the score use the group
 masses directly and never lift.  The multiplier fit solves one
 least-squares equation per distinct column.  The Jacobian is symmetric
-positive definite on the interior, so it is solved by Cholesky; a
-singular factorization triggers one automatic fallback that chains the
+positive definite on the interior; a failed Cholesky factorization marks
+it singular and triggers one automatic fallback that chains the
 projection one operator at a time.
 
 Interior solutions keep every weight strictly positive wherever the
@@ -39,7 +39,6 @@ from math import fsum, log
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .distribution import Distribution
 from .errors import (
@@ -145,11 +144,13 @@ def _merit(m, p, t):
     """Residual, Newton direction and the quadratic merit F' J^-1 F."""
     f_vec = m @ p - t
     j = (m * p) @ m.T
+    # Cholesky decides definiteness; numpy has no triangular solve, and one
+    # LU solve is cheaper than two general solves on the factor
     try:
-        factor = scipy.linalg.cho_factor(j, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(j)
+    except np.linalg.LinAlgError:
         return f_vec, None, np.inf
-    d = scipy.linalg.cho_solve(factor, f_vec, check_finite=False)
+    d = np.linalg.solve(j, f_vec)
     return f_vec, d, float(f_vec @ d)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -186,6 +189,14 @@ class TestMain:
     def test_example_bad_param(self, capsys):
         code = main(["example", "coin", "--param", "L=2", "--param", "eta=2.0"])
         assert code == 1
+
+    def test_example_ising_trial_out_of_range(self, capsys):
+        code = main(["example", "ising", "--param", "L=3", "--param", "eta=0.5",
+                     "--param", "kappa=0.01", "--param", "i0=5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "i0=5 is not a trial index" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_test_subcommand_with_flags(self, coin_csv, capsys):
         code = main(
@@ -491,3 +502,11 @@ def test_fuzzed_command_lines(coin_config, coin_csv, tmp_path, monkeypatch, caps
         # an --out value is drawn text only: it is written to the working directory
         argv += [flag, data.draw(_TEXT) if flag == "--out" else value]
     _exit_code(argv, capsys)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, totem, totem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -156,6 +156,13 @@ class TestIsingGenerator:
         with pytest.raises(TotemError, match="too large"):
             ising_coin_generator(4, 0.5, 0.2)
 
+    @pytest.mark.parametrize("i0, j0", [(5, 1), (0, 3), (-1, 1)])
+    def test_trial_index_out_of_range(self, i0, j0):
+        with pytest.raises(TotemError, match="not a trial index"):
+            ising_parameters(3, 0.5, 0.01, i0, j0)
+        with pytest.raises(TotemError, match="not a trial index"):
+            ising_coin_generator(3, 0.5, 0.01, i0, j0)
+
 
 class TestLogistic:
     def test_saturated_single_predictor(self):

@@ -77,6 +77,29 @@ class TestChi2Cdf:
         with pytest.raises(TotemError):
             chi2_cdf(1.0, 0)
 
+    def test_negative_statistic(self):
+        with pytest.raises(TotemError):
+            chi2_sf(-1.0, 2)
+
+    def test_infinite_statistic(self):
+        assert chi2_sf(math.inf, 3) == 0.0
+        assert chi2_cdf(math.inf, 4) == 1.0
+
+    @pytest.mark.parametrize("k", [*range(1, 61), 101, 1000, 4001])
+    def test_against_incomplete_gamma(self, k):
+        from scipy.special import gammainc, gammaincc
+
+        xs = np.concatenate([np.geomspace(1e-12, 1.0, 60),
+                             np.linspace(0.0, 2.0 * k + 2000.0, 2001)])
+        reference = gammaincc(k / 2.0, xs / 2.0)
+        assert reference[-1] < 1e-300  # the grid runs past the underflow
+        sf = chi2_sf(xs, k)
+        shown = reference > 1e-300
+        assert np.all(np.abs(sf[shown] - reference[shown]) <= 1e-11 * reference[shown])
+        assert np.all(sf[~shown] < 1e-299)
+        assert np.max(np.abs(chi2_cdf(xs, k) - gammainc(k / 2.0, xs / 2.0))) <= 1e-14
+        assert chi2_cdf(0.0, k) == 0.0
+
 
 class TestSampling:
     def test_point_mass(self):

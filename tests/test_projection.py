@@ -284,6 +284,27 @@ class TestDiagnostics:
         q_direct = plex.element.group_sums(direct.distribution.admissible)
         assert np.max(np.abs(staged.q - q_direct)) < 1e-8
 
+    def test_failed_cholesky_reaches_prefix_fallback(self, monkeypatch):
+        space = coin_space(3)
+        f = empirical_counts_coin(space)
+        plex = Totemplex(k_marginal_element(space), f)
+        ref = uniform(space)
+        direct = newton_project(ref, plex)
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def fails_first(j):
+            calls.append(j.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(j)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_first)
+        staged = newton_project(ref, plex)
+        assert calls[0] == (plex.element.rank, plex.element.rank)
+        assert staged.method == "newton+chained"
+        assert max_norm_distance(staged.distribution, direct.distribution) < 1e-8
+
     def test_result_serializes(self):
         plex, space = coin_plex(2, 0.75)
         result = newton_project(uniform(space), plex)
