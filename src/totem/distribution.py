@@ -9,9 +9,9 @@ zero there by construction.
 All metrics sum over admissible entities only, with numpy's pairwise
 summation: the rounding error of a sum of ``n`` terms is bounded by about
 ``log2(n) * eps * sum|terms|`` (``eps = 2.2e-16``), below 1e-14 relative
-to the terms' magnitude for any space that fits in memory.
-:func:`log_multinomial` keeps compensated summation (`math.fsum`): its
-terms are of order ``N log N`` and cancel against ``log N!``.
+to the terms' magnitude for any space that fits in memory.  The same rule
+covers operator expectations, and with them every element's targets;
+:func:`log_multinomial` alone keeps compensated summation.
 Incompatible pairs (``p > 0`` where ``q == 0``) yield ``math.inf``;
 callers are expected to test with ``math.isinf`` before feeding results
 into further arithmetic.
@@ -245,7 +245,8 @@ def log_multinomial(counts, reference, n=None):
 
     ``log N! + sum_e [c_e log v_e - log c_e!]`` with the reference ``v``;
     computed through log-gamma.  Counts on reference-zero entities give
-    ``-inf``.
+    ``-inf``.  The sum is compensated (`math.fsum`): its terms are of order
+    ``N log N`` and cancel against ``log N!``.
     """
     counts = _counts_over_full(reference.space, counts)
     if counts.min(initial=0) < 0:

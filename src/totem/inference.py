@@ -186,6 +186,17 @@ class CalibrationResult:
         return float(np.mean(p < alpha))
 
 
+def _positive_int(value, name="sample size"):
+    """``value`` as an int; :class:`TotemError` unless it is a whole number >= 1."""
+    try:
+        valid = not isinstance(value, (bool, np.bool_)) and value >= 1 and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise TotemError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
     """Score an element: projection fit against remaining freedom.
 
@@ -193,8 +204,7 @@ def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
     if some observed entity gets projected weight zero, the score is
     ``-inf`` and the report is flagged ``diverged``.
     """
-    if n < 1:
-        raise TotemError(f"sample size must be positive, got {n}")
+    n = _positive_int(n)
     fit = _project_groups(reference, plex, tol, max_iter)
     divergence = _data_divergence(plex.empirical, reference, plex.element, fit)
     kernel_dim = plex.element.kernel_dim
@@ -206,7 +216,7 @@ def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
         divergence=divergence,
         kernel_dim=kernel_dim,
         score=score,
-        n=int(n),
+        n=n,
         diverged=diverged,
     )
 
@@ -263,8 +273,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     elements' column groups and ``Q`` is summed over the joint groups, so
     no entity-level distribution is built.
     """
-    if n < 1:
-        raise TotemError(f"sample size must be positive, got {n}")
+    n = _positive_int(n)
     if not 0.0 < alpha < 1.0:
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     if not is_nested(outer, inner):
@@ -294,7 +303,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         p_value=float(p_value),
         alpha=float(alpha),
         reject=bool(p_value < alpha),
-        n=int(n),
+        n=n,
         outer_fingerprint=outer.fingerprint,
         inner_fingerprint=inner.fingerprint,
         p_value_underflow=underflow,
@@ -367,9 +376,7 @@ def sample_multinomial(p, n, seed):
     entities in enumeration order (numpy chains conditional binomials),
     so identical seeds reproduce identical counts.
     """
-    if n < 1 or int(n) != n:
-        raise TotemError(f"sample size must be a positive integer, got {n}")
-    return _draw_counts(p, int(n), _philox(seed))
+    return _draw_counts(p, _positive_int(n), _philox(seed))
 
 
 def calibration_experiment(generator, outer, inner, n, replications, seed, *,
@@ -386,8 +393,8 @@ def calibration_experiment(generator, outer, inner, n, replications, seed, *,
     """
     from .distribution import uniform  # deferred: keeps import graph flat
 
-    if replications < 1:
-        raise TotemError("need at least one replication")
+    n = _positive_int(n)
+    replications = _positive_int(replications, "replications")
     space = generator.space
     if reference is None:
         reference = uniform(space, "admissible")
@@ -395,17 +402,17 @@ def calibration_experiment(generator, outer, inner, n, replications, seed, *,
     q_values = np.empty(replications)
     for r in range(replications):
         rng = _philox(seed, stream=r)
-        counts = _draw_counts(generator, int(n), rng)
-        empirical = Distribution.from_counts(space, counts, int(n))
-        report = i_test(reference, outer, inner, empirical, int(n), alpha,
+        counts = _draw_counts(generator, n, rng)
+        empirical = Distribution.from_counts(space, counts, n)
+        report = i_test(reference, outer, inner, empirical, n, alpha,
                         tol=tol, max_iter=max_iter)
         q_values[r] = report.q_statistic
     return CalibrationResult(
         q_values=q_values,
         dof=dof,
         ks_distance=ks_distance(q_values, dof),
-        n=int(n),
-        replications=int(replications),
+        n=n,
+        replications=replications,
         seed=int(seed),
     )
 

@@ -23,7 +23,6 @@ safe to call concurrently.
 from __future__ import annotations
 
 import hashlib
-from math import fsum
 
 import numpy as np
 
@@ -79,7 +78,7 @@ class CharacteristicOperator:
         """Expectation of the operator under a distribution."""
         if not self.space.same_space(dist.space):
             raise SpaceError("operator and distribution live on different spaces")
-        return fsum((dist.admissible * self.eigenvalues).tolist())
+        return float(np.sum(dist.admissible * self.eigenvalues))
 
     def __mul__(self, other):
         if isinstance(other, CharacteristicOperator):
@@ -207,26 +206,26 @@ def _scale(matrix):
     return m if m > 0.0 else 1.0
 
 
-def row_rank(matrix, tol=PIVOT_TOL):
-    """Rank under the relative pivot threshold ``tol * max|entry|``."""
+def row_rank(matrix):
+    """Rank under the relative pivot threshold ``PIVOT_TOL * max|entry|``."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise OperatorError("row_rank expects a 2-d matrix")
-    return len(_row_basis(matrix, tol)[1])
+    return len(_row_basis(matrix)[1])
 
 
-def _row_basis(matrix, tol=PIVOT_TOL):
+def _row_basis(matrix):
     """Orthonormal basis ``Q`` of the row space and the indices it kept.
 
     Rows are taken in order, so the earliest independent rows win.  A row
     is kept when its residual against the rows kept before it exceeds
-    ``tol * max|entry|`` in its largest component; the residual is
+    ``PIVOT_TOL * max|entry|`` in its largest component; the residual is
     projected out twice (classical Gram-Schmidt with re-orthogonalization),
     one matrix product per row.  Stack a candidate row under a matrix to
     ask whether it lies in the row space: it does iff it is not kept.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    thresh = tol * _scale(matrix)
+    thresh = PIVOT_TOL * _scale(matrix)
     q = np.empty_like(matrix)
     kept = []
     for i, row in enumerate(matrix):
@@ -256,19 +255,15 @@ def _column_partition(matrix):
 
     ``columns[:, group]`` equals ``matrix`` bit for bit.  Columns are grouped
     by a hash of their bits; should two distinct columns share a hash, the
-    grouping falls back to sorting the raw column bytes.  When every column
-    is distinct the matrix itself is returned, with ``group = arange(n)``.
+    grouping falls back to sorting the raw column bytes.
     """
     contiguous = np.ascontiguousarray(matrix, dtype=np.float64)
-    n = contiguous.shape[1]
     _, first, group = np.unique(_column_keys(contiguous), return_index=True, return_inverse=True)
     representative = first[group]
     if not all(np.array_equal(row[representative], row) for row in contiguous.view(np.uint64)):
         raw = np.ascontiguousarray(contiguous.T)
         raw = raw.view(np.dtype((np.void, raw.strides[0]))).ravel()
         _, first, group = np.unique(raw, return_index=True, return_inverse=True)
-    if len(first) == n:
-        return matrix, np.arange(n)
     order = np.argsort(first)
     relabel = np.empty_like(order)
     relabel[order] = np.arange(len(order))
@@ -322,8 +317,7 @@ class ConstructingElement:
 
         Groups are numbered in order of first appearance and
         ``columns[:, group]`` equals ``matrix`` exactly.  Computed on first
-        use and cached; when every column is distinct (G = n) the distinct
-        columns are ``matrix`` itself, not a copy.
+        use and cached.
         """
         if self._columns is None:
             columns, group = _column_partition(self.matrix)
@@ -333,24 +327,25 @@ class ConstructingElement:
         return self._columns
 
     def group_sums(self, values):
-        """Sum per-entity ``values`` over each column group (``values`` when G = n)."""
+        """Sum per-entity ``values`` over each column group."""
         columns, group = self.columns
-        if columns is self.matrix:
-            return values
         return np.bincount(group, weights=values, minlength=columns.shape[1])
 
     def expectations(self, dist):
-        """Vector of operator expectations under ``dist``."""
+        """Vector of operator expectations under ``dist``.
+
+        Each is a pairwise ``np.sum`` over the column groups, not a BLAS
+        product, so the result does not depend on the thread count.
+        """
         if not self.space.same_space(dist.space):
             raise SpaceError("element and distribution live on different spaces")
-        mass = self.group_sums(dist.admissible)
-        return np.array([fsum((row * mass).tolist()) for row in self.columns[0]])
+        return np.sum(self.columns[0] * self.group_sums(dist.admissible), axis=1)
 
     def __repr__(self):
         return f"ConstructingElement(D={self.rank}, ops={list(self.labels)})"
 
 
-def make_element(operators, mode="strict", tol=PIVOT_TOL):
+def make_element(operators, mode="strict"):
     """Assemble a constructing element from characteristic operators.
 
     ``mode="strict"`` demands the given operators be linearly independent
@@ -370,7 +365,7 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
     # stacked last, the all-ones row is kept iff normalization is not implied
     rows = [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)]
-    _, kept = _row_basis(np.vstack(rows), tol)
+    _, kept = _row_basis(np.vstack(rows))
     normalized = kept[-1] < len(operators)
     if not normalized:
         kept.pop()
@@ -397,7 +392,7 @@ def make_element(operators, mode="strict", tol=PIVOT_TOL):
     return ConstructingElement(space, reduced)
 
 
-def kernel_basis(element, tol=PIVOT_TOL):
+def kernel_basis(element):
     """Orthonormal operators spanning the orthogonal complement of the rows.
 
     Returns ``|E*| - D`` operators, each orthogonal (plain dot product on
@@ -405,7 +400,7 @@ def kernel_basis(element, tol=PIVOT_TOL):
     other: an orthonormal basis, deterministic for a given matrix (the
     trailing columns of a full QR factorization of the row basis).
     """
-    q, kept = _row_basis(element.matrix, tol)
+    q, kept = _row_basis(element.matrix)
     if len(kept) != element.rank:  # cannot happen for a full-row-rank element
         raise OperatorError("kernel completion failed; element matrix is ill-conditioned")
     complement = np.linalg.qr(q.T, mode="complete")[0][:, len(kept):]
@@ -415,17 +410,17 @@ def kernel_basis(element, tol=PIVOT_TOL):
     ]
 
 
-def fapp_equivalent(a, b, tol=PIVOT_TOL):
+def fapp_equivalent(a, b):
     """True iff two elements have the same row space.
 
     Elements have full row rank, so equal rank plus nesting decides it.
     """
     if not a.space.same_space(b.space):
         raise SpaceError("elements live on different spaces")
-    return a.rank == b.rank and is_nested(a, b, tol)
+    return a.rank == b.rank and is_nested(a, b)
 
 
-def is_nested(outer, inner, tol=PIVOT_TOL):
+def is_nested(outer, inner):
     """True iff every operator of ``outer`` lies in ``inner``'s row space.
 
     The coarser (outer) description is then implied by the finer (inner)
@@ -436,7 +431,7 @@ def is_nested(outer, inner, tol=PIVOT_TOL):
         raise SpaceError("elements live on different spaces")
     g, h, _ = _joint_groups(inner, outer)
     joint = np.vstack([inner.columns[0][:, g], outer.columns[0][:, h]])
-    return _row_basis(joint, tol)[1][-1] < inner.rank
+    return _row_basis(joint)[1][-1] < inner.rank
 
 
 def _joint_groups(a, b):
@@ -448,10 +443,6 @@ def _joint_groups(a, b):
     """
     columns_a, group_a = a.columns
     columns_b, group_b = b.columns
-    if columns_a is a.matrix:  # every entity is its own group
-        return group_a, group_b, group_a
-    if columns_b is b.matrix:
-        return group_a, group_b, group_b
     width = columns_b.shape[1]
     pairs = group_a * width + group_b
     # a dense table of pair counts while it is no larger than the entity
@@ -473,7 +464,7 @@ class Totemplex:
     empirical distribution itself belongs to it).
     """
 
-    __slots__ = ("element", "targets", "empirical", "_fingerprint")
+    __slots__ = ("element", "targets", "empirical")
 
     def __init__(self, element, empirical):
         if not element.space.same_space(empirical.space):
@@ -483,18 +474,10 @@ class Totemplex:
         targets = element.expectations(empirical)
         targets.setflags(write=False)
         self.targets = targets
-        h = hashlib.sha256()
-        h.update(element.fingerprint.encode())
-        h.update(targets.tobytes())
-        self._fingerprint = h.hexdigest()
 
     @property
     def space(self):
         return self.element.space
-
-    @property
-    def fingerprint(self):
-        return self._fingerprint
 
     def __repr__(self):
         return f"Totemplex(D={self.element.rank}, targets={self.targets!r})"

@@ -6,10 +6,9 @@ family closest to the reference in information divergence.  The iteration
 works covariantly in probability space: with constraint residuals
 ``F_a[p] = <(p - f) M_a>`` and Jacobian ``J_ab = sum_e m_a(e) p_e m_b(e)``
 each step multiplies the weights by ``exp(-m(e) . J^{-1} F)`` and
-accumulates the exponential-family multipliers by the same increment.
-The solution has the form ``q_e = v_e exp(theta . m(e))``, so ``q_e / v_e``
-depends on an entity only through its operator column ``m(e)``: every
-solver runs on the element's distinct columns
+renormalizes them.  The solution has the form ``q_e = v_e exp(theta . m(e))``,
+so ``q_e / v_e`` depends on an entity only through its operator column
+``m(e)``: every solver runs on the element's distinct columns
 (:attr:`~totem.operators.ConstructingElement.columns`) with the reference
 mass summed per column group.  Newton's Jacobian, residual and step sum
 over distinct columns; :func:`chained_project` passes group masses from
@@ -18,8 +17,9 @@ update for purely binary (marginal) constraints, rescales group masses.
 Each solver returns group masses, and one function lifts them back as
 ``q_e = v_e q_g / v_g`` and takes the residual and the divergence from the
 reference on the groups; the nested test and the score use the group
-masses directly and never lift.  The multiplier fit solves one
-least-squares equation per distinct column.  The Jacobian is symmetric
+masses directly and never lift.  The lift fits the multipliers once, for
+every solver, from ``theta . m_g = log(q_g / v_g)``; Newton's own ``theta``
+only signals a boundary-seeking solve.  The Jacobian is symmetric
 positive definite on the interior; a failed Cholesky factorization marks
 it singular and triggers one automatic fallback that chains the
 projection one operator at a time.
@@ -35,7 +35,6 @@ clamped when its largest per-entity weight falls below ``_CLAMP``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, log
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +84,10 @@ class ProjectionResult:
 
     ``multipliers`` parameterize ``q_e = v_e exp(sum_a theta_a m_a(e))``
     in the element's operator basis; the distribution is unique but the
-    multipliers are basis-dependent.  For ``boundary=True`` results the
-    exponential form only holds on the reduced support and the reported
-    multipliers are a least-squares gauge choice there.
+    multipliers are basis-dependent.  Every solver reports the least-squares
+    solution of ``theta . m_g = log(q_g / v_g)`` over the distinct columns
+    with positive mass; for ``boundary=True`` results that is a gauge
+    choice on the reduced support.
     """
 
     distribution: Distribution
@@ -210,7 +210,6 @@ class _GroupFit(NamedTuple):
 
     q: np.ndarray
     v: np.ndarray
-    multipliers: np.ndarray
     iterations: int
     boundary: bool
     method: str
@@ -231,15 +230,15 @@ class _GroupFit(NamedTuple):
 def _result(reference, element, fit, rows, targets):
     """The :class:`ProjectionResult` of a fit on ``element``'s column groups.
 
-    The distribution is lifted to entities as ``q_e = v_e q_g / v_g``; the
-    residual is that of ``rows`` (one column per group) against
-    ``targets``, and the divergence is ``D(q || v)`` on the groups.
+    The distribution is lifted to entities as ``q_e = v_e q_g / v_g`` and
+    the multipliers fitted; the residual is that of ``rows`` (one column per
+    group) against ``targets``, and the divergence is ``D(q || v)``.
     """
     columns, group = element.columns
-    q_adm = fit.q if columns is element.matrix else reference.admissible * fit.ratio[group]
+    q_adm = reference.admissible * fit.ratio[group]
     return ProjectionResult(
         distribution=Distribution.from_admissible_weights(element.space, q_adm, renormalize=True),
-        multipliers=fit.multipliers,
+        multipliers=_fit_multipliers(columns, fit.q, fit.v),
         iterations=fit.iterations,
         residual=float(np.max(np.abs(rows @ fit.q - targets))),
         divergence_from_reference=fit.divergence,
@@ -286,19 +285,8 @@ def _newton_groups(plex, mass, peak, tol, max_iter):
     support, boundary = _zero_target_support(columns, plex.targets, mass > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
-    q_groups, theta, kept, used, log_c, clamped = _solve_on_support(
-        columns, plex.targets, mass, peak, support, tol, max_iter
-    )
-    if kept is not None:
-        # exponential form in the element basis: undo the normalization
-        # constants along the coefficients representing the identity row
-        identity_coef = np.linalg.lstsq(
-            columns[:, support].T, np.ones(int(support.sum())), rcond=None
-        )[0]
-        multipliers = np.asarray(theta, dtype=np.float64) - log_c * identity_coef
-    else:
-        multipliers = _fit_multipliers(columns, q_groups, mass)
-    return _GroupFit(q_groups, mass, multipliers, used, bool(boundary or clamped), "newton")
+    q, used, clamped = _solve_on_support(columns, plex.targets, mass, peak, support, tol, max_iter)
+    return _GroupFit(q, mass, used, bool(boundary or clamped), "newton")
 
 
 def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
@@ -310,28 +298,21 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
     weight, which the clamp is judged on.  A full step that increases the
     quadratic merit or overflows is halved, up to ``_MAX_HALVINGS``
     times, which keeps the iterates strictly positive.  Returns weights
-    per column (zero off support), the accumulated multipliers, the kept
-    row indices (None once the rows had to be re-reduced), iterations
-    used, the total log of normalization constants absorbed along the
-    way, and whether any weight was clamped to zero (a genuine boundary
-    solution, as opposed to a mere reference-support restriction).
+    per column (zero off support), iterations used, and whether any weight
+    was clamped to zero (a genuine boundary solution, as opposed to a mere
+    reference-support restriction).
     """
     n_columns = columns.shape[1]
     used = 0
-    reduced = False
     clamped = False
     while True:
         idx = np.flatnonzero(support)
         kept = _row_basis(columns[:, idx])[1]
         if not kept:
             raise ProjectionError("no independent constraints on the support")
-        if len(kept) < columns.shape[0]:
-            reduced = True
         m = columns[np.ix_(kept, idx)]
         t = targets[kept]
-        total = fsum(mass[idx].tolist())
-        p = mass[idx] / total
-        log_c = log(total)
+        p = mass[idx] / np.sum(mass[idx])
         theta = np.zeros(len(kept), dtype=np.longdouble)
 
         status = "maxiter"
@@ -367,9 +348,9 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                     trial = trial / trial_sum
                     _, _, trial_merit = _merit(m, trial, t)
                     if trial_merit <= merit * (1.0 + 1e-12):
-                        chosen = (trial, step, log(trial_sum))
+                        chosen = (trial, step)
                         break
-                    smallest_finite = (trial, step, log(trial_sum))
+                    smallest_finite = (trial, step)
                 step *= 0.5
             if chosen is None:
                 if smallest_finite is None:
@@ -378,8 +359,7 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                         "are too far apart for a direct solve"
                     )
                 chosen = smallest_finite
-            p, applied, log_step = chosen
-            log_c += log_step
+            p, applied = chosen
             theta -= d * applied
             # Boundary-seeking solves show both runaway multipliers and
             # weights collapsing to zero; large multipliers alone merely
@@ -394,13 +374,12 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
         if status == "converged":
             q = np.zeros(n_columns)
             q[idx] = p
-            return q, theta, (None if reduced else kept), used, log_c, clamped
+            return q, used, clamped
         if status == "overflow":
             keep = p * peak[idx] > _CLAMP
             new_support = np.zeros(n_columns, dtype=bool)
             new_support[idx[keep]] = True
             support = new_support
-            reduced = True
             clamped = True
             continue
         raise NonConvergenceError(
@@ -495,8 +474,7 @@ def _chain(reference, plexes, tol, max_iter):
         iterations += fit.iterations
         boundary = boundary or fit.boundary
         previous = element
-    multipliers = _fit_multipliers(previous.columns[0], fit.q, fit.v)
-    return _GroupFit(fit.q, fit.v, multipliers, iterations, boundary, "chained")
+    return _GroupFit(fit.q, fit.v, iterations, boundary, "chained")
 
 
 def _binary_rows(constraints, space):
@@ -545,7 +523,8 @@ def ipf_project(
         raise ProjectionError(
             f"{rows.shape[0]} rows but {targets.shape} targets"
         )
-    if targets.min(initial=0.0) < -1e-12 or targets.max(initial=0.0) > 1.0 + 1e-12:
+    # written so that NaN, which fails every comparison, fails the check
+    if not np.all((targets >= -1e-12) & (targets <= 1.0 + 1e-12)):
         raise ProjectionError("marginal targets must lie in [0, 1]")
 
     ops = [CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)]
@@ -589,6 +568,5 @@ def ipf_project(
         )
 
     q = p / p.sum()
-    fit = _GroupFit(q, v, _fit_multipliers(element.columns[0], q, v), cycles, boundary,
-                    "ipf-proportional")
+    fit = _GroupFit(q, v, cycles, boundary, "ipf-proportional")
     return _result(reference, element, fit, rows, targets)

@@ -426,6 +426,61 @@ class TestCalibration:
             )
 
 
+class TestSampleSizeRule:
+    """One rule for ``n`` and ``replications``: a whole number of at least one."""
+
+    BAD = [2.5, 0, -3, math.nan, math.inf, "5", True, None]
+
+    @staticmethod
+    def _coin():
+        space = coin_space(2)
+        f = binomial_projection_closed_form(2, 0.6, space)
+        return space, f, coin_element(space), k_marginal_element(space)
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_sample_multinomial(self, n):
+        _, f, _, _ = self._coin()
+        with pytest.raises(TotemError, match="sample size must be a positive integer"):
+            sample_multinomial(f, n, seed=1)
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_i_score(self, n):
+        space, f, outer, _ = self._coin()
+        with pytest.raises(TotemError, match="sample size must be a positive integer"):
+            i_score(uniform(space), Totemplex(outer, f), n)
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_i_test(self, n):
+        space, f, outer, inner = self._coin()
+        with pytest.raises(TotemError, match="sample size must be a positive integer"):
+            i_test(uniform(space), outer, inner, f, n)
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_calibration_sample_size(self, n):
+        _, f, outer, inner = self._coin()
+        with pytest.raises(TotemError, match="sample size must be a positive integer"):
+            calibration_experiment(f, outer, inner, n, 2, seed=1)
+
+    @pytest.mark.parametrize("replications", BAD, ids=repr)
+    def test_calibration_replications(self, replications):
+        _, f, outer, inner = self._coin()
+        with pytest.raises(TotemError, match="replications must be a positive integer"):
+            calibration_experiment(f, outer, inner, 50, replications, seed=1)
+
+    def test_whole_floats_and_numpy_integers_are_counts(self):
+        space, f, outer, inner = self._coin()
+        a = i_test(uniform(space), outer, inner, f, 100.0)
+        b = i_test(uniform(space), outer, inner, f, np.int64(100))
+        assert a.n == b.n == 100
+        assert type(a.n) is int
+        assert a.q_statistic == b.q_statistic
+        assert i_score(uniform(space), Totemplex(outer, f), 100.0).n == 100
+        result = calibration_experiment(f, outer, inner, 50.0, 2.0, seed=1)
+        assert (result.n, result.replications) == (50, 2)
+        np.testing.assert_array_equal(sample_multinomial(f, 7.0, seed=3),
+                                      sample_multinomial(f, 7, seed=3))
+
+
 class TestKsDistance:
     def test_exact_sample_from_cdf_inverse(self):
         # uniform grid pushed through the inverse CDF has vanishing distance

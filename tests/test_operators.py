@@ -556,15 +556,16 @@ class TestColumnPartition:
         np.testing.assert_array_equal(group, [0, 1, 0, 1])
         np.testing.assert_array_equal(columns, [[1.0, 1.0], [0.0, 1.0]])
 
-    def test_all_distinct_is_the_matrix_itself(self):
+    def test_all_distinct_columns_equal_the_matrix(self):
         rng = np.random.default_rng(8)
         space = random_space(rng)
         element = random_element(rng, space, min(3, space.n_admissible))
         columns, group = element.columns
-        assert columns is element.matrix
+        np.testing.assert_array_equal(columns.view(np.uint64), element.matrix.view(np.uint64))
         np.testing.assert_array_equal(group, np.arange(space.n_admissible))
         values = rng.random(space.n_admissible)
-        assert element.group_sums(values) is values
+        np.testing.assert_array_equal(element.group_sums(values).view(np.uint64),
+                                      values.view(np.uint64))
 
     def test_signed_zero_columns_are_distinct(self):
         matrix = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0]])

@@ -325,6 +325,19 @@ class TestChained:
         direct = newton_project(ref, plex)
         assert max_norm_distance(chained.distribution, direct.distribution) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_stage_multipliers_are_newtons_bit_for_bit(self, seed):
+        # every solver fits its multipliers once, in the same gauge
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        plex = random_totemplex(rng, space, min(3, space.n_admissible))
+        ref = random_distribution(rng, space)
+        direct = newton_project(ref, plex)
+        chained = chained_project(ref, [plex])
+        assert (direct.method, chained.method) == ("newton", "chained")
+        np.testing.assert_array_equal(chained.multipliers.view(np.uint64),
+                                      direct.multipliers.view(np.uint64))
+
     def test_coin_chain_through_mean(self):
         space = coin_space(3)
         f = empirical_counts_coin(space)
@@ -426,6 +439,12 @@ class TestIpf:
         np.testing.assert_allclose(
             result.distribution.weights, [0.42, 0.18, 0.28, 0.12], atol=1e-9
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        rows = np.ones((1, 8))
+        with pytest.raises(ProjectionError, match=r"must lie in \[0, 1\]"):
+            ipf_project(uniform(coin_space(3)), rows, np.array([bad]))
 
     def test_agrees_with_newton(self):
         rng = np.random.default_rng(29)
@@ -580,7 +599,8 @@ class TestLumping:
         rng = np.random.default_rng(31)
         space = coin_space(6)
         plex = random_totemplex(rng, space, 4)
-        assert plex.element.columns[0] is plex.element.matrix
+        np.testing.assert_array_equal(plex.element.columns[0].view(np.uint64),
+                                      plex.element.matrix.view(np.uint64))
         ref = random_distribution(rng, space)
         result = newton_project(ref, plex)
         np.testing.assert_allclose(result.distribution.admissible,
