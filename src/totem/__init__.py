@@ -13,8 +13,6 @@ logistic regression) used as oracles and simulation generators.
 __version__ = "0.1.0"
 
 from .closed_forms import (
-    CoinProblem,
-    LogisticProblem,
     binomial_projection_closed_form,
     binomial_test_statistic_closed_form,
     coin_element,
@@ -38,7 +36,6 @@ from .distribution import (
     cross_entropy,
     distribution_from_dict,
     distribution_to_dict,
-    distributions_equal,
     entropy,
     i_divergence,
     load_distribution,
@@ -96,7 +93,6 @@ from .operators import (
     moment_op,
     operator_from_spec,
     product_op,
-    projector_op,
     row_rank,
     success_op,
 )

@@ -161,6 +161,7 @@ _RULES = {
     "n": (lambda v: v >= 1, "at least 1"),
     "replications": (lambda v: v >= 1, "at least 1"),
     "max_iter": (lambda v: v >= 1, "at least 1"),
+    "seed": (lambda v: 0 <= v < 1 << 64, "in [0, 2^64)"),
 }
 
 # required int, float and float-list fields
@@ -448,7 +449,8 @@ def _run_score(analysis, f, i, lines):
         analysis.reference, [analysis.elements[name] for name in names],
         analysis.empirical, n, tol=f["tol"], max_iter=f["max_iter"],
     )
-    label_of = {analysis.elements[name].fingerprint: name for name in names}
+    # select_element scores the first of equal elements: the first name wins
+    label_of = {analysis.elements[name].fingerprint: name for name in reversed(names)}
     _kv(lines, "N", n)
     _kv(lines, "note", "scores drop the O(1) term; only differences matter")
     for rank, report in enumerate(reports, start=1):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -32,8 +31,6 @@ from .operators import (
 )
 
 __all__ = [
-    "CoinProblem",
-    "LogisticProblem",
     "coin_space",
     "two_coin_space",
     "coin_element",
@@ -189,6 +186,11 @@ def binomial_test_statistic_closed_form(length, phi, eta=None):
 
 # --- pair-coupled (Ising-like) generator -----------------------------------
 
+#: The coupling solve's residual tolerance and Newton step budget.
+_ISING_TOL = 1e-13
+_ISING_MAX_ITER = 100
+
+
 def _ising_terms(space, i0, j0):
     """Success counts and the 0/1 indicators of trials ``i0``, ``j0``."""
     trials = _trials(space)
@@ -204,7 +206,7 @@ def _ising_weights(terms, h, j):
     return w / w.sum()
 
 
-def ising_parameters(length, eta, kappa, i0=0, j0=1, *, space=None, tol=1e-13, max_iter=100):
+def ising_parameters(length, eta, kappa, i0=0, j0=1, *, space=None):
     """Solve field and coupling for exact mean rate and pair correlator.
 
     The first-order inverse formulas
@@ -242,8 +244,8 @@ def ising_parameters(length, eta, kappa, i0=0, j0=1, *, space=None, tol=1e-13, m
         return np.array([mean_rate - eta, corr - kappa])
 
     res = residual(h, j)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
+    for _ in range(_ISING_MAX_ITER):
+        if np.max(np.abs(res)) <= _ISING_TOL:
             break
         eps = 1e-6
         jac = np.column_stack(
@@ -387,71 +389,3 @@ def logit_affine_fit(profiles, probs):
     residual = float(np.max(np.abs(design @ coef - z)))
     return float(coef[0]), coef[1:], residual
 
-
-# --- problem descriptions -----------------------------------------------------
-
-@dataclass(frozen=True)
-class CoinProblem:
-    """Bernoulli-trials study: one coin, two grouped coins, or a coupled pair."""
-
-    length: int
-    eta: float = 0.5
-    eta_a: float = None
-    eta_b: float = None
-    phi_a: float = None
-    kappa: float = 0.0
-    i0: int = 0
-    j0: int = 1
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise TotemError(f"need at least one trial, got {self.length}")
-        _check_rate("eta", self.eta)
-        if self.grouped:
-            if None in (self.eta_a, self.eta_b, self.phi_a):
-                raise TotemError("grouped problems need eta_a, eta_b and phi_a")
-            _check_rate("eta_a", self.eta_a)
-            _check_rate("eta_b", self.eta_b)
-            _check_rate("phi_a", self.phi_a)
-
-    @property
-    def grouped(self):
-        return any(v is not None for v in (self.eta_a, self.eta_b, self.phi_a))
-
-    def space(self):
-        return two_coin_space(self.length) if self.grouped else coin_space(self.length)
-
-    def generator(self):
-        """Distribution the study samples from."""
-        if self.grouped:
-            return two_coin_projection_closed_form(
-                self.length, self.phi_a, self.eta_a, self.eta_b
-            )
-        if self.kappa:
-            return ising_coin_generator(self.length, self.eta, self.kappa, self.i0, self.j0)
-        return binomial_projection_closed_form(self.length, self.eta)
-
-
-@dataclass(frozen=True)
-class LogisticProblem:
-    """Binary response on ``m`` binary predictors."""
-
-    m: int
-    beta0: float = 0.0
-    betas: tuple = ()
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise TotemError(f"need at least one predictor, got {self.m}")
-        if self.betas and len(self.betas) != self.m:
-            raise TotemError(f"expected {self.m} coefficients, got {len(self.betas)}")
-
-    def space(self):
-        return logistic_space(self.m)
-
-    def element(self):
-        return logistic_element(self.m)
-
-    def generator(self):
-        betas = self.betas or tuple(0.0 for _ in range(self.m))
-        return logistic_model_distribution(self.m, self.beta0, betas)

@@ -39,15 +39,11 @@ __all__ = [
     "log_multinomial_leading",
     "regularize",
     "max_norm_distance",
-    "distributions_equal",
     "save_distribution",
     "load_distribution",
     "distribution_to_dict",
     "distribution_from_dict",
 ]
-
-#: Two distributions closer than this in max norm count as equal.
-EQUALITY_TOL = 1e-10
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -101,18 +97,9 @@ class Distribution:
         self._admissible = adm
 
     @classmethod
-    def from_weights(cls, space, weights, renormalize=False):
-        weights = np.asarray(weights, dtype=np.float64)
-        if renormalize:
-            total = float(np.sum(weights))
-            if total <= 0:
-                raise TotemError("cannot normalize an all-zero weight vector")
-            weights = weights / total
-        return cls(space, weights)
-
-    @classmethod
     def from_admissible_weights(cls, space, weights, renormalize=False):
-        """Scatter compact per-admissible weights into the full enumeration."""
+        """Scatter compact per-admissible weights into the full enumeration,
+        divided by their sum (which must be positive) when ``renormalize``."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (space.n_admissible,):
             raise SpaceError(
@@ -120,7 +107,12 @@ class Distribution:
             )
         full = np.zeros(space.n_entities)
         full[space.admissible_indices] = weights
-        return cls.from_weights(space, full, renormalize=renormalize)
+        if renormalize:
+            total = float(np.sum(full))
+            if total <= 0:
+                raise TotemError("cannot normalize an all-zero weight vector")
+            full = full / total
+        return cls(space, full)
 
     @classmethod
     def from_counts(cls, space, counts, n_samples=None):
@@ -160,11 +152,6 @@ class Distribution:
     def weight_of(self, entity):
         return float(self.weights[self.space.index_of(entity)])
 
-    def __eq__(self, other):
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.space.same_space(other.space) and distributions_equal(self, other)
-
     def __repr__(self):
         return f"Distribution(space={self.space!r}, support={int(np.count_nonzero(self.weights))})"
 
@@ -172,14 +159,15 @@ class Distribution:
 def uniform(space, support="admissible"):
     """Equal weight on every supported entity.
 
-    ``support="full"`` spreads mass over the whole enumeration (the
-    maximally agnostic reference, which may sit on declared nullentities);
-    ``support="admissible"`` spreads it over admissible entities only.
+    ``support`` is one of two values: ``"admissible"`` (the default)
+    spreads mass over admissible entities only, and ``"full"`` over the
+    whole enumeration (the maximally agnostic reference, which may sit on
+    declared nullentities).  Any other value raises :class:`SpaceError`.
     """
-    if support in ("admissible", "E*"):
+    if support == "admissible":
         w = np.full(space.n_admissible, 1.0 / space.n_admissible)
         return Distribution.from_admissible_weights(space, w)
-    if support in ("full", "E"):
+    if support == "full":
         return Distribution(space, np.full(space.n_entities, 1.0 / space.n_entities))
     raise SpaceError(f"support must be 'full' or 'admissible', got {support!r}")
 
@@ -320,10 +308,6 @@ def max_norm_distance(p, q):
     """Largest absolute weight difference over the full enumeration."""
     _check_same_space(p, q)
     return float(np.max(np.abs(p.weights - q.weights)))
-
-
-def distributions_equal(p, q, tol=EQUALITY_TOL):
-    return max_norm_distance(p, q) < tol
 
 
 # --- serialization -------------------------------------------------------

@@ -138,7 +138,6 @@ class EntitySpace:
         "admissible_indices",
         "n_admissible",
         "_axis_of",
-        "_compact",
         "_fingerprint",
         "_codes",
     )
@@ -177,10 +176,6 @@ class EntitySpace:
         self.admissible_indices = np.flatnonzero(mask)
         self.admissible_indices.setflags(write=False)
         self.n_admissible = int(mask.sum())
-        compact = np.full(n, -1, dtype=np.int64)
-        compact[self.admissible_indices] = np.arange(self.n_admissible)
-        compact.setflags(write=False)
-        self._compact = compact
         self._codes = None
 
         h = hashlib.sha256()
@@ -237,10 +232,6 @@ class EntitySpace:
             index, pos = divmod(index, size)
             labels.append(domain.levels[pos])
         return tuple(reversed(labels))
-
-    def compact_index(self, entity):
-        """Position of an admissible entity among admissible ones, else -1."""
-        return int(self._compact[self.index_of(entity)])
 
     def is_admissible(self, entity):
         return bool(self.admissible_mask[self.index_of(entity)])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distribution import Distribution
+from .distribution import Distribution, uniform
 from .errors import NestingError, ProjectionError, TotemError
 from .operators import Totemplex, _joint_groups, fapp_equivalent, is_nested
 from .projection import _project_groups
@@ -186,15 +186,22 @@ class CalibrationResult:
         return float(np.mean(p < alpha))
 
 
-def _positive_int(value, name="sample size"):
-    """``value`` as an int; :class:`TotemError` unless it is a whole number >= 1."""
+def _whole(value, name="sample size", low=1, high=math.inf, rule="a positive integer"):
+    """``value`` as an int; :class:`TotemError` naming ``rule`` unless it is a
+    whole number in ``[low, high)`` (bools are not numbers here)."""
     try:
-        valid = not isinstance(value, (bool, np.bool_)) and value >= 1 and int(value) == value
+        valid = (not isinstance(value, (bool, np.bool_)) and low <= value < high
+                 and int(value) == value)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise TotemError(f"{name} must be a positive integer, got {value!r}")
+        raise TotemError(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def _seed(value):
+    """A Philox key: a whole number in ``[0, 2^64)``."""
+    return _whole(value, "seed", 0, 1 << 64, "a whole number in [0, 2^64)")
 
 
 def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
@@ -204,7 +211,7 @@ def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
     if some observed entity gets projected weight zero, the score is
     ``-inf`` and the report is flagged ``diverged``.
     """
-    n = _positive_int(n)
+    n = _whole(n)
     fit = _project_groups(reference, plex, tol, max_iter)
     divergence = _data_divergence(plex.empirical, reference, plex.element, fit)
     kernel_dim = plex.element.kernel_dim
@@ -273,7 +280,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     elements' column groups and ``Q`` is summed over the joint groups, so
     no entity-level distribution is built.
     """
-    n = _positive_int(n)
+    n = _whole(n)
     if not 0.0 < alpha < 1.0:
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     if not is_nested(outer, inner):
@@ -351,7 +358,7 @@ def _nested_divergence(reference, inner, inner_fit, outer, outer_fit):
 # --- seeded simulation ------------------------------------------------------
 
 def _philox(seed, stream=0):
-    bits = np.random.Philox(key=int(seed) & ((1 << 64) - 1))
+    bits = np.random.Philox(key=seed)
     if stream:
         bits = bits.jumped(int(stream))
     return np.random.Generator(bits)
@@ -371,33 +378,33 @@ def _draw_counts(dist, n, rng):
 def sample_multinomial(p, n, seed):
     """Draw a count vector of total ``n`` from ``p``; bit-stable per seed.
 
-    The generator is Philox (counter-based, 64-bit key = ``seed``); the
-    draw is one ``Generator.multinomial`` call over the positive-weight
-    entities in enumeration order (numpy chains conditional binomials),
-    so identical seeds reproduce identical counts.
+    The generator is Philox (counter-based, 64-bit key = ``seed``, a whole
+    number in ``[0, 2^64)``, else :class:`TotemError`); the draw is one
+    ``Generator.multinomial`` call over the positive-weight entities in
+    enumeration order (numpy chains conditional binomials), so identical
+    seeds reproduce identical counts.
     """
-    return _draw_counts(p, _positive_int(n), _philox(seed))
+    return _draw_counts(p, _whole(n), _philox(_seed(seed)))
 
 
 def calibration_experiment(generator, outer, inner, n, replications, seed, *,
-                           reference=None, alpha=0.05, tol=1e-10, max_iter=200):
+                           alpha=0.05, tol=1e-10, max_iter=200):
     """Repeated sample -> project -> test pipeline for one generator.
 
     Each replication draws ``n`` records from ``generator`` (stream ``r``
-    is the base Philox generator jumped ``r`` times, so replications are
-    independent and reproducible), runs the nested test, and collects the
-    statistic.  When the generator itself satisfies the outer description,
-    the statistics should follow the chi-squared law with
-    ``rank(inner) - rank(outer)`` degrees of freedom; the returned
+    is the Philox generator of ``seed``, as in :func:`sample_multinomial`,
+    jumped ``r`` times, so replications are independent and reproducible),
+    runs the nested test with the uniform reference on admissible entities
+    and collects the statistic.  When the generator itself satisfies the
+    outer description, the statistics should follow the chi-squared law
+    with ``rank(inner) - rank(outer)`` degrees of freedom; the returned
     Kolmogorov-Smirnov distance quantifies the match.
     """
-    from .distribution import uniform  # deferred: keeps import graph flat
-
-    n = _positive_int(n)
-    replications = _positive_int(replications, "replications")
+    n = _whole(n)
+    replications = _whole(replications, "replications")
+    seed = _seed(seed)
     space = generator.space
-    if reference is None:
-        reference = uniform(space, "admissible")
+    reference = uniform(space, "admissible")
     dof = inner.rank - outer.rank
     q_values = np.empty(replications)
     for r in range(replications):
@@ -413,7 +420,7 @@ def calibration_experiment(generator, outer, inner, n, replications, seed, *,
         ks_distance=ks_distance(q_values, dof),
         n=n,
         replications=replications,
-        seed=int(seed),
+        seed=seed,
     )
 
 

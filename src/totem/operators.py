@@ -34,7 +34,6 @@ __all__ = [
     "ConstructingElement",
     "Totemplex",
     "identity_op",
-    "projector_op",
     "marginal_op",
     "moment_op",
     "success_op",
@@ -94,16 +93,6 @@ class CharacteristicOperator:
 def identity_op(space):
     """Eigenvalue one on every admissible entity (normalization row)."""
     return CharacteristicOperator(space, np.ones(space.n_admissible), "identity")
-
-
-def projector_op(space, entity):
-    """Indicator of a single admissible entity."""
-    eig = np.zeros(space.n_admissible)
-    compact = space.compact_index(entity)
-    if compact < 0:
-        raise OperatorError(f"entity {tuple(entity)!r} is not admissible")
-    eig[compact] = 1.0
-    return CharacteristicOperator(space, eig, f"projector({','.join(entity)})")
 
 
 def marginal_op(space, attributes, levels):

@@ -99,22 +99,6 @@ class ProjectionResult:
     boundary: bool = False
     method: str = "newton"
 
-    def to_dict(self):
-        """JSON-ready document with distribution, multipliers, diagnostics."""
-        from .distribution import distribution_to_dict
-
-        return {
-            "format": "totem-projection",
-            "element_fingerprint": self.element_fingerprint,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "divergence_from_reference": self.divergence_from_reference,
-            "boundary": self.boundary,
-            "multipliers": [float(t) for t in self.multipliers],
-            "distribution": distribution_to_dict(self.distribution),
-        }
-
 
 def is_compatible(reference, empirical):
     """Data compatibility: every observed entity has reference weight."""
@@ -478,12 +462,10 @@ def _chain(reference, plexes, tol, max_iter):
 
 
 def _binary_rows(constraints, space):
-    if isinstance(constraints, (list, tuple)) and constraints and isinstance(
-        constraints[0], CharacteristicOperator
-    ):
-        rows = np.vstack([op.eigenvalues for op in constraints])
-    else:
+    try:
         rows = np.asarray(constraints, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ProjectionError(f"constraint matrix is not an array of numbers: {exc}") from None
     if rows.ndim != 2 or rows.shape[1] != space.n_admissible:
         raise ProjectionError(
             f"constraint matrix must be M x {space.n_admissible}, got {rows.shape}"
@@ -504,9 +486,10 @@ def ipf_project(
 ):
     """Iterative proportional fitting for binary (marginal) constraints.
 
-    Cycles through the rows of the binary constraint matrix, rescaling
-    each row's support by ``target/current``; this converges whenever the
-    targets are jointly feasible.  A normalization row is appended
+    ``constraints`` is one ``M x |E*|`` matrix of 0/1 rows over admissible
+    entities and ``targets`` the ``M`` row expectations.  Each cycle
+    rescales each row's support by ``target/current``; this converges
+    whenever the targets are jointly feasible.  A normalization row is appended
     automatically when the given rows do not already imply it.  Zero
     targets zero out their row's support and flag the result as a
     boundary solution.  ``variant`` must be ``"proportional"``, the only
@@ -558,7 +541,7 @@ def ipf_project(
                     "reference mass left"
                 )
             p[on] *= target / current
-        residual = max(abs(float(p[on].sum()) - target) for on, target in work)
+        residual = float(max(abs(float(p[on].sum()) - target) for on, target in work))
         if residual <= tol:
             break
     else:

@@ -109,6 +109,15 @@ class TestRun:
         # multiplier line carries full precision
         assert any("multiplier success(head):" in line for line in report.split("\n"))
 
+    def test_score_labels_equal_elements_with_the_first_name(self, coin_config):
+        coin_config.elements["twin"] = list(coin_config.elements["mean"])
+        coin_config.tasks = [{"type": "score", "elements": ["spectrum", "mean", "twin"]}]
+        code, report = run(coin_config)
+        assert code == 0
+        # "twin" is not scored: it has the same fingerprint as "mean"
+        ranks = [line.strip() for line in report.split("\n") if line.strip().startswith("rank")]
+        assert ranks == ["rank 1: mean", "rank 2: spectrum"]
+
     def test_generator_space_mismatch_is_validation_error(self, coin_config):
         coin_config.tasks = [
             {
@@ -216,6 +225,26 @@ class TestMain:
         assert code == 0
         assert "Q:" in out
 
+    def test_calibrate_generator_spec_and_path_agree(self, tmp_path, capsys):
+        # the README's calibrate command line, with fewer replications; the
+        # path form reads the generator that `totem example` wrote
+        generator = str(tmp_path / "coin.json")
+        assert main(["example", "coin", "--param", "L=3", "--param", "eta=0.5",
+                     "--out", generator]) == 0
+        lines = {}
+        for source in ("coin:L=3,eta=0.5", generator):
+            capsys.readouterr()
+            assert main(["calibrate", "--generator", source,
+                         "--outer", "identity;success(head)",
+                         "--inner", "k_marginal(0, head);k_marginal(1, head);"
+                                    "k_marginal(2, head);k_marginal(3, head)",
+                         "--N", "2000", "--replications", "40"]) == 0
+            report = capsys.readouterr().out
+            lines[source] = [line for line in report.split("\n") if line.split(":")[0].strip()
+                             in ("mean Q", "KS distance", "rejection rate")]
+        assert len(lines[generator]) == 3
+        assert lines[generator] == lines["coin:L=3,eta=0.5"]
+
     def test_report_written_to_file(self, coin_config, tmp_path):
         config_path = tmp_path / "analysis.json"
         config_path.write_text(coin_config.to_json())
@@ -273,6 +302,8 @@ class TestExitCodeContract:
             ({"tol": -1}, "tol"),
             ({"alpha": 1.5}, "alpha"),
             ({"max_iter": -1}, "max_iter"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
         ],
     )
     def test_malformed_field(self, doc, field, tmp_path, capsys):
@@ -352,6 +383,8 @@ class TestExitCodeContract:
             ({"type": "project", "element": "mean", "max_iter": -1}, "tasks[0].max_iter"),
             ({"type": "test", "outer": "mean", "inner": "spectrum", "max_iter": 0},
              "tasks[0].max_iter"),
+            ({**_CALIBRATE, "seed": -1}, "tasks[0].seed"),
+            ({**_CALIBRATE, "seed": 2**64}, "tasks[0].seed"),
         ],
     )
     def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from totem import (
-    CoinProblem,
-    LogisticProblem,
     Totemplex,
     TotemError,
     binomial_projection_closed_form,
@@ -229,31 +227,6 @@ class TestReferenceUpdate:
         plex = Totemplex(coin_element(space), day2_data)
         result = newton_project(day1, plex)
         assert max_norm_distance(result.distribution, day2_data) < 1e-8
-
-
-class TestProblemTypes:
-    def test_coin_problem_validation(self):
-        with pytest.raises(TotemError):
-            CoinProblem(length=0)
-        with pytest.raises(TotemError):
-            CoinProblem(length=2, eta=1.5)
-        with pytest.raises(TotemError):
-            CoinProblem(length=2, eta_a=0.4)  # grouped needs all three
-
-    def test_coin_problem_generators(self):
-        plain = CoinProblem(length=2, eta=0.6)
-        assert plain.generator().space.n_entities == 4
-        grouped = CoinProblem(length=2, eta_a=0.4, eta_b=0.6, phi_a=0.5)
-        assert grouped.generator().space.n_entities == 8
-        coupled = CoinProblem(length=3, eta=0.5, kappa=0.01)
-        assert coupled.generator().space.n_entities == 8
-
-    def test_logistic_problem_validation(self):
-        with pytest.raises(TotemError):
-            LogisticProblem(m=0)
-        with pytest.raises(TotemError):
-            LogisticProblem(m=2, betas=(1.0,))
-        assert LogisticProblem(m=2).element().rank == 7
 
 
 class TestFrozenBytes:

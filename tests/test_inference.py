@@ -427,9 +427,11 @@ class TestCalibration:
 
 
 class TestSampleSizeRule:
-    """One rule for ``n`` and ``replications``: a whole number of at least one."""
+    """One rule for ``n`` and ``replications``, a whole number of at least one,
+    and one for seeds, a whole number in [0, 2^64)."""
 
     BAD = [2.5, 0, -3, math.nan, math.inf, "5", True, None]
+    BAD_SEEDS = [2.5, -1, 2**64, math.nan, math.inf, "3", True, np.True_, None]
 
     @staticmethod
     def _coin():
@@ -467,6 +469,18 @@ class TestSampleSizeRule:
         with pytest.raises(TotemError, match="replications must be a positive integer"):
             calibration_experiment(f, outer, inner, 50, replications, seed=1)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_sample_multinomial_seed(self, seed):
+        _, f, _, _ = self._coin()
+        with pytest.raises(TotemError, match=r"seed must be a whole number in \[0, 2\^64\)"):
+            sample_multinomial(f, 5, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_calibration_seed(self, seed):
+        _, f, outer, inner = self._coin()
+        with pytest.raises(TotemError, match=r"seed must be a whole number in \[0, 2\^64\)"):
+            calibration_experiment(f, outer, inner, 50, 2, seed=seed)
+
     def test_whole_floats_and_numpy_integers_are_counts(self):
         space, f, outer, inner = self._coin()
         a = i_test(uniform(space), outer, inner, f, 100.0)
@@ -479,6 +493,10 @@ class TestSampleSizeRule:
         assert (result.n, result.replications) == (50, 2)
         np.testing.assert_array_equal(sample_multinomial(f, 7.0, seed=3),
                                       sample_multinomial(f, 7, seed=3))
+        np.testing.assert_array_equal(sample_multinomial(f, 7, seed=3.0),
+                                      sample_multinomial(f, 7, seed=np.uint64(3)))
+        echoed = calibration_experiment(f, outer, inner, 50, 2, seed=np.uint64(2**64 - 1)).seed
+        assert echoed == 2**64 - 1 and type(echoed) is int
 
 
 class TestKsDistance:

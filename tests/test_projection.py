@@ -305,15 +305,6 @@ class TestDiagnostics:
         assert staged.method == "newton+chained"
         assert max_norm_distance(staged.distribution, direct.distribution) < 1e-8
 
-    def test_result_serializes(self):
-        plex, space = coin_plex(2, 0.75)
-        result = newton_project(uniform(space), plex)
-        doc = result.to_dict()
-        assert doc["format"] == "totem-projection"
-        assert doc["element_fingerprint"] == plex.element.fingerprint
-        assert len(doc["multipliers"]) == plex.element.rank
-        assert doc["distribution"]["space_fingerprint"] == space.fingerprint
-
 
 class TestChained:
     def test_single_stage_equals_direct(self):
@@ -522,6 +513,43 @@ class TestIpf:
         rows = np.array([marginal_op(space, "s1", "head").eigenvalues])
         with pytest.raises(ProjectionError, match="max_cycles"):
             ipf_project(uniform(space), rows, np.array([0.3]), max_cycles=0)
+
+
+def _coin2_ipf(rows=None, targets=(0.3,), reference=None, **kwargs):
+    """``ipf_project`` on two flips, by default on the ``s1=head`` row."""
+    space = coin_space(2)
+    if rows is None:
+        rows = [marginal_op(space, "s1", "head").eigenvalues]
+    reference = uniform(space) if reference is None else reference(space)
+    return ipf_project(reference, rows, np.array(targets), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _coin2_ipf(variant="exponential"), ProjectionError, "unknown IPF variant"),
+        (lambda: _coin2_ipf(rows=np.ones((1, 3))), ProjectionError, r"M x 4, got \(1, 3\)"),
+        (lambda: _coin2_ipf(rows=np.ones(4)), ProjectionError, r"M x 4, got \(4,\)"),
+        (lambda: _coin2_ipf(rows=[marginal_op(coin_space(2), "s1", "head")]),
+         ProjectionError, "not an array of numbers"),
+        (lambda: _coin2_ipf(targets=(0.3, 0.7)), ProjectionError, r"1 rows but \(2,\) targets"),
+        # the reference has no mass where s1 = head
+        (lambda: _coin2_ipf(reference=lambda space: Distribution.from_admissible_weights(
+            space, [0.0, 0.0, 0.5, 0.5])), ProjectionError, "no reference mass left"),
+        # P(s1 = s2 = head) above P(s1 = head): jointly infeasible
+        (lambda: _coin2_ipf(rows=[[1, 1, 0, 0], [1, 0, 0, 0]], targets=(0.3, 0.5),
+                            max_cycles=3),
+         NonConvergenceError, r"within 3 cycles \(residual 0\.\d+\)"),
+        (lambda: chained_project(uniform(coin_space(2)), []), ProjectionError,
+         "at least one stage"),
+    ],
+    ids=["variant", "columns", "one-dimensional", "operators", "targets",
+         "no-reference-mass", "max-cycles", "no-stages"],
+)
+def test_typed_solver_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert "np." not in str(caught.value)
 
 
 # i_test(coin, k_marginal) at L=12 on datasets drawn from a 0.6 coin, as

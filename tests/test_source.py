@@ -31,3 +31,29 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """Each name a module-level function, class or assignment defines, with its line."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        read.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        read.update(name for name, _ in _imported_names(tree))
+    dead = [f"{module}:{line} {name}" for module, tree in sorted(trees.items())
+            for name, line in _private_definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not dead, f"private names that no module reads: {dead}"
