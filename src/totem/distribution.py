@@ -66,7 +66,7 @@ class Distribution:
         the exact ratios ``counts / n_samples``.
     """
 
-    __slots__ = ("space", "weights", "counts", "n_samples", "_admissible")
+    __slots__ = ("space", "weights", "counts", "n_samples", "_admissible", "_positive")
 
     def __init__(self, space, weights, counts=None, n_samples=None):
         weights = np.asarray(weights, dtype=np.float64)
@@ -92,9 +92,13 @@ class Distribution:
             counts.setflags(write=False)
             self.counts = counts
             self.n_samples = int(counts.sum()) if n_samples is None else int(n_samples)
-        adm = weights[space.admissible_indices]
-        adm.setflags(write=False)
-        self._admissible = adm
+        if space.n_admissible == space.n_entities:
+            self._admissible = weights.view()
+        else:
+            adm = weights[space.admissible_indices]
+            adm.setflags(write=False)
+            self._admissible = adm
+        self._positive = None
 
     @classmethod
     def from_admissible_weights(cls, space, weights, renormalize=False):
@@ -116,18 +120,19 @@ class Distribution:
 
     @classmethod
     def from_counts(cls, space, counts, n_samples=None):
-        counts = np.asarray(counts, dtype=np.int64)
+        """Frequencies ``counts / N`` of whole, finite, nonnegative counts
+        (whole floats such as ``2.0`` count; bools and strings do not)."""
+        counts = _count_array(counts)
         if counts.shape != (space.n_entities,):
             raise SpaceError(
                 f"count vector has shape {counts.shape}, expected ({space.n_entities},)"
             )
-        if counts.min(initial=0) < 0:
-            raise DataError("negative count")
-        n = int(counts.sum()) if n_samples is None else int(n_samples)
+        total = int(counts.sum())
+        n = total if n_samples is None else int(n_samples)
         if n <= 0:
             raise DataError("sample size must be positive")
-        if int(counts.sum()) != n:
-            raise DataError(f"counts sum to {int(counts.sum())}, expected N={n}")
+        if total != n:
+            raise DataError(f"counts sum to {total}, expected N={n}")
         if space.n_admissible < space.n_entities:
             violations = counts[~space.admissible_mask]
             if violations.any():
@@ -146,8 +151,31 @@ class Distribution:
 
     @property
     def admissible(self):
-        """Weights restricted to admissible entities, in enumeration order."""
+        """Weights restricted to admissible entities, in enumeration order.
+
+        Read-only; for a space without nullentities it is a view of
+        ``weights``, not a copy.
+        """
         return self._admissible
+
+    def _support(self):
+        """The positive-weight entities: their indices in the full
+        enumeration and their positions among the admissible entities.
+
+        Computed on first use and cached, read-only; for a space without
+        nullentities the two are one array.
+        """
+        if self._positive is None:
+            full = np.flatnonzero(self.weights > 0.0)
+            space = self.space
+            if space.n_admissible == space.n_entities:
+                adm = full
+            else:
+                adm = np.searchsorted(space.admissible_indices, full[space.admissible_mask[full]])
+                adm.setflags(write=False)
+            full.setflags(write=False)
+            self._positive = (full, adm)
+        return self._positive
 
     def weight_of(self, entity):
         return float(self.weights[self.space.index_of(entity)])
@@ -214,8 +242,25 @@ def i_divergence(p, q):
     return max(float(np.sum(terms)), 0.0)
 
 
+def _count_array(counts):
+    """``counts`` as int64; :class:`DataError` unless every count is a whole,
+    finite, nonnegative number.  Integer input is only checked for sign."""
+    counts = np.asarray(counts)
+    kind = counts.dtype.kind
+    if kind == "f":
+        # written so that NaN, which fails every comparison, fails the check
+        if not np.all((counts >= 0.0) & (counts < 2.0**63) & (np.floor(counts) == counts)):
+            raise DataError("counts must be whole, finite and nonnegative")
+    elif kind not in "iu":
+        raise DataError(f"counts must be whole numbers, got an array of {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.min(initial=0) < 0:
+        raise DataError("negative count")
+    return counts
+
+
 def _counts_over_full(space, counts):
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _count_array(counts)
     if counts.shape == (space.n_admissible,):
         full = np.zeros(space.n_entities, dtype=np.int64)
         full[space.admissible_indices] = counts
@@ -237,8 +282,6 @@ def log_multinomial(counts, reference, n=None):
     ``N log N`` and cancel against ``log N!``.
     """
     counts = _counts_over_full(reference.space, counts)
-    if counts.min(initial=0) < 0:
-        raise DataError("negative count")
     total = int(counts.sum())
     if n is not None and total != int(n):
         raise DataError(f"counts sum to {total}, expected N={n}")

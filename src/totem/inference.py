@@ -27,8 +27,8 @@ import numpy as np
 
 from .distribution import Distribution, uniform
 from .errors import NestingError, ProjectionError, TotemError
-from .operators import Totemplex, _joint_groups, fapp_equivalent, is_nested
-from .projection import _project_groups
+from .operators import Totemplex, _nesting, fapp_equivalent
+from .projection import _check_reference, _project_groups, _solve_groups
 
 __all__ = [
     "ScoreReport",
@@ -276,14 +276,26 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     ``Q = 2N D(q_inner || q_outer)`` for the two projections of the
     reference, with ``rank(inner) - rank(outer)`` degrees of freedom.
     Rejecting means the finer description extracts information the
-    coarser one misses at level ``alpha``.  Both projections stay on their
-    elements' column groups and ``Q`` is summed over the joint groups, so
-    no entity-level distribution is built.
+    coarser one misses at level ``alpha``.
+
+    One joint-group pass over the entities decides the nesting and gives
+    the reference mass of each joint group of the two elements, and from
+    that each element group's.  Both projections
+    stay on their elements' column groups, and ``Q`` is summed over the
+    joint groups: an entity in inner group ``g`` and outer group ``h`` has
+    projections ``v_e r_g`` and ``v_e s_h``, so
+    ``D = sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh`` the reference
+    mass of the entities in both.  The data is touched on its support only
+    (targets and the compatibility check), and no entity-level
+    distribution is built.
     """
     n = _whole(n)
     if not 0.0 < alpha < 1.0:
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
-    if not is_nested(outer, inner):
+    outer_plex = Totemplex(outer, empirical)
+    _check_reference(reference, outer_plex)
+    nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
+    if not nested:
         raise NestingError(
             "outer element is not implied by the inner one; the test is only "
             "defined for nested descriptions"
@@ -293,13 +305,18 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise NestingError(
             "elements have equal rank and row space; zero degrees of freedom"
         )
-    outer_fit = _project_groups(reference, Totemplex(outer, empirical), tol, max_iter)
-    inner_fit = _project_groups(reference, Totemplex(inner, empirical), tol, max_iter)
-    div = _nested_divergence(reference, inner, inner_fit, outer, outer_fit)
+    inner_plex = Totemplex(inner, empirical)
+    outer_mass = np.bincount(h, weights=v, minlength=outer.columns[0].shape[1])
+    inner_mass = np.bincount(g, weights=v, minlength=inner.columns[0].shape[1])
+    s = _solve_groups(reference, outer_plex, outer_mass, tol, max_iter).ratio[h]
+    r = _solve_groups(reference, inner_plex, inner_mass, tol, max_iter).ratio[g]
+    mass = r * v
+    on = mass > 0.0
+    if np.any(s[on] <= 0.0):
+        div = math.inf
+    else:
+        div = max(float(np.sum(mass[on] * (np.log(r[on]) - np.log(s[on])))), 0.0)
     q_stat = 2.0 * n * div
-    if q_stat < -1e-10:
-        raise TotemError(f"negative test statistic {q_stat}")
-    q_stat = max(q_stat, 0.0)
     p_value = chi2_sf(q_stat, dof)
     underflow = p_value < P_VALUE_FLOOR
     if underflow:
@@ -324,35 +341,15 @@ def _data_divergence(empirical, reference, element, fit):
     group sums: one pass over the data's support and one over the groups.
     ``math.inf`` when the data has mass on a group the projection zeroes.
     """
-    f = empirical.admissible
-    seen = f > 0.0
-    f_seen = f[seen]
-    mass = element.group_sums(f)
+    seen = empirical._support()[1]
+    f_seen = empirical.admissible[seen]
+    mass = element._support_sums(empirical)
     on = mass > 0.0
     ratio = fit.ratio[on]
     if np.any(ratio <= 0.0):
         return math.inf
     data_term = float(np.sum(f_seen * (np.log(f_seen) - np.log(reference.admissible[seen]))))
     return max(data_term - float(np.sum(mass[on] * np.log(ratio))), 0.0)
-
-
-def _nested_divergence(reference, inner, inner_fit, outer, outer_fit):
-    """``D(q_inner || q_outer)`` summed over the joint column groups.
-
-    An entity in inner group ``g`` and outer group ``h`` has projections
-    ``v_e r_g`` and ``v_e s_h``, so the divergence is
-    ``sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh`` the reference mass
-    of the entities in both.
-    """
-    g, h, pair = _joint_groups(inner, outer)
-    v = np.bincount(pair, weights=reference.admissible, minlength=len(g))
-    r = inner_fit.ratio[g]
-    s = outer_fit.ratio[h]
-    mass = r * v
-    on = mass > 0.0
-    if np.any(s[on] <= 0.0):
-        return math.inf
-    return max(float(np.sum(mass[on] * (np.log(r[on]) - np.log(s[on])))), 0.0)
 
 
 # --- seeded simulation ------------------------------------------------------
@@ -368,10 +365,9 @@ def _draw_counts(dist, n, rng):
     """One multinomial draw over the positive-weight entities."""
     if n > np.iinfo(np.int64).max:
         raise TotemError(f"sample size {n} is beyond the sampler's 64-bit range")
-    weights = dist.weights
+    support = dist._support()[0]
     counts = np.zeros(dist.space.n_entities, dtype=np.int64)
-    support = np.flatnonzero(weights > 0.0)
-    counts[support] = rng.multinomial(n, weights[support])
+    counts[support] = rng.multinomial(n, dist.weights[support])
     return counts
 
 

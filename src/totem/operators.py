@@ -320,15 +320,25 @@ class ConstructingElement:
         columns, group = self.columns
         return np.bincount(group, weights=values, minlength=columns.shape[1])
 
+    def _support_sums(self, dist):
+        """``group_sums(dist.admissible)``, summed over ``dist``'s
+        positive-weight entities only: the zeros it skips would leave every
+        sum bit for bit the same."""
+        columns, group = self.columns
+        positive = dist._support()[1]
+        return np.bincount(group[positive], weights=dist.admissible[positive],
+                           minlength=columns.shape[1])
+
     def expectations(self, dist):
         """Vector of operator expectations under ``dist``.
 
-        Each is a pairwise ``np.sum`` over the column groups, not a BLAS
-        product, so the result does not depend on the thread count.
+        The group sums run over ``dist``'s support only.  Each expectation
+        is a pairwise ``np.sum`` over the column groups, not a BLAS product,
+        so the result does not depend on the thread count.
         """
         if not self.space.same_space(dist.space):
             raise SpaceError("element and distribution live on different spaces")
-        return np.sum(self.columns[0] * self.group_sums(dist.admissible), axis=1)
+        return np.sum(self.columns[0] * self._support_sums(dist), axis=1)
 
     def __repr__(self):
         return f"ConstructingElement(D={self.rank}, ops={list(self.labels)})"
@@ -416,33 +426,45 @@ def is_nested(outer, inner):
     one, and the inner feasible family sits inside the outer family.
     Decided on the distinct joint columns of both elements.
     """
+    return _nesting(outer, inner)[0]
+
+
+def _nesting(outer, inner, values=None):
+    """:func:`is_nested` and the joint groups ``(g, h, sums)`` it was
+    decided on (see :func:`_joint_groups`, with ``a = inner``)."""
     if not outer.space.same_space(inner.space):
         raise SpaceError("elements live on different spaces")
-    g, h, _ = _joint_groups(inner, outer)
+    g, h, sums = _joint_groups(inner, outer, values)
     joint = np.vstack([inner.columns[0][:, g], outer.columns[0][:, h]])
-    return _row_basis(joint)[1][-1] < inner.rank
+    return _row_basis(joint)[1][-1] < inner.rank, (g, h, sums)
 
 
-def _joint_groups(a, b):
-    """The joint column groups of two elements: ``(g, h, pair)``.
+def _joint_groups(a, b, values=None):
+    """The joint column groups of two elements: ``(g, h, sums)``.
 
     Two entities share a joint column iff they share a column in both
     elements, so the joint groups are the distinct pairs of group indices
-    ``(g[k], h[k])``; ``pair`` is each admissible entity's joint group.
+    ``(g[k], h[k])``.  ``sums`` holds the per-entity ``values`` summed over
+    each joint group, or is ``None`` without ``values``.
     """
     columns_a, group_a = a.columns
     columns_b, group_b = b.columns
     width = columns_b.shape[1]
-    pairs = group_a * width + group_b
+    pairs = group_a * width
+    pairs += group_b
     # a dense table of pair counts while it is no larger than the entity
     # count (one pass); a sort otherwise, so memory stays O(n)
-    if columns_a.shape[1] * width <= len(pairs):
-        seen = np.bincount(pairs, minlength=columns_a.shape[1] * width) > 0
-        present = np.flatnonzero(seen)
-        pair = (np.cumsum(seen) - 1)[pairs]
+    table = columns_a.shape[1] * width
+    sums = None
+    if table <= len(pairs):
+        present = np.flatnonzero(np.bincount(pairs, minlength=table))
+        if values is not None:
+            sums = np.bincount(pairs, weights=values, minlength=table)[present]
     else:
         present, pair = np.unique(pairs, return_inverse=True)
-    return present // width, present % width, pair
+        if values is not None:
+            sums = np.bincount(pair, weights=values, minlength=len(present))
+    return present // width, present % width, sums
 
 
 class Totemplex:

@@ -29,11 +29,16 @@ reference is positive.  Boundary targets (a zero marginal) cannot be met
 in the interior: affected weights are clamped to zero, the constraints
 are re-posed on the reduced support, and the result is flagged with
 ``boundary=True``.  Clamping acts on whole column groups; a group is
-clamped when its largest per-entity weight falls below ``_CLAMP``.
+clamped when its largest per-entity weight falls below ``_CLAMP``.  Those
+weights need each group's largest per-entity reference share, its peak,
+which takes a pass over the entities; every solver computes the peaks on
+demand, once a multiplier exceeds ``_MULTIPLIER_OVERFLOW``, so an
+interior solve never does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,7 +109,7 @@ def is_compatible(reference, empirical):
     """Data compatibility: every observed entity has reference weight."""
     if not reference.space.same_space(empirical.space):
         raise SpaceError("distributions live on different entity spaces")
-    return bool(np.all(reference.weights[empirical.weights > 0.0] > 0.0))
+    return bool(np.all(reference.weights[empirical._support()[0]] > 0.0))
 
 
 def constraint_residual(p, plex):
@@ -117,7 +122,8 @@ def constraint_residual(p, plex):
 
 def _check_compatible(reference, empirical):
     if not is_compatible(reference, empirical):
-        bad = np.flatnonzero((empirical.weights > 0.0) & (reference.weights <= 0.0))[0]
+        observed = empirical._support()[0]
+        bad = observed[reference.weights[observed] <= 0.0][0]
         raise IncompatibleReferenceError(
             f"reference assigns zero weight to observed entity "
             f"{reference.space.entity_at(int(bad))!r}"
@@ -238,30 +244,43 @@ def _check_reference(reference, plex):
     _check_compatible(reference, plex.empirical)
 
 
-def _reference_groups(reference, element):
-    """The reference mass of each column group and its largest per-entity share."""
-    ref_adm = reference.admissible
-    mass = element.group_sums(ref_adm)
-    peak = np.zeros(len(mass))
-    np.maximum.at(peak, element.columns[1], ref_adm)
-    return mass, np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
+def _peaks(reference, element, mass):
+    """A function of no arguments that returns each column group's largest
+    per-entity share of its reference ``mass``; the pass over the entities
+    runs on its first call only."""
+    @functools.cache
+    def peaks():
+        peak = np.zeros(len(mass))
+        np.maximum.at(peak, element.columns[1], reference.admissible)
+        return np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
+    return peaks
 
 
 def _project_groups(reference, plex, tol, max_iter):
     """The projection of ``reference`` onto ``plex``'s family, per column group.
 
     Everything :func:`newton_project` does except lifting the result to
-    entities.  A singular Jacobian falls back to :func:`_prefix_fallback`.
+    entities.
     """
     _check_reference(reference, plex)
+    return _solve_groups(reference, plex, plex.element.group_sums(reference.admissible),
+                         tol, max_iter)
+
+
+def _solve_groups(reference, plex, mass, tol, max_iter):
+    """:func:`_project_groups` from the reference ``mass`` of each column
+    group, with the reference already checked against ``plex``.  A singular
+    Jacobian falls back to :func:`_prefix_fallback`.
+    """
     try:
-        return _newton_groups(plex, *_reference_groups(reference, plex.element), tol, max_iter)
+        return _newton_groups(plex, mass, _peaks(reference, plex.element, mass), tol, max_iter)
     except SingularJacobianError:
         return _prefix_fallback(reference, plex, tol, max_iter)
 
 
 def _newton_groups(plex, mass, peak, tol, max_iter):
-    """Newton from the reference ``mass`` and ``peak`` of each column group.
+    """Newton from the reference ``mass`` of each column group; ``peak()``
+    gives the groups' peaks (see :func:`_solve_on_support`).
 
     Raises :class:`SingularJacobianError` rather than falling back.
     """
@@ -277,11 +296,12 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
     """Newton iteration with boundary re-posing on a shrinking support.
 
     Runs on distinct ``columns`` with the reference ``mass`` of each;
-    ``peak`` is each column's largest per-entity share of its mass (1
-    where a column is one entity), so ``p * peak`` is the largest entity
-    weight, which the clamp is judged on.  A full step that increases the
-    quadratic merit or overflows is halved, up to ``_MAX_HALVINGS``
-    times, which keeps the iterates strictly positive.  Returns weights
+    ``peak()`` returns each column's largest per-entity share of its mass
+    (1 where a column is one entity), so ``p * peak()`` is the largest
+    entity weight, which the clamp is judged on; it is called only once a
+    multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  A full step that
+    increases the quadratic merit or overflows is halved, up to
+    ``_MAX_HALVINGS`` times, which keeps the iterates strictly positive.  Returns weights
     per column (zero off support), iterations used, and whether any weight
     was clamped to zero (a genuine boundary solution, as opposed to a mere
     reference-support restriction).
@@ -350,7 +370,7 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
             # mean an ill-conditioned operator basis.
             if (
                 float(np.max(np.abs(theta))) > _MULTIPLIER_OVERFLOW
-                and bool(np.any(p * peak[idx] < _CLAMP))
+                and bool(np.any(p * peak()[idx] < _CLAMP))
             ):
                 status = "overflow"
                 break
@@ -360,7 +380,7 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
             q[idx] = p
             return q, used, clamped
         if status == "overflow":
-            keep = p * peak[idx] > _CLAMP
+            keep = p * peak()[idx] > _CLAMP
             new_support = np.zeros(n_columns, dtype=bool)
             new_support[idx[keep]] = True
             support = new_support
@@ -439,7 +459,7 @@ def _chain(reference, plexes, tol, max_iter):
     for i, plex in enumerate(plexes):
         _check_reference(reference, plex)
         element = plex.element
-        v, peak = _reference_groups(reference, element)
+        v = element.group_sums(reference.admissible)
         mass = v
         if fit is not None:
             g, parent, _ = _joint_groups(element, previous)
@@ -449,12 +469,13 @@ def _chain(reference, plexes, tol, max_iter):
                     f"a column of stage {i} but not of stage {i - 1}"
                 )
             mass = v * fit.ratio[parent]
-            observed = element.group_sums(plex.empirical.admissible) > 0.0
+            observed = element._support_sums(plex.empirical) > 0.0
             if np.any(observed & (mass <= 0.0)):
                 raise IncompatibleReferenceError(
                     f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
                 )
-        fit = _newton_groups(plex, mass, peak, tol, max_iter)._replace(v=v)
+        fit = _newton_groups(plex, mass, _peaks(reference, element, v), tol,
+                             max_iter)._replace(v=v)
         iterations += fit.iterations
         boundary = boundary or fit.boundary
         previous = element

@@ -61,6 +61,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.counts[0] = 7
 
+    @pytest.mark.parametrize("counts, n", [
+        ([2.0, 0.0, 1.0, 1.0], 4),
+        (np.array([1, 0, 1, 1], dtype=np.uint8), 3),
+        ([1.5, 0.5, 1, 1], None),
+        ([0.9, 0.2, 1, 1], None),
+        ([True, False, True, True], None),
+        (["1", "0", "1", "1"], None),
+        ([math.nan, 1, 1, 1], None),
+        ([math.inf, 1, 1, 1], None),
+        ([-1.0, 2, 1, 1], None),
+        ([-1, 2, 1, 1], None),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_counts_are_whole_finite_and_nonnegative(self, counts, n):
+        if n is None:
+            with pytest.raises(DataError):
+                Distribution.from_counts(quad_space(), counts)
+        else:
+            dist = Distribution.from_counts(quad_space(), counts)
+            assert dist.n_samples == n and dist.counts.tolist() == np.asarray(counts).tolist()
+
+    def test_admissible_is_a_view_without_nullentities(self):
+        dist = uniform(quad_space(), "full")
+        assert np.shares_memory(dist.admissible, dist.weights)
+        assert not dist.admissible.flags.writeable
+        nulled = uniform(quad_space(nullentities=[("a", "y")]), "full")
+        assert nulled.admissible.tolist() == [0.25] * 3
+        assert not nulled.admissible.flags.writeable
+
     def test_uniform_full_support(self):
         space = quad_space()
         np.testing.assert_allclose(uniform(space, "full").weights, 0.25)

@@ -43,7 +43,8 @@ from totem.closed_forms import (
     two_coin_split_element,
 )
 
-from totem import projection
+from totem import operators, projection
+from totem.operators import ConstructingElement
 
 from helpers import random_distribution, random_space
 
@@ -585,6 +586,7 @@ def _nested_cases():
         nullentities=[("head", "tail", "tail", "head"), ("tail", "head", "tail", "tail")],
     )
     fn = random_distribution(rng, spaced, alpha=1.0)
+    sparse = sample_multinomial(binomial_projection_closed_form(12, 0.6, space), 150, seed=8)
     return (
         (space, uniform(space), coin_element(space), k_marginal_element(space), f, 5000),
         (space, ref, coin_element(space), k_marginal_element(space), f, 5000),
@@ -597,7 +599,30 @@ def _nested_cases():
         # reference mass on nullentities
         (spaced, uniform(spaced, "full"), coin_element(spaced), k_marginal_element(spaced),
          fn, 300),
+        # data on under 5% of the entities
+        (space, ref, coin_element(space), k_marginal_element(space),
+         Distribution.from_counts(space, sparse), 150),
     )
+
+
+@pytest.fixture
+def peak_passes(monkeypatch):
+    """The ``np.maximum.at`` calls the projection module makes (group peaks)."""
+    calls = []
+
+    class Maximum:
+        def at(self, *args):
+            calls.append(1)
+            np.maximum.at(*args)
+
+    class Numpy:
+        maximum = Maximum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(projection, "np", Numpy())
+    return calls
 
 
 def _assert_projection_pinned(result, reference, plex):
@@ -615,7 +640,7 @@ class TestGroupLevelStatistics:
     column groups; each equals the entity-level formula on the lifted
     distributions."""
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_matches_entity_level(self, case):
         space, ref, outer, inner, f, n = _nested_cases()[case]
         plexes = [Totemplex(outer, f), Totemplex(inner, f)]
@@ -667,3 +692,63 @@ class TestGroupLevelStatistics:
         monkeypatch.setattr(Distribution, "__init__", counting_init)
         i_test(ref, outer, inner, f, n)
         assert not built
+
+    def test_sparse_case_covers_under_5_percent(self):
+        space, ref, outer, inner, f, n = _nested_cases()[6]
+        assert np.count_nonzero(f.weights) < 0.05 * space.n_entities
+
+    @pytest.mark.parametrize("coarse", [False, True], ids=["coin", "identity"])
+    def test_overflow_clamp_inside_i_test(self, coarse, peak_passes):
+        # all heads: the coin's mean sits on the boundary, which only the
+        # multiplier-overflow clamp detects, so i_test computes the group
+        # peaks.  Against k_marginal both projections are the point mass up
+        # to the solver's tol and Q is a residue of about 4e-9; against the
+        # identity alone it is of order one.
+        space = coin_space(3)
+        counts = np.zeros(space.n_entities, dtype=np.int64)
+        counts[space.index_of(("head", "head", "head"))] = 10
+        f = Distribution.from_counts(space, counts)
+        ref = random_distribution(np.random.default_rng(2), space)
+        if coarse:
+            outer, inner = make_element([identity_op(space)]), coin_element(space)
+        else:
+            outer, inner = coin_element(space), k_marginal_element(space)
+        fits = [newton_project(ref, Totemplex(element, f)) for element in (outer, inner)]
+        assert fits[1].boundary and peak_passes
+        expected = 2 * 10 * i_divergence(fits[1].distribution, fits[0].distribution)
+        assert (expected > 1e-3) == coarse
+        peak_passes.clear()
+        report = i_test(ref, outer, inner, f, 10)
+        assert peak_passes
+        if coarse:
+            assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+        else:
+            # the residue is a difference of logarithms of numbers within
+            # 2e-10 of one, which both formulas round to a few ulps
+            assert abs(report.q_statistic - expected) <= 2 * 10 * 1e-15
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_one_pass(self, case, monkeypatch, peak_passes):
+        """One joint-group pass per test, no group sum over an entity-length
+        vector, and no group peaks while no multiplier overflows (the
+        boundaries of cases 0, 1 and 6 are zero-target shells)."""
+        space, ref, outer, inner, f, n = _nested_cases()[case]
+        joint_calls, lengths = [], []
+        joint_groups, group_sums = operators._joint_groups, ConstructingElement.group_sums
+
+        def counting_joint_groups(*args):
+            joint_calls.append(1)
+            return joint_groups(*args)
+
+        def recording_group_sums(self, values):
+            lengths.append(len(values))
+            return group_sums(self, values)
+
+        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
+        monkeypatch.setattr(ConstructingElement, "group_sums", recording_group_sums)
+        i_test(ref, outer, inner, f, n)
+        assert len(joint_calls) == 1
+        assert space.n_admissible not in lengths
+        for element in (outer, inner):
+            newton_project(ref, Totemplex(element, f))
+        assert not peak_passes

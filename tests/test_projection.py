@@ -595,7 +595,7 @@ def _direct_projection(reference, plex):
     """The projection solved over every entity, without column lumping."""
     m, t, v = plex.element.matrix, plex.targets, reference.admissible
     support, _ = _zero_target_support(m, t, v > 0.0)
-    q = _solve_on_support(m, t, v, np.ones(len(v)), support, 1e-10, 200)[0]
+    q = _solve_on_support(m, t, v, lambda: np.ones(len(v)), support, 1e-10, 200)[0]
     return q / q.sum()
 
 
