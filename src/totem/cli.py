@@ -34,7 +34,7 @@ from .distribution import distribution_to_dict, load_distribution, uniform
 from .entity import AttributeDomain, EntitySpace, empirical_distribution, ingest_csv
 from .errors import ConfigError, NonConvergenceError, ProjectionError, TotemError
 from .inference import calibration_experiment, i_test, select_element
-from .operators import Totemplex, make_element, operator_from_spec
+from .operators import Totemplex, fapp_equivalent, make_element, operator_from_spec
 from .projection import ipf_project, newton_project
 
 __all__ = ["AnalysisConfig", "run", "report_emit", "main"]
@@ -444,23 +444,28 @@ def _run_project(analysis, f, i, lines):
 
 def _run_score(analysis, f, i, lines):
     names = f["elements"] or sorted(analysis.elements)
+    elements = [analysis.elements[name] for name in names]
     n = f["n"] or analysis.empirical.n_samples
     reports = select_element(
-        analysis.reference, [analysis.elements[name] for name in names],
+        analysis.reference, elements,
         analysis.empirical, n, tol=f["tol"], max_iter=f["max_iter"],
     )
     # select_element scores the first of equal elements: the first name wins
-    label_of = {analysis.elements[name].fingerprint: name for name in reversed(names)}
+    fingerprints = [element.fingerprint for element in elements]
+    scored = [fingerprints.index(report.element_fingerprint) for report in reports]
     _kv(lines, "N", n)
     _kv(lines, "note", "scores drop the O(1) term; only differences matter")
-    for rank, report in enumerate(reports, start=1):
-        name = label_of.get(report.element_fingerprint, "?")
-        _kv(lines, f"rank {rank}", name)
+    for rank, (report, i) in enumerate(zip(reports, scored), start=1):
+        _kv(lines, f"rank {rank}", names[i])
         _kv(lines, "score", report.score, indent=4)
         _kv(lines, "divergence", report.divergence, indent=4)
         _kv(lines, "kernel dimension", report.kernel_dim, indent=4)
         if report.note:
-            _kv(lines, "note", report.note, indent=4)
+            # the note names the elements folded into this one by their
+            # operator labels; the report names them as the config does
+            twins = [names[j] for j in range(len(names))
+                     if j not in scored and fapp_equivalent(elements[i], elements[j])]
+            _kv(lines, "note", "equivalent row space: " + "; ".join(twins), indent=4)
         if report.error:
             _kv(lines, "error", report.error, indent=4)
 

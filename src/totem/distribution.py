@@ -61,14 +61,15 @@ class Distribution:
     weights : array_like
         One nonnegative weight per entity of the full enumeration,
         summing to one within 1e-12.
-    counts, n_samples : optional
-        Present when the distribution came from data; frequencies are then
-        the exact ratios ``counts / n_samples``.
+
+    ``counts`` and ``n_samples`` are ``None`` unless the distribution came
+    from data through :meth:`from_counts`; its frequencies are then the
+    exact ratios ``counts / n_samples``.
     """
 
     __slots__ = ("space", "weights", "counts", "n_samples", "_admissible", "_positive")
 
-    def __init__(self, space, weights, counts=None, n_samples=None):
+    def __init__(self, space, weights):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (space.n_entities,):
             raise SpaceError(
@@ -87,11 +88,6 @@ class Distribution:
         self.weights = weights
         self.counts = None
         self.n_samples = None
-        if counts is not None:
-            counts = np.array(counts, dtype=np.int64)  # a copy, frozen below
-            counts.setflags(write=False)
-            self.counts = counts
-            self.n_samples = int(counts.sum()) if n_samples is None else int(n_samples)
         if space.n_admissible == space.n_entities:
             self._admissible = weights.view()
         else:
@@ -141,7 +137,12 @@ class Distribution:
                     f"declared nullentity {space.entity_at(int(bad))!r} observed "
                     f"{int(counts[bad])} time(s) in the data"
                 )
-        return cls(space, counts / n, counts=counts, n_samples=n)
+        dist = cls(space, counts / n)
+        counts = counts.copy()  # the caller's array stays writable
+        counts.setflags(write=False)
+        dist.counts = counts
+        dist.n_samples = n
+        return dist
 
     @classmethod
     def point_mass(cls, space, entity):

@@ -247,14 +247,22 @@ class EntitySpace:
     def level_codes(self, name):
         """Per-admissible-entity level position of attribute ``name``: a
         read-only row of one table built on first use, in the smallest
-        unsigned dtype that holds every position (uint8 for binary spaces)."""
+        unsigned dtype that holds every position (uint8 for binary spaces).
+
+        Each row is filled by broadcasting the positions ``0..size-1``
+        along its axis of the ``shape``-shaped enumeration, with no
+        division; the admissible entities are gathered only when there are
+        nullentities."""
         axis = self.axis(name)
         if self._codes is None:
-            codes = np.empty((len(self.shape), self.n_admissible),
+            ndim = len(self.shape)
+            codes = np.empty((ndim, self.n_entities),
                              dtype=np.min_scalar_type(max(self.shape) - 1))
-            rest = self.admissible_indices
-            for i in reversed(range(len(self.shape))):
-                rest, codes[i] = np.divmod(rest, self.shape[i])
+            for i, size in enumerate(self.shape):
+                codes[i].reshape(self.shape)[...] = np.arange(size, dtype=codes.dtype).reshape(
+                    (size,) + (1,) * (ndim - 1 - i))
+            if self.n_admissible < self.n_entities:
+                codes = codes[:, self.admissible_indices]
             codes.setflags(write=False)
             self._codes = codes
         return self._codes[axis]

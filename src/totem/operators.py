@@ -12,9 +12,10 @@ projection build on them.
 Entities that share an eigenvalue column are indistinguishable to an
 element: its expectations, its projections (``q_e / v_e`` depends on an
 entity only through its column) and its row space are decided by the
-distinct columns.  Each element caches that column partition
-(:attr:`ConstructingElement.columns`), and targets and nesting are
-computed on it.
+distinct columns.  :func:`make_element` partitions the columns of its
+operators once and decides their independence on the distinct columns;
+each element keeps that partition (:attr:`ConstructingElement.columns`),
+and targets and nesting are computed on it.
 
 Operators and elements are immutable; every function here is pure and
 safe to call concurrently.
@@ -132,13 +133,14 @@ def moment_op(space, attribute, n):
 
 def _success_count(space, success, attributes):
     """Trial count ``L`` and each admissible entity's int64 number of trials
-    at ``success``; the trials are ``attributes``, or all with that level."""
+    at ``success``; the trials are ``attributes``, or all with that level.
+    Counted in the smallest unsigned dtype that holds ``L``."""
     if attributes is None:
         attributes = [d.name for d in space.domains if success in d]
         if not attributes:
             raise OperatorError(f"no attribute carries the level {success!r}")
     attributes = list(attributes)
-    count = np.zeros(space.n_admissible, dtype=np.int64)
+    count = np.zeros(space.n_admissible, dtype=np.min_scalar_type(len(attributes)))
     for name in attributes:
         domain = space.attribute(name)
         if domain.size != 2:
@@ -148,7 +150,7 @@ def _success_count(space, success, attributes):
         if success not in domain:
             raise OperatorError(f"attribute {name!r} has no level {success!r}")
         count += space.level_codes(name) == domain.position(success)
-    return len(attributes), count
+    return len(attributes), count.astype(np.int64)
 
 
 def success_op(space, success, attributes=None):
@@ -242,9 +244,10 @@ def _column_keys(matrix):
 def _column_partition(matrix):
     """Distinct columns in order of first appearance, and each column's group.
 
-    ``columns[:, group]`` equals ``matrix`` bit for bit.  Columns are grouped
-    by a hash of their bits; should two distinct columns share a hash, the
-    grouping falls back to sorting the raw column bytes.
+    ``columns[:, group]`` equals ``matrix`` bit for bit, and ``columns`` is
+    column-major.  Columns are grouped by a hash of their bits; should two
+    distinct columns share a hash, the grouping falls back to sorting the
+    raw column bytes.
     """
     contiguous = np.ascontiguousarray(matrix, dtype=np.float64)
     _, first, group = np.unique(_column_keys(contiguous), return_index=True, return_inverse=True)
@@ -266,7 +269,8 @@ class ConstructingElement:
 
     The eigenvalue matrix (operators by admissible entities) has full row
     rank, and the all-ones row lies in its row space: normalization is
-    always part of the description.  Build through :func:`make_element`.
+    always part of the description.  Build through :func:`make_element`,
+    which also sets the column partition.
     """
 
     __slots__ = ("space", "operators", "matrix", "_fingerprint", "_columns")
@@ -282,7 +286,6 @@ class ConstructingElement:
         h.update(space.fingerprint.encode())
         h.update(matrix)
         self._fingerprint = h.hexdigest()
-        self._columns = None
 
     @property
     def rank(self):
@@ -305,14 +308,10 @@ class ConstructingElement:
         """``(distinct columns D x G, group index per admissible entity)``.
 
         Groups are numbered in order of first appearance and
-        ``columns[:, group]`` equals ``matrix`` exactly.  Computed on first
-        use and cached.
+        ``columns[:, group]`` equals ``matrix`` exactly: the partition
+        :func:`_column_partition` gives, set by :func:`make_element` from
+        the partition it decided the operators' independence on.
         """
-        if self._columns is None:
-            columns, group = _column_partition(self.matrix)
-            columns.setflags(write=False)
-            group.setflags(write=False)
-            self._columns = (columns, group)
         return self._columns
 
     def group_sums(self, values):
@@ -362,9 +361,12 @@ def make_element(operators, mode="strict"):
             raise SpaceError("operators live on different spaces")
         if not np.any(op.eigenvalues):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
-    # stacked last, the all-ones row is kept iff normalization is not implied
-    rows = [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)]
-    _, kept = _row_basis(np.vstack(rows))
+    # stacked last, the all-ones row is kept iff normalization is not implied;
+    # the row space, and with it every decision below, is that of the
+    # distinct columns, whose largest entry is the whole stack's
+    columns, group = _column_partition(
+        np.vstack([op.eigenvalues for op in operators] + [np.ones(space.n_admissible)]))
+    _, kept = _row_basis(columns)
     normalized = kept[-1] < len(operators)
     if not normalized:
         kept.pop()
@@ -381,14 +383,30 @@ def make_element(operators, mode="strict"):
                 "the identity row is not in the element's row space; "
                 "normalization must be implied (add the identity operator)"
             )
-        return ConstructingElement(space, operators)
-
-    if mode != "auto-reduce":
+    elif mode != "auto-reduce":
         raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
-    reduced = [operators[i] for i in kept]
+    dropped = len(kept) < len(operators)
+    operators = [operators[i] for i in kept]
     if not normalized:
-        reduced.append(identity_op(space))
-    return ConstructingElement(space, reduced)
+        operators.append(identity_op(space))
+        kept.append(len(columns) - 1)
+    # the element's rows are the stack's rows ``kept``.  The all-ones row
+    # splits no columns, but a dropped row may split columns that the kept
+    # rows do not: only then are the distinct columns partitioned again.
+    if dropped:
+        columns, sub = _column_partition(columns[kept])
+        group = sub[group]
+    else:
+        # the leading rows, column-major as _column_partition lays them
+        # out: the element's sums and products depend on that layout
+        columns = columns[: len(kept)].copy(order="F")
+    columns.setflags(write=False)
+    group.setflags(write=False)
+    # built once the stack's columns are freed, so that no more than two
+    # n-wide matrices are alive at once when every column is distinct
+    element = ConstructingElement(space, operators)
+    element._columns = (columns, group)
+    return element
 
 
 def kernel_basis(element):

@@ -541,11 +541,14 @@ def ipf_project(
     if not support.any():
         raise ProjectionError("constraints force an empty support")
 
-    work = [(support & (row > 0.0), target) for row, target in zip(rows, targets)]
+    # each row's supported groups as indices: the values gathered, and their
+    # order, are those of a boolean mask
+    work = [(np.flatnonzero(support & (row > 0.0)), target)
+            for row, target in zip(rows, targets)]
     # stacked last, the all-ones row is kept iff the rows do not imply it
     kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
     if kept[-1] == len(targets):
-        work.append((support, 1.0))
+        work.append((np.flatnonzero(support), 1.0))
 
     p = np.where(support, v, 0.0)
     p = p / p.sum()

@@ -118,6 +118,17 @@ class TestRun:
         ranks = [line.strip() for line in report.split("\n") if line.strip().startswith("rank")]
         assert ranks == ["rank 1: mean", "rank 2: spectrum"]
 
+    @pytest.mark.parametrize("twin", [["identity", "success(head)"], ["success(head)", "identity"]])
+    def test_score_note_names_the_folded_element(self, coin_config, twin):
+        # equal specs, or the same row space from other specs
+        coin_config.elements["twin"] = twin
+        coin_config.tasks = [{"type": "score", "elements": ["spectrum", "mean", "twin"]}]
+        code, report = run(coin_config)
+        assert code == 0
+        notes = [line.strip() for line in report.split("\n")
+                 if line.strip().startswith("note: equivalent")]
+        assert notes == ["note: equivalent row space: twin"]
+
     def test_generator_space_mismatch_is_validation_error(self, coin_config):
         coin_config.tasks = [
             {

@@ -61,6 +61,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.counts[0] = 7
 
+    @pytest.mark.parametrize("keyword", [{"counts": [1, 1]}, {"n_samples": 2}])
+    def test_counts_attach_only_through_from_counts(self, keyword):
+        # the constructor once stored unchecked counts: [1.5, 0.5] became [1, 0]
+        with pytest.raises(TypeError):
+            Distribution(pair_space(), [0.5, 0.5], **keyword)
+        assert Distribution(pair_space(), [0.5, 0.5]).counts is None
+
     @pytest.mark.parametrize("counts, n", [
         ([2.0, 0.0, 1.0, 1.0], 4),
         (np.array([1, 0, 1, 1], dtype=np.uint8), 3),

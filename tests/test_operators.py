@@ -32,12 +32,13 @@ from totem.closed_forms import (
     coin_element,
     coin_space,
     k_marginal_element,
+    logistic_element,
     two_coin_pooled_element,
     two_coin_space,
     two_coin_split_element,
 )
 from totem import operators
-from totem.operators import PIVOT_TOL, _column_partition
+from totem.operators import PIVOT_TOL, _column_partition, _row_basis, _success_count
 
 from helpers import random_element, random_nested_pair, random_space, rref
 
@@ -114,6 +115,17 @@ class TestBuilders:
         values, counts = np.unique(op.eigenvalues, return_counts=True)
         np.testing.assert_allclose(values, [0.0, 1 / 3, 2 / 3, 1.0])
         np.testing.assert_array_equal(counts, [1, 3, 3, 1])
+
+    @pytest.mark.parametrize("attributes", [None, ["s3", "s1"]])
+    def test_success_count_is_the_int64_sum(self, attributes):
+        space = coin_space(5)
+        length, count = _success_count(space, "head", attributes)
+        names = attributes or [f"s{i + 1}" for i in range(5)]
+        expected = sum((space.level_codes(name) == space.attribute(name).position("head"))
+                       .astype(np.int64) for name in names)
+        assert length == len(names)
+        assert count.dtype == np.int64
+        np.testing.assert_array_equal(count, expected)
 
     def test_success_rejects_non_binary(self):
         space = build_entity_space([AttributeDomain("s1", ["head", "tail", "edge"])])
@@ -572,6 +584,72 @@ class TestColumnPartition:
         columns, group = _column_partition(matrix)
         np.testing.assert_array_equal(group, [0, 1, 0])
         self._check_partition(matrix, columns, group)
+
+    @pytest.mark.parametrize("build", [
+        lambda: coin_element(coin_space(5)),
+        lambda: k_marginal_element(coin_space(5)),
+        lambda: two_coin_pooled_element(two_coin_space(3)),
+        lambda: two_coin_split_element(two_coin_space(3)),
+        lambda: logistic_element(3),
+    ], ids=["coin", "k_marginal", "pooled", "split", "logistic"])
+    def test_closed_form_columns_are_the_matrix_partition(self, build):
+        self._check_element_partition(build())
+
+    @staticmethod
+    def _check_element_partition(element):
+        for got, want in zip(element.columns, _column_partition(element.matrix)):
+            # the layout too: sums over the columns follow it
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("seed, relation", [(seed, relation) for relation in
+                                                ("remixed", "coarser", "unrelated")
+                                                for seed in range(4)])
+    def test_duplicated_columns_are_the_matrix_partition(self, seed, relation):
+        for element in _with_duplicated_columns(_random_pair(seed, relation), seed):
+            self._check_element_partition(element)
+
+    def test_auto_reduce_partitions_the_kept_rows(self):
+        # the dropped row splits the kept rows' columns within PIVOT_TOL
+        space = EntitySpace([AttributeDomain("e", ["a", "b", "c", "d"])])
+        ops = [CharacteristicOperator(space, [1.0, 1.0, 0.0, 0.0], "x"),
+               CharacteristicOperator(space, [1.0, 1.0 + 1e-13, 0.0, 0.0], "y")]
+        element = make_element(ops, mode="auto-reduce")
+        assert element.labels == ("x", "identity")
+        np.testing.assert_array_equal(element.columns[1], [0, 0, 1, 1])
+        self._check_element_partition(element)
+        # nothing dropped, the identity appended
+        self._check_element_partition(make_element(ops[:1], mode="auto-reduce"))
+
+    def test_make_element_partitions_once(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return _column_partition(matrix)
+
+        space = coin_space(6)
+        ops = [k_marginal_op(space, k, "head") for k in range(7)]
+        monkeypatch.setattr(operators, "_column_partition", counted)
+        element = make_element(ops)
+        assert calls == [(8, space.n_admissible)]  # the operators and the ones row
+        calls.clear()
+        element.columns
+        assert calls == []
+
+    @pytest.mark.parametrize("build", [coin_element, k_marginal_element])
+    def test_row_basis_sees_distinct_columns_only(self, monkeypatch, build):
+        widths = []
+
+        def recorded(matrix):
+            widths.append(np.shape(matrix)[1])
+            return _row_basis(matrix)
+
+        space = coin_space(12)
+        monkeypatch.setattr(operators, "_row_basis", recorded)
+        element = build(space)
+        assert widths and max(widths) <= element.columns[0].shape[1] + 1
 
     def test_hash_collision_falls_back_to_exact_grouping(self, monkeypatch):
         matrix = k_marginal_element(coin_space(5)).matrix
