@@ -344,6 +344,17 @@ def _data_row(path, line):
     return "?"  # the file changed after it was counted
 
 
+def _text_lines(raw_lines, rest):
+    """The decoded lines of ``raw_lines`` (binary lines, which end at
+    ``\\n``), split where text mode with ``newline=""`` splits them: at
+    ``\\n``, ``\\r`` and ``\\r\\n``.  ``rest`` holds the pieces of the
+    current raw line that are not yet yielded."""
+    for raw in raw_lines:
+        rest[:] = raw.splitlines(keepends=True)
+        while rest:
+            yield rest.pop(0).decode("utf-8")
+
+
 def ingest_csv(path, schema="infer"):
     """Read a CSV file (UTF-8, header row) into a :class:`DataTable`.
 
@@ -354,15 +365,31 @@ def ingest_csv(path, schema="infer"):
     newline or none) are merged.  Errors name the first data row (1-based)
     at which the offending line appears.
 
+    The file is read in binary mode and its raw lines, which end at
+    ``\\n``, are counted as bytes.  Each distinct raw line is then split at
+    ``\\n``, ``\\r`` and ``\\r\\n`` and each piece decoded once: these are
+    the lines, and the order of first appearance, that text mode with
+    ``newline=""`` gives.
+
     With ``schema="infer"`` each column's domain becomes the sorted set of
     observed values.  With an explicit list of :class:`AttributeDomain`,
     every column named by the schema must be present and every cell must
     belong to the matching domain.  Empty cells are rejected.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = next(csv.reader(handle), None)
-            lines = Counter(handle)
+        with open(path, "rb") as handle:
+            rest = []
+            header = next(csv.reader(_text_lines(handle, rest)), None)
+            raw_lines = Counter(handle)
+        # the lines left over from the header's raw line come first
+        lines = {}
+        for piece in rest:
+            line = piece.decode("utf-8")
+            lines[line] = lines.get(line, 0) + 1
+        for raw, count in raw_lines.items():
+            for piece in raw.splitlines(keepends=True):
+                line = piece.decode("utf-8")
+                lines[line] = lines.get(line, 0) + count
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:

@@ -153,32 +153,46 @@ def _success_count(space, success, attributes):
     return len(attributes), count.astype(np.int64)
 
 
+def _trial_label(space, success, attributes):
+    """``success`` as a label names it, followed by the trial ``attributes``
+    when they are not the default set (every attribute with that level)."""
+    if attributes is None or list(attributes) == [d.name for d in space.domains
+                                                  if success in d]:
+        return success
+    return ", ".join([success, *attributes])
+
+
 def success_op(space, success, attributes=None):
     """Fraction of trial attributes set to the ``success`` level.
 
     By default every binary attribute whose domain contains ``success``
     counts as a trial; pass ``attributes`` to restrict (e.g. when the
-    space carries an extra grouping attribute).
+    space carries an extra grouping attribute).  The label names
+    ``attributes`` unless they are the default set, as the spec does:
+    ``success(head, s1)``.
     """
     length, count = _success_count(space, success, attributes)
-    return CharacteristicOperator(space, count / length, f"success({success})")
+    return CharacteristicOperator(space, count / length,
+                                  f"success({_trial_label(space, success, attributes)})")
 
 
 def k_marginal_op(space, k, success, attributes=None):
     """Indicator of entities with exactly ``k`` trials at the success level.
 
-    Summed over ``k = 0..L`` these operators resolve the identity.
+    Summed over ``k = 0..L`` these operators resolve the identity.  The
+    label names ``attributes`` unless they are the default set.
     """
     length, count = _success_count(space, success, attributes)
     if not 0 <= k <= length:
         raise OperatorError(f"k={k} outside [0, {length}]")
-    return _count_indicator(space, count, k, success)
+    return _count_indicator(space, count, k, _trial_label(space, success, attributes))
 
 
-def _count_indicator(space, count, k, success):
-    """The ``k_marginal`` operator read off a precomputed success count."""
+def _count_indicator(space, count, k, trials):
+    """The ``k_marginal`` operator read off a precomputed success count;
+    ``trials`` is the label's text for the success level and trials."""
     eig = (count == int(k)).astype(np.float64)
-    return CharacteristicOperator(space, eig, f"k_marginal({int(k)},{success})")
+    return CharacteristicOperator(space, eig, f"k_marginal({int(k)},{trials})")
 
 
 def product_op(a, b):

@@ -19,7 +19,10 @@ Each solver returns group masses, and one function lifts them back as
 reference on the groups; the nested test and the score use the group
 masses directly and never lift.  The lift fits the multipliers once, for
 every solver, from ``theta . m_g = log(q_g / v_g)``; Newton's own ``theta``
-only signals a boundary-seeking solve.  The Jacobian is symmetric
+only signals a boundary-seeking solve.  Which rows are independent on
+the distinct columns is decided once, by :func:`~totem.operators.make_element`;
+Newton takes the element's rows as they are and decides again only on a
+support that a clamp has shrunk.  The Jacobian is symmetric
 positive definite on the interior; a failed Cholesky factorization marks
 it singular and triggers one automatic fallback that chains the
 projection one operator at a time.
@@ -299,19 +302,26 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
     ``peak()`` returns each column's largest per-entity share of its mass
     (1 where a column is one entity), so ``p * peak()`` is the largest
     entity weight, which the clamp is judged on; it is called only once a
-    multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  A full step that
-    increases the quadratic merit or overflows is halved, up to
-    ``_MAX_HALVINGS`` times, which keeps the iterates strictly positive.  Returns weights
-    per column (zero off support), iterations used, and whether any weight
-    was clamped to zero (a genuine boundary solution, as opposed to a mere
-    reference-support restriction).
+    multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  On every column the rows
+    are taken as given: :func:`~totem.operators.make_element` decided their
+    independence on the same distinct columns.  Only a support that a clamp
+    or a re-pose has shrunk decides it again, with ``_row_basis``.  A full
+    step that increases the quadratic merit or overflows is halved, up to
+    ``_MAX_HALVINGS`` times, which keeps the iterates strictly positive; the
+    merit of the step taken is that of the next iterate, so each iterate is
+    evaluated once.  Returns weights per column (zero off support),
+    iterations used, and whether any weight was clamped to zero (a genuine
+    boundary solution, as opposed to a mere reference-support restriction).
     """
     n_columns = columns.shape[1]
     used = 0
     clamped = False
     while True:
         idx = np.flatnonzero(support)
-        kept = _row_basis(columns[:, idx])[1]
+        if len(idx) == n_columns:
+            kept = list(range(len(columns)))
+        else:
+            kept = _row_basis(columns[:, idx])[1]
         if not kept:
             raise ProjectionError("no independent constraints on the support")
         m = columns[np.ix_(kept, idx)]
@@ -320,9 +330,10 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
         theta = np.zeros(len(kept), dtype=np.longdouble)
 
         status = "maxiter"
-        residual = float(np.max(np.abs(m @ p - t)))
+        state = _merit(m, p, t)
+        residual = float(np.max(np.abs(state[0])))
         while used < max_iter:
-            f_vec, d, merit = _merit(m, p, t)
+            f_vec, d, merit = state
             residual = float(np.max(np.abs(f_vec)))
             if residual <= tol:
                 status = "converged"
@@ -350,11 +361,11 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                 trial_sum = trial.sum()
                 if np.isfinite(trial_sum) and trial_sum > 0.0:
                     trial = trial / trial_sum
-                    _, _, trial_merit = _merit(m, trial, t)
-                    if trial_merit <= merit * (1.0 + 1e-12):
-                        chosen = (trial, step)
+                    trial_state = _merit(m, trial, t)
+                    if trial_state[2] <= merit * (1.0 + 1e-12):
+                        chosen = (trial, step, trial_state)
                         break
-                    smallest_finite = (trial, step)
+                    smallest_finite = (trial, step, trial_state)
                 step *= 0.5
             if chosen is None:
                 if smallest_finite is None:
@@ -363,7 +374,7 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                         "are too far apart for a direct solve"
                     )
                 chosen = smallest_finite
-            p, applied = chosen
+            p, applied, state = chosen
             theta -= d * applied
             # Boundary-seeking solves show both runaway multipliers and
             # weights collapsing to zero; large multipliers alone merely
@@ -555,8 +566,11 @@ def ipf_project(
     cycles = 0
     while cycles < max_cycles:
         cycles += 1
+        # one gather and one scatter per row update; the gathered values
+        # are summed pairwise in index order
         for on, target in work:
-            current = float(p[on].sum())
+            x = p.take(on)
+            current = float(np.add.reduce(x))
             if current <= 0.0:
                 if target == 0.0:
                     continue
@@ -564,8 +578,10 @@ def ipf_project(
                     f"target {target} is positive on a row whose support has no "
                     "reference mass left"
                 )
-            p[on] *= target / current
-        residual = float(max(abs(float(p[on].sum()) - target) for on, target in work))
+            x *= target / current
+            p[on] = x
+        residual = float(max(abs(float(np.add.reduce(p.take(on))) - target)
+                             for on, target in work))
         if residual <= tol:
             break
     else:

@@ -109,6 +109,21 @@ class TestRun:
         # multiplier line carries full precision
         assert any("multiplier success(head):" in line for line in report.split("\n"))
 
+    def test_line_endings_give_the_same_report(self, coin_config, tmp_path):
+        with open(coin_config.data, "rb") as handle:
+            data = handle.read()
+        reports = []
+        for name, ending in [("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data.replace(b"\n", ending))
+            coin_config.data = str(path)
+            code, report = run(coin_config)
+            assert code == 0
+            # the config fingerprint hashes the data path
+            reports.append([line for line in report.splitlines()
+                            if not line.strip().startswith("config fingerprint:")])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_score_labels_equal_elements_with_the_first_name(self, coin_config):
         coin_config.elements["twin"] = list(coin_config.elements["mean"])
         coin_config.tasks = [{"type": "score", "elements": ["spectrum", "mean", "twin"]}]

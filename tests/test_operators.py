@@ -744,3 +744,56 @@ class TestOperatorSpecs:
         for spec in ["mystery(1)", "marginal(first)", "k_marginal(1)", "success()"]:
             with pytest.raises(OperatorError):
                 operator_from_spec(grid, spec)
+
+
+def _numeric_two_coin():
+    return build_entity_space([AttributeDomain("x", ["1", "2.5", "4"]),
+                               AttributeDomain("s1", ["head", "tail"]),
+                               AttributeDomain("s2", ["head", "tail"])])
+
+
+class TestLabels:
+    """A label names the operator as the spec grammar would build it."""
+
+    def test_success_names_trials_other_than_the_default(self):
+        space = coin_space(3)
+        assert operator_from_spec(space, "success(head, s1)").label == "success(head, s1)"
+        assert success_op(space, "head", ["s3", "s1"]).label == "success(head, s3, s1)"
+        assert k_marginal_op(space, 1, "head", ["s1", "s2"]).label == "k_marginal(1,head, s1, s2)"
+
+    def test_default_trials_keep_their_label(self):
+        space = coin_space(3)
+        assert operator_from_spec(space, "success(head)").label == "success(head)"
+        assert success_op(space, "head", ["s1", "s2", "s3"]).label == "success(head)"
+        assert k_marginal_op(space, 2, "head", ["s1", "s2", "s3"]).label == "k_marginal(2,head)"
+        assert coin_element(space).labels == ("identity", "success(head)")
+        assert k_marginal_element(space).labels == tuple(
+            f"k_marginal({k},head)" for k in range(4))
+        assert two_coin_pooled_element(two_coin_space(2)).labels == (
+            "identity", "marginal(group=A)", "success(head)")
+
+    def test_element_tells_trial_sets_apart(self):
+        space = coin_space(3)
+        element = make_element([identity_op(space), success_op(space, "head"),
+                                operator_from_spec(space, "success(head, s1)")])
+        assert element.labels == ("identity", "success(head)", "success(head, s1)")
+
+    @pytest.mark.parametrize("spec", [
+        "identity",
+        "marginal(s1=head)",
+        "marginal(x=2.5, s2=tail)",
+        "moment(x, 2)",
+        "success(head)",
+        "success(head, s2)",
+        "success(head, s2, s1)",
+        "success(head, s1, s2)",
+        "k_marginal(1, head)",
+        "product(success(head, s1), marginal(x=4))",
+        "product(k_marginal(0, tail), moment(x, 1))",
+    ])
+    def test_label_reparses_to_the_same_eigenvalues(self, spec):
+        space = _numeric_two_coin()
+        op = operator_from_spec(space, spec)
+        again = operator_from_spec(space, op.label)
+        assert again.label == op.label
+        np.testing.assert_array_equal(again.eigenvalues, op.eigenvalues)

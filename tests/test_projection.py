@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from totem import (
     CharacteristicOperator,
     DataTable,
     Distribution,
+    EntitySpace,
     IncompatibleReferenceError,
     NestingError,
     NonConvergenceError,
     OperatorError,
     ProjectionError,
+    TotemError,
     Totemplex,
     build_entity_space,
     chained_project,
@@ -39,6 +42,7 @@ from totem.closed_forms import (
     k_marginal_element,
     k_marginal_projection_closed_form,
 )
+from totem import projection
 from totem.projection import _solve_on_support, _zero_target_support
 
 from helpers import (
@@ -696,3 +700,218 @@ class TestLumping:
         q, direct = result.distribution.admissible, _direct_projection(ref, plex)
         np.testing.assert_array_equal(q == 0.0, direct == 0.0)
         np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-12)
+
+
+def _digest(weights):
+    return hashlib.sha256(np.ascontiguousarray(weights).tobytes()).hexdigest()
+
+
+def _one_sided_ipf(zero_first=False):
+    """``ipf_project`` on eight flips: one ``head`` row per flip, which
+    leaves normalization to the appended all-ones row, under a reference
+    that favours many or few heads, so the rows pull against each other."""
+    space = coin_space(8)
+    heads = _successes(space)
+    ref = Distribution.from_admissible_weights(space, 1.0 + (heads - 4.0) ** 2, renormalize=True)
+    rows = np.array([marginal_op(space, f"s{i}", "head").eigenvalues for i in range(1, 9)])
+    targets = np.linspace(0.2, 0.8, 8)
+    if zero_first:
+        targets[0] = 0.0
+    return ipf_project(ref, rows, targets)
+
+
+class TestFrozenSolves:
+    """Weights and iteration counts pinned bit for bit: an update that
+    gathers, sums or scales in another order, or a Newton iterate evaluated
+    differently, changes them."""
+
+    def test_one_sided_ipf(self):
+        result = _one_sided_ipf()
+        assert result.iterations == 110 and not result.boundary
+        assert _digest(result.distribution.weights) == (
+            "9ec4e986a7afd57bc0108aaf42c5563197afdf6da67c18a55a1a24fc608662f3")
+
+    def test_ipf_with_a_zero_target(self):
+        result = _one_sided_ipf(zero_first=True)
+        assert result.iterations == 104 and result.boundary
+        assert _digest(result.distribution.weights) == (
+            "514c2994350c05ea3e22f765f4ba92706afbe5c66c188d63c28c5243311c22d4")
+
+    def test_newton_zero_target_clamp(self):
+        # no subject shows zero heads: the k = 0 shell is clamped up front
+        space = coin_space(4)
+        rng = np.random.default_rng(12)
+        ref = Distribution.from_admissible_weights(
+            space, rng.gamma(2.0, size=space.n_admissible), renormalize=True)
+        counts = rng.integers(1, 20, size=space.n_entities)
+        counts[_successes(space) == 0] = 0
+        plex = Totemplex(k_marginal_element(space), Distribution.from_counts(space, counts))
+        result = newton_project(ref, plex)
+        assert result.iterations == 6 and result.boundary
+        assert _digest(result.distribution.weights) == (
+            "70c179ca1ad4507dc4eea87fe60a823386346729c346bf6a0e9c4e408ccb410e")
+
+    def test_newton_overflow_clamp(self):
+        # every subject all heads: found only once a multiplier overflows
+        space = coin_space(3)
+        counts = np.zeros(space.n_entities, dtype=np.int64)
+        counts[space.index_of(("head", "head", "head"))] = 10
+        ref = random_distribution(np.random.default_rng(2), space)
+        plex = Totemplex(coin_element(space), Distribution.from_counts(space, counts))
+        result = newton_project(ref, plex)
+        assert result.iterations == 53 and result.boundary
+        assert _digest(result.distribution.weights) == (
+            "ceb2b4f3f17fdbe8f6341f29f1db215d679c4804a21d94c7fa034f1342741325")
+
+    def test_newton_interior(self):
+        space = coin_space(6)
+        rng = np.random.default_rng(5)
+        ref = Distribution.from_admissible_weights(
+            space, rng.gamma(2.0, size=space.n_admissible), renormalize=True)
+        counts = rng.integers(0, 30, size=space.n_entities)
+        plex = Totemplex(k_marginal_element(space), Distribution.from_counts(space, counts))
+        result = newton_project(ref, plex)
+        assert result.iterations == 6 and not result.boundary
+        assert _digest(result.distribution.weights) == (
+            "f573122d0d4fa70816b75e3319fc0fb3a96e030b6e0748e67e1b7ccbb7621c7b")
+
+
+class _Recorded:
+    """Wraps a function of ``projection`` and records each call's arguments."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls = []
+        function = getattr(projection, name)
+
+        def recorded(*args):
+            result = function(*args)
+            self.calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(projection, name, recorded)
+
+
+def _merit_segments(calls):
+    """Replays ``_merit`` calls as a solve makes them: a call on a new
+    support size starts from a new point; any other call is a trial, taken
+    when its merit is within the solver's slack of the current iterate's.
+    Returns (starts, steps taken, trials rejected)."""
+    starts = taken = rejected = 0
+    size = current = None
+    for (m, p, t), (_, _, merit) in calls:
+        if len(p) != size:
+            size, current = len(p), merit
+            starts += 1
+        elif merit <= current * (1.0 + 1e-12):
+            current = merit
+            taken += 1
+        else:
+            rejected += 1
+    return starts, taken, rejected
+
+
+def _zero_shell_plex():
+    space = coin_space(4)
+    rng = np.random.default_rng(12)
+    ref = Distribution.from_admissible_weights(
+        space, rng.gamma(2.0, size=space.n_admissible), renormalize=True)
+    counts = rng.integers(1, 20, size=space.n_entities)
+    counts[_successes(space) == 0] = 0
+    return ref, Totemplex(k_marginal_element(space), Distribution.from_counts(space, counts))
+
+
+def _all_heads_plex(space):
+    counts = np.zeros(space.n_entities, dtype=np.int64)
+    counts[space.index_of(("head",) * len(space.domains))] = 10
+    element = make_element([identity_op(space), success_op(space, "head")])
+    return Totemplex(element, Distribution.from_counts(space, counts))
+
+
+def _mostly_null_coin():
+    # four flips where only 0, 3 or 4 heads can occur: 6 of 16 entities
+    space = coin_space(4)
+    nulls = [e for e in space.entities() if e.count("head") in (1, 2)]
+    return EntitySpace(space.domains, nullentities=nulls)
+
+
+def _interior_plex():
+    space = coin_space(6)
+    rng = np.random.default_rng(5)
+    ref = Distribution.from_admissible_weights(
+        space, rng.gamma(2.0, size=space.n_admissible), renormalize=True)
+    counts = rng.integers(0, 30, size=space.n_entities)
+    return ref, Totemplex(k_marginal_element(space), Distribution.from_counts(space, counts))
+
+
+class TestNewtonCallCounts:
+    """Each Newton iterate is evaluated once, and row independence is
+    decided again only on a support a clamp has shrunk."""
+
+    @pytest.mark.parametrize("case", ["interior", "zero-target", "overflow"])
+    def test_one_merit_per_iterate_plus_one_per_rejected_trial(self, monkeypatch, case):
+        if case == "interior":
+            ref, plex = _interior_plex()
+        elif case == "zero-target":
+            ref, plex = _zero_shell_plex()
+        else:
+            space = coin_space(3)
+            ref, plex = random_distribution(np.random.default_rng(2), space), _all_heads_plex(space)
+        merit = _Recorded(monkeypatch, "_merit")
+        result = newton_project(ref, plex)
+        starts, taken, rejected = _merit_segments(merit.calls)
+        assert taken == result.iterations
+        assert len(merit.calls) == starts + taken + rejected
+        points = [p.tobytes() for (_, p, _), _ in merit.calls]
+        assert len(set(points)) == len(points)
+        if case == "interior":
+            assert (starts, rejected) == (1, 0)
+
+    def test_full_support_decides_nothing(self, monkeypatch):
+        ref, plex = _interior_plex()
+        row_basis = _Recorded(monkeypatch, "_row_basis")
+        assert not newton_project(ref, plex).boundary
+        assert row_basis.calls == []
+
+    def test_zero_target_clamp_decides_once(self, monkeypatch):
+        ref, plex = _zero_shell_plex()
+        row_basis = _Recorded(monkeypatch, "_row_basis")
+        result = newton_project(ref, plex)
+        assert result.boundary and result.residual <= 1e-10
+        # the k = 0 shell is clamped before the first iterate
+        assert [args[0].shape for args, _ in row_basis.calls] == [(5, 4)]
+
+    @pytest.mark.parametrize("space, widths", [
+        (coin_space(3), [3, 2]),
+        (_mostly_null_coin(), [2]),
+    ], ids=["all-heads", "mostly-null"])
+    def test_overflow_re_pose_decides_once_per_support(self, monkeypatch, space, widths):
+        # every subject all heads: the mean sits on the boundary, which
+        # only a multiplier beyond _MULTIPLIER_OVERFLOW reveals
+        ref = random_distribution(np.random.default_rng(2), space)
+        plex = _all_heads_plex(space)
+        row_basis = _Recorded(monkeypatch, "_row_basis")
+        result = newton_project(ref, plex)
+        assert [args[0].shape[1] for args, _ in row_basis.calls] == widths
+        assert result.boundary and result.residual <= 1e-10
+        assert max_norm_distance(result.distribution, plex.empirical) < 1e-9
+        q, direct = result.distribution.admissible, _direct_projection(ref, plex)
+        np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-13, 2e-9, 5e-9, 1e-8, 1e-7, 1e-4])
+    def test_near_dependent_rows_project_or_raise_typed(self, eps):
+        # make_element alone decides whether "y" is independent of "x"
+        space = EntitySpace([AttributeDomain("e", ["a", "b", "c", "d"])])
+        ops = [CharacteristicOperator(space, [1.0, 1.0, 0.0, 0.0], "x"),
+               CharacteristicOperator(space, [1.0, 1.0 + eps, 0.0, 0.0], "y")]
+        element = make_element(ops, mode="auto-reduce")
+        f = Distribution.from_counts(space, np.array([3, 1, 2, 4]))
+        ref = Distribution.from_admissible_weights(space, np.array([0.1, 0.2, 0.3, 0.4]))
+        try:
+            result = newton_project(ref, Totemplex(element, f))
+        except TotemError:
+            assert element.labels == ("x", "y", "identity")
+            return
+        assert result.residual <= 1e-10 and not result.boundary
+        # the family pins the c/d split; y, when kept, pins a and b too
+        q = result.distribution.admissible
+        assert q[2] / q[3] == pytest.approx(0.75)
