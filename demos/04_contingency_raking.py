@@ -12,8 +12,8 @@ import numpy as np
 from totem import (
     AttributeDomain,
     Distribution,
+    EntitySpace,
     Totemplex,
-    build_entity_space,
     ipf_project,
     make_element,
     marginal_op,
@@ -22,7 +22,7 @@ from totem import (
     uniform,
 )
 
-space = build_entity_space(
+space = EntitySpace(
     [
         AttributeDomain("region", ["north", "center", "south"]),
         AttributeDomain("choice", ["yes", "no"]),

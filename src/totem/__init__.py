@@ -32,25 +32,20 @@ from .closed_forms import (
 )
 from .distribution import (
     Distribution,
-    RegularizationWarning,
     cross_entropy,
     distribution_from_dict,
     distribution_to_dict,
-    entropy,
     i_divergence,
     load_distribution,
     log_multinomial,
     log_multinomial_leading,
     max_norm_distance,
-    regularize,
-    save_distribution,
     uniform,
 )
 from .entity import (
     AttributeDomain,
     DataTable,
     EntitySpace,
-    build_entity_space,
     empirical_distribution,
     ingest_csv,
 )
@@ -87,20 +82,16 @@ from .operators import (
     identity_op,
     is_nested,
     k_marginal_op,
-    kernel_basis,
     make_element,
     marginal_op,
     moment_op,
     operator_from_spec,
     product_op,
-    row_rank,
     success_op,
 )
 from .projection import (
     ProjectionResult,
     chained_project,
-    constraint_residual,
     ipf_project,
-    is_compatible,
     newton_project,
 )

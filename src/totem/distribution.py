@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from math import fsum, lgamma
 
 import numpy as np
@@ -30,26 +29,18 @@ from .errors import DataError, SpaceError, TotemError
 
 __all__ = [
     "Distribution",
-    "RegularizationWarning",
     "uniform",
     "cross_entropy",
-    "entropy",
     "i_divergence",
     "log_multinomial",
     "log_multinomial_leading",
-    "regularize",
     "max_norm_distance",
-    "save_distribution",
     "load_distribution",
     "distribution_to_dict",
     "distribution_from_dict",
 ]
 
 _NORMALIZATION_TOL = 1e-12
-
-
-class RegularizationWarning(UserWarning):
-    """Pseudocount regularization distorts downstream test statistics."""
 
 
 class Distribution:
@@ -220,14 +211,6 @@ def cross_entropy(p, q):
     return float(np.sum(terms))
 
 
-def entropy(p):
-    """Shannon entropy over admissible entities (0 log 0 = 0)."""
-    pw = p.admissible
-    mask = pw > 0.0
-    terms = -pw[mask] * np.log(pw[mask])
-    return max(float(np.sum(terms)), 0.0)
-
-
 def i_divergence(p, q):
     """Information divergence ``sum p log(p/q)`` over admissible entities.
 
@@ -323,31 +306,6 @@ def log_multinomial_leading(counts, reference):
     return -n * div - 0.5 * (k - 1) * math.log(2.0 * math.pi * n) + 0.5 * k * ell_uniform
 
 
-def regularize(f, lam, n=None):
-    """Pseudocount-regularized copy of ``f`` over admissible entities.
-
-    ``f_e -> (f_e + lam/N) / (1 + |E*| lam/N)``.  Emits
-    :class:`RegularizationWarning`: any ``lam > 0`` modifies the data and
-    with it every downstream significance statement.
-    """
-    if lam < 0:
-        raise TotemError(f"regularization strength must be nonnegative, got {lam}")
-    if n is None:
-        n = f.n_samples
-    if n is None:
-        raise TotemError("sample size N required (distribution carries no counts)")
-    if lam > 0:
-        warnings.warn(
-            "pseudocount regularization modifies the empirical frequencies and "
-            "distorts scores and test statistics",
-            RegularizationWarning,
-            stacklevel=2,
-        )
-    k = f.space.n_admissible
-    adm = (f.admissible + lam / n) / (1.0 + k * lam / n)
-    return Distribution.from_admissible_weights(f.space, adm, renormalize=True)
-
-
 def max_norm_distance(p, q):
     """Largest absolute weight difference over the full enumeration."""
     _check_same_space(p, q)
@@ -402,12 +360,6 @@ def distribution_from_dict(doc, space=None):
     for entity, value in doc["weights"]:
         weights[space.index_of(tuple(entity))] = float(value)
     return Distribution(space, weights)
-
-
-def save_distribution(dist, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(distribution_to_dict(dist), handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def load_distribution(path, space=None):

@@ -31,7 +31,6 @@ __all__ = [
     "AttributeDomain",
     "EntitySpace",
     "DataTable",
-    "build_entity_space",
     "empirical_distribution",
     "ingest_csv",
 ]
@@ -233,13 +232,6 @@ class EntitySpace:
             labels.append(domain.levels[pos])
         return tuple(reversed(labels))
 
-    def is_admissible(self, entity):
-        return bool(self.admissible_mask[self.index_of(entity)])
-
-    def entities(self):
-        """Iterate all entity tuples in enumeration order."""
-        return (self.entity_at(i) for i in range(self.n_entities))
-
     def admissible_entities(self):
         """Iterate admissible entity tuples in enumeration order."""
         return (self.entity_at(int(i)) for i in self.admissible_indices)
@@ -281,11 +273,6 @@ class EntitySpace:
             f"EntitySpace({len(self.domains)} attributes, |E|={self.n_entities}, "
             f"|E*|={self.n_admissible})"
         )
-
-
-def build_entity_space(domains, nullentities=(), entity_cap=DEFAULT_ENTITY_CAP):
-    """Build an :class:`EntitySpace` from domains and declared nullentities."""
-    return EntitySpace(domains, nullentities, entity_cap=entity_cap)
 
 
 class DataTable:
@@ -429,6 +416,10 @@ def ingest_csv(path, schema="infer"):
     observed = [set(map(itemgetter(j), records)) for j in range(width)]
 
     if schema == "infer":
+        if "" in header:
+            raise DataError(
+                f"{path}: column {header.index('') + 1} of the header has an empty name"
+            )
         domains = tuple(
             AttributeDomain(name, sorted(values)) for name, values in zip(header, observed)
         )

@@ -5,8 +5,8 @@ eigenvalue per admissible entity.  An ordered, linearly independent
 collection of operators (a constructing element) pins down a family of
 distributions through its expectations; two elements with the same row
 space describe the same family and are *equivalent for all practical
-purposes* (FAPP).  Rank, auto-reduce, nesting, equivalence and kernels
-all derive from one orthonormal row basis, and classification and
+purposes* (FAPP).  Rank, auto-reduce, nesting and equivalence all
+derive from one orthonormal row basis, and classification and
 projection build on them.
 
 Entities that share an eigenvalue column are indistinguishable to an
@@ -41,10 +41,8 @@ __all__ = [
     "k_marginal_op",
     "product_op",
     "make_element",
-    "kernel_basis",
     "fapp_equivalent",
     "is_nested",
-    "row_rank",
     "operator_from_spec",
 ]
 
@@ -79,11 +77,6 @@ class CharacteristicOperator:
         if not self.space.same_space(dist.space):
             raise SpaceError("operator and distribution live on different spaces")
         return float(np.sum(dist.admissible * self.eigenvalues))
-
-    def __mul__(self, other):
-        if isinstance(other, CharacteristicOperator):
-            return product_op(self, other)
-        return NotImplemented
 
     def __repr__(self):
         return f"CharacteristicOperator({self.label!r})"
@@ -211,14 +204,6 @@ def _scale(matrix):
     return m if m > 0.0 else 1.0
 
 
-def row_rank(matrix):
-    """Rank under the relative pivot threshold ``PIVOT_TOL * max|entry|``."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise OperatorError("row_rank expects a 2-d matrix")
-    return len(_row_basis(matrix)[1])
-
-
 def _row_basis(matrix):
     """Orthonormal basis ``Q`` of the row space and the indices it kept.
 
@@ -287,19 +272,25 @@ class ConstructingElement:
     which also sets the column partition.
     """
 
-    __slots__ = ("space", "operators", "matrix", "_fingerprint", "_columns")
+    __slots__ = ("space", "operators", "_fingerprint", "_columns")
 
     def __init__(self, space, operators):
         self.space = space
         self.operators = tuple(operators)
-        # a private copy that always agrees with the operators' eigenvalues
-        matrix = np.vstack([op.eigenvalues for op in self.operators])
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        # the bytes of the stacked eigenvalue matrix, row after row
         h = hashlib.sha256()
         h.update(space.fingerprint.encode())
-        h.update(matrix)
+        for op in self.operators:
+            h.update(op.eigenvalues)
         self._fingerprint = h.hexdigest()
+
+    @property
+    def matrix(self):
+        """The eigenvalue matrix (operators by admissible entities): a
+        read-only stack of the operators' eigenvalues, built on each call."""
+        matrix = np.vstack([op.eigenvalues for op in self.operators])
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def rank(self):
@@ -416,29 +407,9 @@ def make_element(operators, mode="strict"):
         columns = columns[: len(kept)].copy(order="F")
     columns.setflags(write=False)
     group.setflags(write=False)
-    # built once the stack's columns are freed, so that no more than two
-    # n-wide matrices are alive at once when every column is distinct
     element = ConstructingElement(space, operators)
     element._columns = (columns, group)
     return element
-
-
-def kernel_basis(element):
-    """Orthonormal operators spanning the orthogonal complement of the rows.
-
-    Returns ``|E*| - D`` operators, each orthogonal (plain dot product on
-    eigenvalue vectors) to every operator of the element and to each
-    other: an orthonormal basis, deterministic for a given matrix (the
-    trailing columns of a full QR factorization of the row basis).
-    """
-    q, kept = _row_basis(element.matrix)
-    if len(kept) != element.rank:  # cannot happen for a full-row-rank element
-        raise OperatorError("kernel completion failed; element matrix is ill-conditioned")
-    complement = np.linalg.qr(q.T, mode="complete")[0][:, len(kept):]
-    return [
-        CharacteristicOperator(element.space, v, f"kernel{i}")
-        for i, v in enumerate(complement.T)
-    ]
 
 
 def fapp_equivalent(a, b):

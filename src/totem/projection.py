@@ -23,9 +23,9 @@ only signals a boundary-seeking solve.  Which rows are independent on
 the distinct columns is decided once, by :func:`~totem.operators.make_element`;
 Newton takes the element's rows as they are and decides again only on a
 support that a clamp has shrunk.  The Jacobian is symmetric
-positive definite on the interior; a failed Cholesky factorization marks
-it singular and triggers one automatic fallback that chains the
-projection one operator at a time.
+positive definite on the interior; a failed Cholesky factorization or
+solve, or a non-finite merit, marks it singular and triggers one
+automatic fallback that chains the projection one operator at a time.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  Boundary targets (a zero marginal) cannot be met
@@ -42,6 +42,7 @@ interior solve never does.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,11 +69,9 @@ from .operators import (
 
 __all__ = [
     "ProjectionResult",
-    "constraint_residual",
     "newton_project",
     "chained_project",
     "ipf_project",
-    "is_compatible",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -108,43 +107,23 @@ class ProjectionResult:
     method: str = "newton"
 
 
-def is_compatible(reference, empirical):
-    """Data compatibility: every observed entity has reference weight."""
-    if not reference.space.same_space(empirical.space):
-        raise SpaceError("distributions live on different entity spaces")
-    return bool(np.all(reference.weights[empirical._support()[0]] > 0.0))
-
-
-def constraint_residual(p, plex):
-    """Vector of expectation mismatches ``<(p - f) M_a>`` per operator."""
-    if not p.space.same_space(plex.space):
-        raise SpaceError("distribution and constraints live on different spaces")
-    element = plex.element
-    return element.columns[0] @ element.group_sums(p.admissible) - plex.targets
-
-
-def _check_compatible(reference, empirical):
-    if not is_compatible(reference, empirical):
-        observed = empirical._support()[0]
-        bad = observed[reference.weights[observed] <= 0.0][0]
-        raise IncompatibleReferenceError(
-            f"reference assigns zero weight to observed entity "
-            f"{reference.space.entity_at(int(bad))!r}"
-        )
-
-
 def _merit(m, p, t):
     """Residual, Newton direction and the quadratic merit F' J^-1 F."""
     f_vec = m @ p - t
     j = (m * p) @ m.T
     # Cholesky decides definiteness; numpy has no triangular solve, and one
-    # LU solve is cheaper than two general solves on the factor
+    # LU solve is cheaper than two general solves on the factor.  Either may
+    # fail on a near-singular Jacobian, and so may the merit: all three
+    # mark it singular.
     try:
         np.linalg.cholesky(j)
+        d = np.linalg.solve(j, f_vec)
     except np.linalg.LinAlgError:
         return f_vec, None, np.inf
-    d = np.linalg.solve(j, f_vec)
-    return f_vec, d, float(f_vec @ d)
+    merit = float(f_vec @ d)
+    if not math.isfinite(merit):
+        return f_vec, None, np.inf
+    return f_vec, d, merit
 
 
 def _zero_target_support(matrix, targets, support):
@@ -242,9 +221,17 @@ def _result(reference, element, fit, rows, targets):
 
 
 def _check_reference(reference, plex):
+    """Same space, and reference weight on every entity the data observed
+    (a :class:`Totemplex` ties the data's space to the element's)."""
     if not reference.space.same_space(plex.space):
         raise SpaceError("reference and constraints live on different spaces")
-    _check_compatible(reference, plex.empirical)
+    observed = plex.empirical._support()[0]
+    bad = observed[reference.weights[observed] <= 0.0]
+    if len(bad):
+        raise IncompatibleReferenceError(
+            f"reference assigns zero weight to observed entity "
+            f"{reference.space.entity_at(int(bad[0]))!r}"
+        )
 
 
 def _peaks(reference, element, mass):
@@ -340,7 +327,7 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                 break
             if d is None:
                 raise SingularJacobianError(
-                    "Cholesky factorization of the constraint Jacobian failed; "
+                    "the constraint Jacobian is numerically singular; "
                     "the element may be near-reducible on the current support"
                 )
             if merit <= 0.0:

@@ -15,7 +15,6 @@ from totem import (
     EntitySpace,
     Totemplex,
     identity_op,
-    kernel_basis,
     make_element,
 )
 from totem.operators import PIVOT_TOL, _row_basis
@@ -68,19 +67,28 @@ def random_feasible_point(rng, projection, element):
     """Random distribution matching the same expectations as ``projection``.
 
     Perturbs along the element's kernel and stays strictly inside the
-    nonnegative orthant, so divergences from/to it remain finite.
+    nonnegative orthant, so divergences from/to it remain finite.  The
+    kernel's orthonormal basis is the trailing columns of a complete QR
+    factorization of the row basis.
     """
-    kernel = kernel_basis(element)
+    basis = _row_basis(element.matrix)[0]
+    directions = np.ascontiguousarray(
+        np.linalg.qr(basis.T, mode="complete")[0][:, len(basis):].T)
     q = projection.admissible
-    if not kernel:
+    if not len(directions):
         return Distribution.from_admissible_weights(projection.space, q, renormalize=True)
-    directions = np.vstack([op.eigenvalues for op in kernel])
-    v = rng.standard_normal(len(kernel)) @ directions
+    v = rng.standard_normal(len(directions)) @ directions
     negative = v < 0
     t_max = float(np.min(q[negative] / -v[negative])) if negative.any() else 1.0
     t = rng.uniform(0.05, 0.9) * t_max
     p = np.clip(q + t * v, 0.0, None)
     return Distribution.from_admissible_weights(projection.space, p, renormalize=True)
+
+
+def constraint_residual(p, plex):
+    """Expectation mismatches ``<(p - f) M_a>`` per operator, summed over
+    every admissible entity."""
+    return plex.element.matrix @ p.admissible - plex.targets
 
 
 def random_totemplex(rng, space, rank, alpha=5.0):

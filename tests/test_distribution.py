@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,21 +8,17 @@ from totem import (
     AttributeDomain,
     DataError,
     Distribution,
-    RegularizationWarning,
+    EntitySpace,
     SpaceError,
     TotemError,
-    build_entity_space,
     cross_entropy,
     distribution_from_dict,
     distribution_to_dict,
-    entropy,
     i_divergence,
     load_distribution,
     log_multinomial,
     log_multinomial_leading,
     max_norm_distance,
-    regularize,
-    save_distribution,
     uniform,
 )
 
@@ -29,11 +26,11 @@ from helpers import random_distribution, random_space
 
 
 def pair_space():
-    return build_entity_space([AttributeDomain("bit", ["0", "1"])])
+    return EntitySpace([AttributeDomain("bit", ["0", "1"])])
 
 
 def quad_space(nullentities=()):
-    return build_entity_space(
+    return EntitySpace(
         [AttributeDomain("first", ["a", "b"]), AttributeDomain("second", ["x", "y"])],
         nullentities=nullentities,
     )
@@ -124,7 +121,7 @@ class TestConstruction:
 
     def test_uniform_bernoulli_cube(self):
         domains = [AttributeDomain(f"s{i}", ["head", "tail"]) for i in range(3)]
-        u = uniform(build_entity_space(domains))
+        u = uniform(EntitySpace(domains))
         np.testing.assert_allclose(u.weights, 1.0 / 8.0)
 
 
@@ -149,22 +146,6 @@ class TestCrossEntropy:
     def test_space_mismatch(self):
         with pytest.raises(SpaceError):
             cross_entropy(uniform(pair_space()), uniform(quad_space()))
-
-
-class TestEntropy:
-    def test_uniform_eight(self):
-        domains = [AttributeDomain(f"s{i}", ["head", "tail"]) for i in range(3)]
-        assert entropy(uniform(build_entity_space(domains))) == pytest.approx(
-            math.log(8), abs=1e-12
-        )
-
-    def test_point_mass(self):
-        assert entropy(Distribution.point_mass(pair_space(), ("1",))) == 0.0
-
-    def test_three_quarters(self):
-        # direct evaluation: -.75 log .75 - .25 log .25
-        dist = Distribution(pair_space(), [0.75, 0.25])
-        assert entropy(dist) == pytest.approx(0.5623351446188083, abs=1e-12)
 
 
 class TestIDivergence:
@@ -203,7 +184,7 @@ class TestIDivergence:
             space = random_space(rng)
             p = random_distribution(rng, space)
             u = uniform(space, "full")
-            lhs = entropy(p) + i_divergence(p, u)
+            lhs = cross_entropy(p, p) + i_divergence(p, u)
             assert abs(lhs - math.log(space.n_entities)) < 1e-10
 
 
@@ -249,47 +230,22 @@ class TestLogMultinomial:
         assert max(constants) / min(constants) < 1.05
 
 
-class TestRegularize:
-    def test_zero_strength_is_identity(self):
-        space = quad_space()
-        f = Distribution(space, [0.5, 0.25, 0.25, 0.0])
-        out = regularize(f, 0.0, n=4)
-        assert max_norm_distance(out, f) == 0.0
-
-    def test_frozen_value(self):
-        # f=(1,0), N=1, lambda=1 over two entities -> (2/3, 1/3)
-        space = pair_space()
-        f = Distribution.point_mass(space, ("0",))
-        with pytest.warns(RegularizationWarning):
-            out = regularize(f, 1.0, n=1)
-        np.testing.assert_allclose(out.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
-
-    def test_infinite_strength_limit_is_uniform(self):
-        space = quad_space()
-        f = Distribution(space, [1.0, 0.0, 0.0, 0.0])
-        with pytest.warns(RegularizationWarning):
-            out = regularize(f, 1e12, n=1)
-        np.testing.assert_allclose(out.weights, 0.25, atol=1e-9)
-
-    def test_negative_strength_rejected(self):
-        with pytest.raises(TotemError):
-            regularize(uniform(quad_space()), -0.1, n=10)
-
-
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         space = quad_space(nullentities=[("b", "x")])
         dist = random_distribution(rng, space)
         path = tmp_path / "dist.json"
-        save_distribution(dist, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(distribution_to_dict(dist), handle)
         back = load_distribution(path, space=space)
         assert max_norm_distance(dist, back) == 0.0
 
     def test_reconstructs_space(self, tmp_path):
         dist = uniform(quad_space())
         path = tmp_path / "dist.json"
-        save_distribution(dist, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(distribution_to_dict(dist), handle)
         back = load_distribution(path)
         assert back.space.fingerprint == dist.space.fingerprint
 

@@ -13,8 +13,8 @@ from totem import (
     AttributeDomain,
     DataError,
     DataTable,
+    EntitySpace,
     SpaceError,
-    build_entity_space,
     empirical_distribution,
     ingest_csv,
 )
@@ -22,7 +22,7 @@ from totem import (
 
 @pytest.fixture
 def two_by_two():
-    return build_entity_space(
+    return EntitySpace(
         [AttributeDomain("first", ["a", "b"]), AttributeDomain("second", ["x", "y"])]
     )
 
@@ -55,16 +55,16 @@ class TestEntitySpace:
         assert two_by_two.n_admissible == 4
 
     def test_one_nullentity(self):
-        space = build_entity_space(
+        space = EntitySpace(
             [AttributeDomain("first", ["a", "b"]), AttributeDomain("second", ["x", "y"])],
             nullentities=[("a", "y")],
         )
         assert space.n_admissible == 3
-        assert not space.is_admissible(("a", "y"))
+        assert not space.admissible_mask[space.index_of(("a", "y"))]
 
     def test_bernoulli_cube(self):
         domains = [AttributeDomain(f"s{i}", ["head", "tail"]) for i in range(3)]
-        assert build_entity_space(domains).n_entities == 8
+        assert EntitySpace(domains).n_entities == 8
 
     def test_enumeration_row_major(self, two_by_two):
         order = [two_by_two.entity_at(i) for i in range(4)]
@@ -77,30 +77,30 @@ class TestEntitySpace:
             AttributeDomain("second", ["x", "y"]),
             AttributeDomain("third", ["0", "1", "2", "3"]),
         ]
-        space = build_entity_space(domains)
+        space = EntitySpace(domains)
         for i in rng.integers(0, space.n_entities, size=50):
             assert space.index_of(space.entity_at(int(i))) == int(i)
 
     def test_unknown_level_in_nullentity(self):
         with pytest.raises(SpaceError):
-            build_entity_space(
+            EntitySpace(
                 [AttributeDomain("first", ["a", "b"])], nullentities=[("z",)]
             )
 
     def test_all_null_rejected(self):
         with pytest.raises(SpaceError):
-            build_entity_space(
+            EntitySpace(
                 [AttributeDomain("first", ["a"])], nullentities=[("a",)]
             )
 
     def test_entity_cap(self):
         domains = [AttributeDomain(f"b{i}", ["0", "1"]) for i in range(8)]
         with pytest.raises(SpaceError):
-            build_entity_space(domains, entity_cap=100)
-        assert build_entity_space(domains, entity_cap=None).n_entities == 256
+            EntitySpace(domains, entity_cap=100)
+        assert EntitySpace(domains, entity_cap=None).n_entities == 256
 
     def test_fingerprint_sensitivity(self, two_by_two):
-        reordered = build_entity_space(
+        reordered = EntitySpace(
             [AttributeDomain("first", ["b", "a"]), AttributeDomain("second", ["x", "y"])]
         )
         assert reordered.fingerprint != two_by_two.fingerprint
@@ -121,7 +121,7 @@ class TestLevelCodes:
             for i, size in enumerate(sizes)
         ]
         nullentities = [tuple(f"v{j}" for j in entity) for entity in nulls]
-        space = build_entity_space(domains, nullentities)
+        space = EntitySpace(domains, nullentities)
         expected = np.unravel_index(space.admissible_indices, space.shape)
         for axis, domain in enumerate(domains):
             codes = space.level_codes(domain.name)
@@ -157,7 +157,7 @@ class TestEmpiricalDistribution:
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(3)
         domains = [AttributeDomain("first", ["a", "b", "c"]), AttributeDomain("second", ["x", "y"])]
-        space = build_entity_space(domains)
+        space = EntitySpace(domains)
         rows = [
             (rng.choice(["a", "b", "c"]), rng.choice(["x", "y"]))
             for _ in range(10_000)
@@ -166,7 +166,7 @@ class TestEmpiricalDistribution:
         assert abs(float(f.weights.sum()) - 1.0) < 1e-12
 
     def test_observed_nullentity_rejected(self):
-        space = build_entity_space(
+        space = EntitySpace(
             [AttributeDomain("first", ["a", "b"]), AttributeDomain("second", ["x", "y"])],
             nullentities=[("a", "y")],
         )
@@ -175,7 +175,7 @@ class TestEmpiricalDistribution:
             empirical_distribution(space, table)
 
     def test_declared_nullentities_have_zero_frequency(self):
-        space = build_entity_space(
+        space = EntitySpace(
             [AttributeDomain("first", ["a", "b"]), AttributeDomain("second", ["x", "y"])],
             nullentities=[("a", "y")],
         )
@@ -227,6 +227,13 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         path.write_text("u,v\na,\n")
         with pytest.raises(DataError, match="empty cell"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("header", ["a,,b", "a, ,b"])
+    def test_empty_header_name_rejected(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\nx,y,z\n")
+        with pytest.raises(DataError, match=r"data\.csv: column 2 of the header has an empty name"):
             ingest_csv(path)
 
     def test_missing_file(self, tmp_path):
@@ -371,7 +378,7 @@ def _text_mode_table(path):
 @given(_csv_files())
 def test_counts_match_a_plain_csv_reader(case):
     domains, text, bom = case
-    space = build_entity_space(domains)
+    space = EntitySpace(domains)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode())

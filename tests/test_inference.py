@@ -18,7 +18,6 @@ from totem import (
     calibration_experiment,
     chi2_cdf,
     chi2_sf,
-    constraint_residual,
     i_divergence,
     i_score,
     i_test,
@@ -46,7 +45,7 @@ from totem.closed_forms import (
 from totem import operators, projection
 from totem.operators import ConstructingElement
 
-from helpers import random_distribution, random_space
+from helpers import constraint_residual, random_distribution, random_space
 
 
 class TestChi2Cdf:

@@ -57,3 +57,43 @@ def test_no_dead_private_names():
             for name, line in _private_definitions(tree)
             if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not dead, f"private names that no module reads: {dead}"
+
+
+ROOT = SOURCE.parent.parent
+#: The files that use the public names: every library module but the
+#: package's re-exports, the demos, the benchmark harness and the
+#: acceptance criteria.
+CALLERS = (sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _used_names(tree):
+    """Each name a file reads, reaches as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def _public_names(tree):
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_no_public_names_without_callers():
+    used = set()
+    for path in CALLERS:
+        used.update(_used_names(ast.parse(path.read_text(), filename=str(path))))
+    unused = [f"{path.name} {name}" for path in MODULES
+              for name in _public_names(ast.parse(path.read_text(), filename=str(path)))
+              if name not in used]
+    assert not unused, f"public names that no module, demo or benchmark uses: {unused}"
