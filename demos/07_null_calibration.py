@@ -7,7 +7,7 @@ mean near the degrees of freedom, small Kolmogorov-Smirnov distance, and
 a rejection rate near the nominal level.
 """
 
-from totem import calibration_experiment, chi2_cdf, uniform
+from totem import calibration_experiment, chi2_cdf
 from totem.closed_forms import (
     binomial_projection_closed_form,
     coin_element,

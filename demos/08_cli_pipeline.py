@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from totem import Distribution, sample_multinomial
+from totem import sample_multinomial
 from totem.cli import AnalysisConfig, run
 from totem.closed_forms import binomial_projection_closed_form, coin_space
 

@@ -512,7 +512,7 @@ def _run_calibrate(analysis, f, i, lines):
 
     result = calibration_experiment(
         generator, element("outer"), element("inner"), f["n"], f["replications"],
-        f["seed"], alpha=f["alpha"], tol=f["tol"], max_iter=f["max_iter"],
+        f["seed"], tol=f["tol"], max_iter=f["max_iter"],
     )
     _kv(lines, "N", result.n)
     _kv(lines, "replications", result.replications)

@@ -321,28 +321,23 @@ def logistic_element(m, space=None):
     return make_element(ops, mode="auto-reduce")
 
 
-def logistic_model_distribution(m, beta0, betas, space=None, profile_weights=None):
-    """Joint law with logistic conditionals and given predictor profile law.
+def logistic_model_distribution(m, beta0, betas):
+    """Joint law with logistic conditionals and uniform predictor profiles.
 
-    ``P(y=1 | x) = sigma(beta0 + beta . x)``; profiles default to uniform.
-    Useful as a synthetic-data generator.
+    ``P(y=1 | x) = sigma(beta0 + beta . x)``.  Useful as a synthetic-data
+    generator.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (m,):
         raise TotemError(f"betas must have length {m}, got {betas.shape}")
-    if space is None:
-        space = logistic_space(m)
+    space = logistic_space(m)
     names = [f"x{i + 1}" for i in range(m)]
     x = np.vstack([space.level_codes(name) for name in names]).astype(np.float64)
     y = space.level_codes("y").astype(np.float64)
     logits = beta0 + betas @ x
     p1 = 1.0 / (1.0 + np.exp(-logits))
     cond = np.where(y == 1.0, p1, 1.0 - p1)
-    if profile_weights is None:
-        marginal = np.full(space.n_admissible, 0.5 ** m)
-    else:
-        profile_weights = np.asarray(profile_weights, dtype=np.float64)
-        marginal = profile_weights[_profile_codes(space, names)]
+    marginal = np.full(space.n_admissible, 0.5 ** m)
     return Distribution.from_admissible_weights(space, cond * marginal, renormalize=True)
 
 

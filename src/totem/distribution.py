@@ -257,7 +257,7 @@ def _counts_over_full(space, counts):
     )
 
 
-def log_multinomial(counts, reference, n=None):
+def log_multinomial(counts, reference):
     """Exact log-probability of a count vector under multinomial sampling.
 
     ``log N! + sum_e [c_e log v_e - log c_e!]`` with the reference ``v``;
@@ -267,8 +267,6 @@ def log_multinomial(counts, reference, n=None):
     """
     counts = _counts_over_full(reference.space, counts)
     total = int(counts.sum())
-    if n is not None and total != int(n):
-        raise DataError(f"counts sum to {total}, expected N={n}")
     if total <= 0:
         raise DataError("empty count vector")
     w = reference.weights

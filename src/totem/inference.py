@@ -384,7 +384,7 @@ def sample_multinomial(p, n, seed):
 
 
 def calibration_experiment(generator, outer, inner, n, replications, seed, *,
-                           alpha=0.05, tol=1e-10, max_iter=200):
+                           tol=1e-10, max_iter=200):
     """Repeated sample -> project -> test pipeline for one generator.
 
     Each replication draws ``n`` records from ``generator`` (stream ``r``
@@ -407,8 +407,7 @@ def calibration_experiment(generator, outer, inner, n, replications, seed, *,
         rng = _philox(seed, stream=r)
         counts = _draw_counts(generator, n, rng)
         empirical = Distribution.from_counts(space, counts, n)
-        report = i_test(reference, outer, inner, empirical, n, alpha,
-                        tol=tol, max_iter=max_iter)
+        report = i_test(reference, outer, inner, empirical, n, tol=tol, max_iter=max_iter)
         q_values[r] = report.q_statistic
     return CalibrationResult(
         q_values=q_values,

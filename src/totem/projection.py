@@ -22,10 +22,12 @@ every solver, from ``theta . m_g = log(q_g / v_g)``; Newton's own ``theta``
 only signals a boundary-seeking solve.  Which rows are independent on
 the distinct columns is decided once, by :func:`~totem.operators.make_element`;
 Newton takes the element's rows as they are and decides again only on a
-support that a clamp has shrunk.  The Jacobian is symmetric
-positive definite on the interior; a failed Cholesky factorization or
-solve, or a non-finite merit, marks it singular and triggers one
-automatic fallback that chains the projection one operator at a time.
+support that a clamp has shrunk.  Every Newton solve, that of
+:func:`newton_project`, the score, the nested test and each chained or
+fallback stage, runs the same loop.  The Jacobian is symmetric positive
+definite on the interior; a failed Cholesky factorization or solve, or a
+non-finite merit, marks it singular and triggers one automatic fallback
+that chains the projection one operator at a time.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  Boundary targets (a zero marginal) cannot be met
@@ -259,90 +261,92 @@ def _project_groups(reference, plex, tol, max_iter):
 
 def _solve_groups(reference, plex, mass, tol, max_iter):
     """:func:`_project_groups` from the reference ``mass`` of each column
-    group, with the reference already checked against ``plex``.  A singular
-    Jacobian falls back to :func:`_prefix_fallback`.
+    group, with the reference already checked against ``plex``.
+
+    A singular Jacobian falls back to a chained solve with one operator per
+    stage.  Each prefix of the element's operators is implied by the next,
+    so the stages are nested by construction and their nesting is not
+    re-checked.
     """
+    element = plex.element
     try:
-        return _newton_groups(plex, mass, _peaks(reference, plex.element, mass), tol, max_iter)
+        return _newton(element.columns[0], plex.targets, mass,
+                       _peaks(reference, element, mass), tol, max_iter)
     except SingularJacobianError:
-        return _prefix_fallback(reference, plex, tol, max_iter)
+        ops = element.operators
+        stages = [
+            Totemplex(make_element(list(ops[:nu]), mode="auto-reduce"), plex.empirical)
+            for nu in range(1, len(ops) + 1)
+        ]
+        return _chain(reference, stages, tol, max_iter)._replace(method="newton+chained")
 
 
-def _newton_groups(plex, mass, peak, tol, max_iter):
-    """Newton from the reference ``mass`` of each column group; ``peak()``
-    gives the groups' peaks (see :func:`_solve_on_support`).
+def _newton(columns, targets, mass, peak, tol, max_iter):
+    """Newton from the reference ``mass`` of each of the distinct ``columns``,
+    re-posed on a shrinking support at a boundary.
 
-    Raises :class:`SingularJacobianError` rather than falling back.
-    """
-    columns = plex.element.columns[0]
-    support, boundary = _zero_target_support(columns, plex.targets, mass > 0.0)
-    if not support.any():
-        raise ProjectionError("constraints force an empty support")
-    q, used, clamped = _solve_on_support(columns, plex.targets, mass, peak, support, tol, max_iter)
-    return _GroupFit(q, mass, used, bool(boundary or clamped), "newton")
-
-
-def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
-    """Newton iteration with boundary re-posing on a shrinking support.
-
-    Runs on distinct ``columns`` with the reference ``mass`` of each;
-    ``peak()`` returns each column's largest per-entity share of its mass
-    (1 where a column is one entity), so ``p * peak()`` is the largest
-    entity weight, which the clamp is judged on; it is called only once a
-    multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  On every column the rows
-    are taken as given: :func:`~totem.operators.make_element` decided their
-    independence on the same distinct columns.  Only a support that a clamp
-    or a re-pose has shrunk decides it again, with ``_row_basis``.  A full
-    step that increases the quadratic merit or overflows is halved, up to
-    ``_MAX_HALVINGS`` times, which keeps the iterates strictly positive; the
-    merit of the step taken is that of the next iterate, so each iterate is
-    evaluated once.  Returns weights per column (zero off support),
-    iterations used, and whether any weight was clamped to zero (a genuine
-    boundary solution, as opposed to a mere reference-support restriction).
+    Columns that a nonnegative row with target zero forces empty are
+    dropped first.  ``peak()`` gives each column's largest per-entity share
+    of its mass, so ``p * peak()`` is the largest entity weight, which the
+    clamp is judged on; it is called only once a multiplier exceeds
+    ``_MULTIPLIER_OVERFLOW``.  The rows are taken as given
+    (:func:`~totem.operators.make_element` decided their independence on
+    the same columns) until a clamp shrinks the support.  A full step that
+    increases the quadratic merit or overflows is halved, up to
+    ``_MAX_HALVINGS`` times; the merit of the step taken is that of the
+    next iterate, so each iterate is evaluated once.  Each iterate is
+    tested against ``tol`` before the budget: ``max_iter`` steps in all,
+    across re-poses.  ``boundary`` flags a zero target or a clamp, as opposed to a
+    mere reference-support restriction.  Raises
+    :class:`SingularJacobianError` rather than falling back.
     """
     n_columns = columns.shape[1]
+    support, boundary = _zero_target_support(columns, targets, mass > 0.0)
+    if not support.any():
+        raise ProjectionError("constraints force an empty support")
+    idx = np.flatnonzero(support)
     used = 0
-    clamped = False
+    m = None  # posed on ``idx`` at the loop's top, again after each re-pose
     while True:
-        idx = np.flatnonzero(support)
-        if len(idx) == n_columns:
-            kept = list(range(len(columns)))
-        else:
-            kept = _row_basis(columns[:, idx])[1]
-        if not kept:
-            raise ProjectionError("no independent constraints on the support")
-        m = columns[np.ix_(kept, idx)]
-        t = targets[kept]
-        p = mass[idx] / np.sum(mass[idx])
-        theta = np.zeros(len(kept), dtype=np.longdouble)
-
-        status = "maxiter"
-        state = _merit(m, p, t)
-        residual = float(np.max(np.abs(state[0])))
-        while used < max_iter:
-            f_vec, d, merit = state
-            residual = float(np.max(np.abs(f_vec)))
-            if residual <= tol:
-                status = "converged"
-                break
-            if d is None:
-                raise SingularJacobianError(
-                    "the constraint Jacobian is numerically singular; "
-                    "the element may be near-reducible on the current support"
-                )
-            if merit <= 0.0:
-                # Positive definiteness guarantees a descent direction; a
-                # non-positive merit at nonzero residual is numerical
-                # breakdown, handled like a singular solve.
-                raise SingularJacobianError(
-                    f"lost the descent direction (merit {merit!r} at "
-                    f"residual {residual!r})"
-                )
-            used += 1
-            step = 1.0
-            chosen = None
-            smallest_finite = None
-            exponent = -(m.T @ d)
+        if m is None:
+            kept = (list(range(len(columns))) if len(idx) == n_columns
+                    else _row_basis(columns[:, idx])[1])
+            if not kept:
+                raise ProjectionError("no independent constraints on the support")
+            m = columns[np.ix_(kept, idx)]
+            t = targets[kept]
+            p = mass[idx] / np.sum(mass[idx])
+            theta = np.zeros(len(kept), dtype=np.longdouble)
+            state = _merit(m, p, t)
+        f_vec, d, merit = state
+        residual = float(np.max(np.abs(f_vec)))
+        if residual <= tol:
+            q = np.zeros(n_columns)
+            q[idx] = p
+            return _GroupFit(q, mass, used, bool(boundary), "newton")
+        if used >= max_iter:
+            raise NonConvergenceError(
+                f"no convergence after {max_iter} iterations (residual {residual!r})"
+            )
+        if d is None:
+            raise SingularJacobianError(
+                "the constraint Jacobian is numerically singular; "
+                "the element may be near-reducible on the current support"
+            )
+        if merit <= 0.0:
+            # Positive definiteness guarantees a descent direction; a
+            # non-positive merit at nonzero residual is numerical
+            # breakdown, handled like a singular solve.
+            raise SingularJacobianError(
+                f"lost the descent direction (merit {merit!r} at "
+                f"residual {residual!r})"
+            )
+        used += 1
+        step = 1.0
+        chosen = smallest_finite = None
+        exponent = -(m.T @ d)
+        # an overflowing trial is rejected by the finiteness check below
+        with np.errstate(over="ignore"):
             for _ in range(_MAX_HALVINGS + 1):
                 trial = p * np.exp(exponent * step)
                 trial_sum = trial.sum()
@@ -354,39 +358,25 @@ def _solve_on_support(columns, targets, mass, peak, support, tol, max_iter):
                         break
                     smallest_finite = (trial, step, trial_state)
                 step *= 0.5
-            if chosen is None:
-                if smallest_finite is None:
-                    raise NonConvergenceError(
-                        "every damped step overflowed; reference and targets "
-                        "are too far apart for a direct solve"
-                    )
-                chosen = smallest_finite
-            p, applied, state = chosen
-            theta -= d * applied
-            # Boundary-seeking solves show both runaway multipliers and
-            # weights collapsing to zero; large multipliers alone merely
-            # mean an ill-conditioned operator basis.
-            if (
-                float(np.max(np.abs(theta))) > _MULTIPLIER_OVERFLOW
-                and bool(np.any(p * peak()[idx] < _CLAMP))
-            ):
-                status = "overflow"
-                break
-
-        if status == "converged":
-            q = np.zeros(n_columns)
-            q[idx] = p
-            return q, used, clamped
-        if status == "overflow":
-            keep = p * peak()[idx] > _CLAMP
-            new_support = np.zeros(n_columns, dtype=bool)
-            new_support[idx[keep]] = True
-            support = new_support
-            clamped = True
-            continue
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {residual!r})"
-        )
+        if chosen is None:
+            if smallest_finite is None:
+                raise NonConvergenceError(
+                    "every damped step overflowed; reference and targets "
+                    "are too far apart for a direct solve"
+                )
+            chosen = smallest_finite
+        p, applied, state = chosen
+        theta -= d * applied
+        # Boundary-seeking solves show both runaway multipliers and
+        # weights collapsing to zero; large multipliers alone merely
+        # mean an ill-conditioned operator basis.
+        if (
+            float(np.max(np.abs(theta))) > _MULTIPLIER_OVERFLOW
+            and bool(np.any(p * peak()[idx] < _CLAMP))
+        ):
+            idx = idx[p * peak()[idx] > _CLAMP]
+            boundary = True
+            m = None
 
 
 def _fit_multipliers(columns, q, v):
@@ -401,20 +391,6 @@ def _fit_multipliers(columns, q, v):
     pos = q > 0.0
     rhs = np.log(q[pos]) - np.log(v[pos])
     return np.linalg.lstsq(columns[:, pos].T, rhs, rcond=None)[0]
-
-
-def _prefix_fallback(reference, plex, tol, max_iter):
-    """One-operator-per-stage chained solve, used after a singular Jacobian.
-
-    Each prefix of the element's operators is implied by the next, so the
-    stages are nested by construction and their nesting is not re-checked.
-    """
-    ops = plex.element.operators
-    stages = [
-        Totemplex(make_element(list(ops[:nu]), mode="auto-reduce"), plex.empirical)
-        for nu in range(1, len(ops) + 1)
-    ]
-    return _chain(reference, stages, tol, max_iter)._replace(method="newton+chained")
 
 
 def chained_project(reference, plexes, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -472,8 +448,8 @@ def _chain(reference, plexes, tol, max_iter):
                 raise IncompatibleReferenceError(
                     f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
                 )
-        fit = _newton_groups(plex, mass, _peaks(reference, element, v), tol,
-                             max_iter)._replace(v=v)
+        fit = _newton(element.columns[0], plex.targets, mass,
+                      _peaks(reference, element, v), tol, max_iter)._replace(v=v)
         iterations += fit.iterations
         boundary = boundary or fit.boundary
         previous = element

@@ -245,11 +245,8 @@ class TestFrozenBytes:
              "10ec43f6730f6587aea57c1fe0742ea64678eca1d3bdfab522305f440e3f07dd"),
             (lambda: logistic_model_distribution(3, -0.4, [1.1, -0.7, 0.3]),
              "fe8fa3ad5067cf495e4fba553ee6dcd3e354210e953d3ffb795a607c26d92503"),
-            (lambda: logistic_model_distribution(
-                3, 0.2, [0.5, 0.1, -0.9], profile_weights=np.arange(1.0, 9.0) / 36.0),
-             "7a8af04c19e05f08f421c11bb0d203e5cdc3cc4c0926090a3ab42d81d2f1b198"),
         ],
-        ids=["binomial", "k_marginal", "two_coin", "ising", "logistic", "logistic_profiles"],
+        ids=["binomial", "k_marginal", "two_coin", "ising", "logistic"],
     )
     def test_weight_bytes(self, build, digest):
         weights = build().weights

@@ -206,11 +206,6 @@ class TestLogMultinomial:
         ref = Distribution.point_mass(space, ("0",))
         assert log_multinomial([3, 4], ref) == -math.inf
 
-    def test_count_sum_checked(self):
-        ref = Distribution(pair_space(), [0.5, 0.5])
-        with pytest.raises(TotemError):
-            log_multinomial([1, 1], ref, n=3)
-
     def test_leading_term_order(self):
         # the dropped remainder is O(1/N): errors shrink ~10x per decade
         space = quad_space()

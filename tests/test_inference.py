@@ -660,14 +660,14 @@ class TestGroupLevelStatistics:
 
     def test_chained_fallback(self, monkeypatch):
         space, ref, outer, inner, f, n = _nested_cases()[1]
-        solve = projection._solve_on_support
+        solve = projection._newton
 
         def singular_on_inner(columns, *args):
             if columns is inner.columns[0]:
                 raise SingularJacobianError("forced")
             return solve(columns, *args)
 
-        monkeypatch.setattr(projection, "_solve_on_support", singular_on_inner)
+        monkeypatch.setattr(projection, "_newton", singular_on_inner)
         plex = Totemplex(inner, f)
         fit = newton_project(ref, plex)
         assert fit.method == "newton+chained"

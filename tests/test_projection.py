@@ -15,6 +15,7 @@ from totem import (
     NonConvergenceError,
     OperatorError,
     ProjectionError,
+    SingularJacobianError,
     TotemError,
     Totemplex,
     chained_project,
@@ -40,7 +41,7 @@ from totem.closed_forms import (
     k_marginal_projection_closed_form,
 )
 from totem import projection
-from totem.projection import _solve_on_support, _zero_target_support
+from totem.projection import _newton
 
 from helpers import (
     constraint_residual,
@@ -272,18 +273,25 @@ class TestDiagnostics:
         assert result.distribution.weight_of(("b", "x")) == 0.0
         assert result.distribution.weight_of(("a", "x")) == pytest.approx(2 / 3, abs=1e-10)
 
-    def test_prefix_fallback_reaches_the_same_answer(self):
-        from totem.projection import _prefix_fallback
-
+    def test_prefix_fallback_reaches_the_same_answer(self, monkeypatch):
         space = coin_space(3)
         f = empirical_counts_coin(space)
         plex = Totemplex(k_marginal_element(space), f)
         ref = uniform(space)
         direct = newton_project(ref, plex)
-        staged = _prefix_fallback(ref, plex, 1e-10, 200)
+        solve = projection._newton
+
+        def singular_on_element(columns, *args):
+            if columns is plex.element.columns[0]:
+                raise SingularJacobianError("forced")
+            return solve(columns, *args)
+
+        monkeypatch.setattr(projection, "_newton", singular_on_element)
+        staged = newton_project(ref, plex)
         assert staged.method == "newton+chained"
         q_direct = plex.element.group_sums(direct.distribution.admissible)
-        assert np.max(np.abs(staged.q - q_direct)) < 1e-8
+        q_staged = plex.element.group_sums(staged.distribution.admissible)
+        assert np.max(np.abs(q_staged - q_direct)) < 1e-8
 
     def test_failed_cholesky_reaches_prefix_fallback(self, monkeypatch):
         space = coin_space(3)
@@ -595,8 +603,7 @@ _FROZEN_L12 = [
 def _direct_projection(reference, plex):
     """The projection solved over every entity, without column lumping."""
     m, t, v = plex.element.matrix, plex.targets, reference.admissible
-    support, _ = _zero_target_support(m, t, v > 0.0)
-    q = _solve_on_support(m, t, v, lambda: np.ones(len(v)), support, 1e-10, 200)[0]
+    q = _newton(m, t, v, lambda: np.ones(len(v)), 1e-10, 200).q
     return q / q.sum()
 
 
@@ -919,3 +926,35 @@ class TestNewtonCallCounts:
         # the family pins the c/d split; y, when kept, pins a and b too
         q = result.distribution.admissible
         assert q[2] / q[3] == pytest.approx(0.75)
+
+    def test_budget_counts_the_step_that_converges(self, monkeypatch):
+        space = coin_space(4)
+        counts = np.random.default_rng(1).integers(1, 9, size=16)
+        plex = Totemplex(coin_element(space), Distribution.from_counts(space, counts))
+        full = newton_project(uniform(space), plex)
+        assert full.iterations == 2
+        exact = newton_project(uniform(space), plex, max_iter=full.iterations)
+        assert exact.iterations == full.iterations
+        assert exact.distribution.weights.tobytes() == full.distribution.weights.tobytes()
+        assert exact.multipliers.tobytes() == full.multipliers.tobytes()
+        merit = _Recorded(monkeypatch, "_merit")
+        with pytest.raises(NonConvergenceError) as info:
+            newton_project(uniform(space), plex, max_iter=full.iterations - 1)
+        # the last call is the last iterate: no trial was rejected
+        assert _merit_segments(merit.calls) == (1, full.iterations - 1, 0)
+        last = merit.calls[-1][1][0]
+        assert f"(residual {float(np.max(np.abs(last)))!r})" in str(info.value)
+
+    def test_overflowing_trial_raises_typed(self):
+        # a near-dependent moment row: a full step's trial overflows np.exp,
+        # which the line search rejects without a warning
+        space = EntitySpace([AttributeDomain("e", list("abcde"))])
+        rows = [[1, 0, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 0],
+                [-2.0897600366030584, 0.12725858700674758, -2.217018096828316,
+                 0.12725892713322706, -0.6092196937403398]]
+        ops = [CharacteristicOperator(space, row, f"r{i}") for i, row in enumerate(rows)]
+        f = Distribution.from_counts(space, np.array([5, 0, 0, 3, 3]))
+        ref = Distribution(space, [0.3533643656754857, 0.14419014754783904, 0.13519212181123863,
+                                   0.17052806706512608, 0.19672529790031065])
+        with pytest.raises(SingularJacobianError):
+            newton_project(ref, Totemplex(make_element(ops, mode="auto-reduce"), f))

@@ -24,7 +24,15 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+ROOT = SOURCE.parent.parent
+#: Each script and test file, named by its path from the repository root;
+#: the benchmark harness is left out.
+SCRIPTS = {f"{p.parent.name}/{p.name}": p for d in ("demos", "tests")
+           for p in sorted((ROOT / d).glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", MODULES + list(SCRIPTS.values()),
+                         ids=[p.name for p in MODULES] + list(SCRIPTS))
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -59,7 +67,6 @@ def test_no_dead_private_names():
     assert not dead, f"private names that no module reads: {dead}"
 
 
-ROOT = SOURCE.parent.parent
 #: The files that use the public names: every library module but the
 #: package's re-exports, the demos, the benchmark harness and the
 #: acceptance criteria.
