@@ -34,8 +34,9 @@ from .distribution import distribution_to_dict, load_distribution, uniform
 from .entity import AttributeDomain, EntitySpace, empirical_distribution, ingest_csv
 from .errors import ConfigError, NonConvergenceError, ProjectionError, TotemError
 from .inference import calibration_experiment, i_test, select_element
-from .operators import Totemplex, fapp_equivalent, make_element, operator_from_spec
-from .projection import ipf_project, newton_project
+from .operators import Totemplex, make_element, operator_from_spec
+from .projection import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_ITER, DEFAULT_TOL, ipf_project,
+                         newton_project)
 
 __all__ = ["AnalysisConfig", "run", "report_emit", "main"]
 
@@ -130,6 +131,13 @@ def _element(value, path, config):
     return value
 
 
+def _element_names(value, path, config):
+    """A nonempty list of declared elements' names."""
+    if isinstance(value, (list, tuple)) and not value:
+        raise ConfigError(path, f"expected at least one element name, got {value!r}")
+    return _list_of(_element)(value, path, config)
+
+
 def _element_or_specs(value, path, config):
     """A declared element's name, or a spec list (built on the generator's space)."""
     return _element(value, path, config) if isinstance(value, str) else _specs(value, path)
@@ -161,6 +169,7 @@ _RULES = {
     "n": (lambda v: v >= 1, "at least 1"),
     "replications": (lambda v: v >= 1, "at least 1"),
     "max_iter": (lambda v: v >= 1, "at least 1"),
+    "max_cycles": (lambda v: v >= 1, "at least 1"),
     "seed": (lambda v: 0 <= v < 1 << 64, "in [0, 2^64)"),
 }
 
@@ -188,11 +197,12 @@ _TOL, _MAX_ITER, _ALPHA = (_float, _INHERIT), (_int, _INHERIT), (_float, _INHERI
 _OUT = (_path, None)
 _TASKS = {
     "project": {"element": _ELEMENT, "tol": _TOL, "max_iter": _MAX_ITER, "out": _OUT},
-    "score": {"elements": (_list_of(_element), None), "n": (_int, None),
+    "score": {"elements": (_element_names, None), "n": (_int, None),
               "tol": _TOL, "max_iter": _MAX_ITER},
     "test": {"outer": _ELEMENT, "inner": _ELEMENT, "n": (_int, None), "alpha": _ALPHA,
              "tol": _TOL, "max_iter": _MAX_ITER},
-    "ipf": {"element": _ELEMENT, "tol": _TOL, "max_cycles": (_int, 10_000), "out": _OUT},
+    "ipf": {"element": _ELEMENT, "tol": _TOL, "max_cycles": (_int, DEFAULT_MAX_CYCLES),
+            "out": _OUT},
     "calibrate": {"generator": (_generator, _REQUIRED),
                   "outer": (_element_or_specs, _REQUIRED),
                   "inner": (_element_or_specs, _REQUIRED),
@@ -288,8 +298,8 @@ class AnalysisConfig:
     FIELDS = tuple(_CONFIG_FIELDS)
 
     def __init__(self, data=None, space="infer", reference="uniform",
-                 elements=None, tasks=None, seed=0, tol=1e-10,
-                 max_iter=200, alpha=0.05):
+                 elements=None, tasks=None, seed=0, tol=DEFAULT_TOL,
+                 max_iter=DEFAULT_MAX_ITER, alpha=0.05):
         self.data, self.space, self.reference = data, space, reference
         self.elements = {} if elements is None else elements
         self.tasks = [] if tasks is None else tasks
@@ -446,26 +456,20 @@ def _run_score(analysis, f, i, lines):
     names = f["elements"] or sorted(analysis.elements)
     elements = [analysis.elements[name] for name in names]
     n = f["n"] or analysis.empirical.n_samples
-    reports = select_element(
-        analysis.reference, elements,
-        analysis.empirical, n, tol=f["tol"], max_iter=f["max_iter"],
-    )
+    reports = select_element(analysis.reference, elements, analysis.empirical, n,
+                             tol=f["tol"], max_iter=f["max_iter"])
     # select_element scores the first of equal elements: the first name wins
     fingerprints = [element.fingerprint for element in elements]
-    scored = [fingerprints.index(report.element_fingerprint) for report in reports]
     _kv(lines, "N", n)
     _kv(lines, "note", "scores drop the O(1) term; only differences matter")
-    for rank, (report, i) in enumerate(zip(reports, scored), start=1):
-        _kv(lines, f"rank {rank}", names[i])
+    for rank, report in enumerate(reports, start=1):
+        _kv(lines, f"rank {rank}", names[fingerprints.index(report.element_fingerprint)])
         _kv(lines, "score", report.score, indent=4)
         _kv(lines, "divergence", report.divergence, indent=4)
         _kv(lines, "kernel dimension", report.kernel_dim, indent=4)
-        if report.note:
-            # the note names the elements folded into this one by their
-            # operator labels; the report names them as the config does
-            twins = [names[j] for j in range(len(names))
-                     if j not in scored and fapp_equivalent(elements[i], elements[j])]
-            _kv(lines, "note", "equivalent row space: " + "; ".join(twins), indent=4)
+        if report.folded:
+            twins = "; ".join(names[j] for j in report.folded)
+            _kv(lines, "note", "equivalent row space: " + twins, indent=4)
         if report.error:
             _kv(lines, "error", report.error, indent=4)
 

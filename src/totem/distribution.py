@@ -135,12 +135,6 @@ class Distribution:
         dist.n_samples = n
         return dist
 
-    @classmethod
-    def point_mass(cls, space, entity):
-        weights = np.zeros(space.n_entities)
-        weights[space.index_of(entity)] = 1.0
-        return cls(space, weights)
-
     @property
     def admissible(self):
         """Weights restricted to admissible entities, in enumeration order.
@@ -168,9 +162,6 @@ class Distribution:
             full.setflags(write=False)
             self._positive = (full, adm)
         return self._positive
-
-    def weight_of(self, entity):
-        return float(self.weights[self.space.index_of(entity)])
 
     def __repr__(self):
         return f"Distribution(space={self.space!r}, support={int(np.count_nonzero(self.weights))})"

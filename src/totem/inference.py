@@ -28,7 +28,8 @@ import numpy as np
 from .distribution import Distribution, uniform
 from .errors import NestingError, ProjectionError, TotemError
 from .operators import Totemplex, _nesting, fapp_equivalent
-from .projection import _check_reference, _project_groups, _solve_groups
+from .projection import (DEFAULT_MAX_ITER, DEFAULT_TOL, _check_reference, _project_groups,
+                         _solve_groups)
 
 __all__ = [
     "ScoreReport",
@@ -138,16 +139,15 @@ def chi2_cdf(x, k):
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Score of one element against the data, for ranking."""
+    """Score of one element against the data, for ranking; ``folded`` holds the
+    positions in :func:`select_element`'s candidates of the elements folded in."""
 
     element_fingerprint: str
-    element_labels: tuple
     divergence: float
     kernel_dim: int
     score: float
     n: int
-    diverged: bool = False
-    note: str = ""
+    folded: tuple = ()
     error: str = ""
 
 
@@ -161,8 +161,6 @@ class TestReport:
     alpha: float
     reject: bool
     n: int
-    outer_fingerprint: str
-    inner_fingerprint: str
     p_value_underflow: bool = False
 
 
@@ -204,46 +202,44 @@ def _seed(value):
     return _whole(value, "seed", 0, 1 << 64, "a whole number in [0, 2^64)")
 
 
-def i_score(reference, plex, n, *, tol=1e-10, max_iter=200):
+def i_score(reference, plex, n, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Score an element: projection fit against remaining freedom.
 
-    Requires the projection to exist and to cover the data's support;
-    if some observed entity gets projected weight zero, the score is
-    ``-inf`` and the report is flagged ``diverged``.
+    Requires the projection to exist; if some observed entity gets
+    projected weight zero, the divergence is ``inf`` and the score ``-inf``.
     """
     n = _whole(n)
     fit = _project_groups(reference, plex, tol, max_iter)
     divergence = _data_divergence(plex.empirical, reference, plex.element, fit)
     kernel_dim = plex.element.kernel_dim
-    diverged = math.isinf(divergence)
-    score = -math.inf if diverged else -n * divergence + 0.5 * kernel_dim * math.log(n)
+    score = -n * divergence + 0.5 * kernel_dim * math.log(n)
     return ScoreReport(
         element_fingerprint=plex.element.fingerprint,
-        element_labels=plex.element.labels,
         divergence=divergence,
         kernel_dim=kernel_dim,
         score=score,
         n=n,
-        diverged=diverged,
     )
 
 
-def select_element(reference, candidates, empirical, n, *, tol=1e-10, max_iter=200):
-    """Score candidate elements against the data and rank them.
+def select_element(reference, candidates, empirical, n, *, tol=DEFAULT_TOL,
+                   max_iter=DEFAULT_MAX_ITER):
+    """Score candidate elements against the data and rank them, best first.
 
-    Candidates whose row space coincides with an earlier candidate's are
-    not re-scored; the kept entry carries a note naming the duplicates.
-    Projection failures are recorded in-report with score ``-inf`` rather
-    than raised.
+    A candidate whose row space coincides with an earlier candidate's is
+    not scored: it is folded into the report of the first such candidate,
+    whose ``folded`` lists the positions in ``candidates`` of every element
+    folded into it, in order.  Projection failures are recorded in-report
+    with score ``-inf`` rather than raised.
     """
     candidates = list(candidates)
     if not candidates:
         raise TotemError("need at least one candidate element")
-    kept = []          # (element, report, duplicate_labels)
-    for element in candidates:
+    kept = []          # (element, report, folded positions)
+    for j, element in enumerate(candidates):
         match = next((k for k in kept if fapp_equivalent(k[0], element)), None)
         if match is not None:
-            match[2].append(str(list(element.labels)))
+            match[2].append(j)
             continue
         try:
             report = i_score(reference, Totemplex(element, empirical), n,
@@ -251,7 +247,6 @@ def select_element(reference, candidates, empirical, n, *, tol=1e-10, max_iter=2
         except ProjectionError as exc:
             report = ScoreReport(
                 element_fingerprint=element.fingerprint,
-                element_labels=element.labels,
                 divergence=math.nan,
                 kernel_dim=element.kernel_dim,
                 score=-math.inf,
@@ -259,17 +254,13 @@ def select_element(reference, candidates, empirical, n, *, tol=1e-10, max_iter=2
                 error=str(exc),
             )
         kept.append((element, report, []))
-    reports = []
-    for _, report, duplicates in kept:
-        if duplicates:
-            report = replace(report, note="equivalent row space: " + "; ".join(duplicates))
-        reports.append(report)
+    reports = [replace(report, folded=tuple(folded)) for _, report, folded in kept]
     reports.sort(key=lambda r: r.score, reverse=True)
     return reports
 
 
 def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
-           tol=1e-10, max_iter=200):
+           tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Chi-squared test of whether the finer element is worth its rank.
 
     ``outer`` must be implied by ``inner`` (nested); the statistic is
@@ -280,13 +271,12 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
 
     One joint-group pass over the entities decides the nesting and gives
     the reference mass of each joint group of the two elements, and from
-    that each element group's.  Both projections
-    stay on their elements' column groups, and ``Q`` is summed over the
-    joint groups: an entity in inner group ``g`` and outer group ``h`` has
-    projections ``v_e r_g`` and ``v_e s_h``, so
-    ``D = sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh`` the reference
-    mass of the entities in both.  The data is touched on its support only
-    (targets and the compatibility check), and no entity-level
+    that each element group's.  Both projections stay on their elements'
+    column groups, and ``Q`` is summed over the joint groups: an entity in
+    inner group ``g`` and outer group ``h`` has projections ``v_e r_g`` and
+    ``v_e s_h``, so ``D = sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh``
+    the reference mass of the entities in both.  The data is touched on its
+    support only (targets and the compatibility check), and no entity-level
     distribution is built.
     """
     n = _whole(n)
@@ -328,8 +318,6 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         alpha=float(alpha),
         reject=bool(p_value < alpha),
         n=n,
-        outer_fingerprint=outer.fingerprint,
-        inner_fingerprint=inner.fingerprint,
         p_value_underflow=underflow,
     )
 
@@ -384,7 +372,7 @@ def sample_multinomial(p, n, seed):
 
 
 def calibration_experiment(generator, outer, inner, n, replications, seed, *,
-                           tol=1e-10, max_iter=200):
+                           tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Repeated sample -> project -> test pipeline for one generator.
 
     Each replication draws ``n`` records from ``generator`` (stream ``r``

@@ -20,7 +20,7 @@ from totem import (
 from totem.operators import PIVOT_TOL, _row_basis
 
 
-def random_space(rng, max_attrs=3, max_levels=4, entity_cap=None):
+def random_space(rng, max_attrs=3, max_levels=4):
     n_attrs = int(rng.integers(1, max_attrs + 1))
     domains = [
         AttributeDomain(f"a{i}", [f"v{j}" for j in range(int(rng.integers(2, max_levels + 1)))])

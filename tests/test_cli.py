@@ -194,15 +194,28 @@ class TestMain:
         out = capsys.readouterr().out
         assert "alpha: 0.20000000000000001" in out
 
-    def test_ipf_zero_cycles_is_solver_error(self, coin_config, tmp_path, capsys):
+    def test_ipf_zero_cycles_is_config_error(self, coin_config, tmp_path, capsys):
         coin_config.tasks = [{"type": "ipf", "element": "spectrum", "max_cycles": 0}]
         config_path = tmp_path / "analysis.json"
         config_path.write_text(coin_config.to_json())
         code = main(["run", str(config_path)])
         captured = capsys.readouterr()
-        assert code == 2
-        assert "error: max_cycles must be at least 1" in captured.out
-        assert "Traceback" not in captured.out + captured.err
+        assert code == 1
+        assert captured.err == ("configuration error at tasks[0].max_cycles: "
+                                "must be at least 1, got 0\n")
+        assert captured.out == ""
+
+    def test_score_without_names_scores_every_element(self, coin_config, tmp_path, capsys):
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        reports = []
+        for use in ([], ["--use", ""]):
+            assert main(["score", "--config", str(config_path), *use]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        ranks = [line.split(":")[1].strip() for line in reports[0].split("\n")
+                 if line.strip().startswith("rank")]
+        assert sorted(ranks) == ["mean", "spectrum"]
 
     def test_ipf_on_non_binary_element_is_config_error(self, coin_config, tmp_path, capsys):
         coin_config.tasks = [{"type": "ipf", "element": "mean"}]
@@ -411,6 +424,8 @@ class TestExitCodeContract:
              "tasks[0].max_iter"),
             ({**_CALIBRATE, "seed": -1}, "tasks[0].seed"),
             ({**_CALIBRATE, "seed": 2**64}, "tasks[0].seed"),
+            ({"type": "ipf", "element": "spectrum", "max_cycles": 0}, "tasks[0].max_cycles"),
+            ({"type": "score", "elements": []}, "tasks[0].elements"),
         ],
     )
     def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):

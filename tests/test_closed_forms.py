@@ -72,9 +72,9 @@ class TestCountSpectrumForm:
     def test_boundary_spectrum(self):
         q = k_marginal_projection_closed_form(2, [0.0, 1.0, 0.0])
         space = q.space
-        assert q.weight_of(("head", "tail")) == pytest.approx(0.5)
-        assert q.weight_of(("tail", "head")) == pytest.approx(0.5)
-        assert q.weight_of(("head", "head")) == 0.0
+        assert q.weights[space.index_of(("head", "tail"))] == pytest.approx(0.5)
+        assert q.weights[space.index_of(("tail", "head"))] == pytest.approx(0.5)
+        assert q.weights[space.index_of(("head", "head"))] == 0.0
 
 
 class TestTwoCoinForm:

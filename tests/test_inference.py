@@ -18,6 +18,7 @@ from totem import (
     calibration_experiment,
     chi2_cdf,
     chi2_sf,
+    fapp_equivalent,
     i_divergence,
     i_score,
     i_test,
@@ -45,7 +46,7 @@ from totem.closed_forms import (
 from totem import operators, projection
 from totem.operators import ConstructingElement
 
-from helpers import constraint_residual, random_distribution, random_space
+from helpers import constraint_residual, random_distribution, random_element, random_space
 
 
 class TestChi2Cdf:
@@ -104,7 +105,7 @@ class TestChi2Cdf:
 class TestSampling:
     def test_point_mass(self):
         space = coin_space(2)
-        p = Distribution.point_mass(space, ("head", "tail"))
+        p = Distribution(space, np.eye(space.n_entities)[space.index_of(("head", "tail"))])
         counts = sample_multinomial(p, 17, seed=4)
         assert counts.sum() == 17
         assert counts[space.index_of(("head", "tail"))] == 17
@@ -273,9 +274,48 @@ class TestSelectElement:
         )
         reports = select_element(uniform(space), [mean, spectrum, doubled], f, n=10_000)
         assert len(reports) == 2  # spectrum and doubled share a row space
-        assert any("equivalent row space" in r.note for r in reports)
+        assert [r.folded for r in reports] == [(), (2,)]
         # data is exactly on the mean family: the bigger kernel wins
         assert reports[0].element_fingerprint == mean.fingerprint
+
+    @staticmethod
+    def _check_folding(candidates, reports):
+        """Each candidate is scored or folded exactly once, into a report
+        whose element shares its row space."""
+        fingerprints = [element.fingerprint for element in candidates]
+        scored = [fingerprints.index(r.element_fingerprint) for r in reports]
+        folded = [j for r in reports for j in r.folded]
+        assert sorted(scored + folded) == list(range(len(candidates)))
+        for i, report in zip(scored, reports):
+            for j in report.folded:
+                assert fapp_equivalent(candidates[i], candidates[j])
+
+    def test_folds_reordered_and_identical_elements(self):
+        space = coin_space(2)
+        f = binomial_projection_closed_form(2, 0.75, space)
+        mean, spectrum = coin_element(space), k_marginal_element(space)
+        reordered = make_element(spectrum.operators[::-1], mode="auto-reduce")
+        rebuilt = make_element(list(mean.operators))
+        candidates = [mean, spectrum, mean, reordered, rebuilt]
+        reports = select_element(uniform(space), candidates, f, n=1_000)
+        self._check_folding(candidates, reports)
+        assert {r.element_fingerprint: r.folded for r in reports} == {
+            mean.fingerprint: (2, 4), spectrum.fingerprint: (3,)}
+
+    def test_folds_random_twins(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            space = random_space(rng)
+            f = random_distribution(rng, space)
+            elements = [random_element(rng, space, int(rng.integers(1, space.n_admissible + 1)))
+                        for _ in range(3)]
+            twins = [make_element([e.operators[k] for k in rng.permutation(len(e.operators))],
+                                  mode="auto-reduce") for e in elements]
+            candidates = [elements[k] for k in rng.integers(0, 3, size=2)] + elements + twins
+            candidates = [candidates[k] for k in rng.permutation(len(candidates))]
+            reports = select_element(uniform(space), candidates, f, n=500)
+            self._check_folding(candidates, reports)
+            assert sum(len(r.folded) for r in reports) >= 5
 
     def test_failures_recorded_not_raised(self):
         space = coin_space(2)

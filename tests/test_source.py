@@ -104,3 +104,32 @@ def test_no_public_names_without_callers():
               for name in _public_names(ast.parse(path.read_text(), filename=str(path)))
               if name not in used]
     assert not unused, f"public names that no module, demo or benchmark uses: {unused}"
+
+
+def _public_members(tree, classes):
+    """Each public method, property and annotated field of the named classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield node.name, name
+
+
+def test_no_public_members_without_callers():
+    read = set()
+    for path in CALLERS:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [f"{path.name} {cls}.{name}"
+                   for cls, name in _public_members(tree, set(_public_names(tree)))
+                   if name not in read]
+    assert not unread, f"public class members that no module, demo or benchmark reads: {unread}"
