@@ -132,10 +132,14 @@ def _element(value, path, config):
 
 
 def _element_names(value, path, config):
-    """A nonempty list of declared elements' names."""
+    """A nonempty list of distinct declared elements' names."""
     if isinstance(value, (list, tuple)) and not value:
         raise ConfigError(path, f"expected at least one element name, got {value!r}")
-    return _list_of(_element)(value, path, config)
+    names = _list_of(_element)(value, path, config)
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ConfigError(f"{path}[{j}]", f"element {name!r} is listed twice")
+    return names
 
 
 def _element_or_specs(value, path, config):

@@ -3,10 +3,13 @@
 Bernoulli-sequence spaces admit analytic projections: fixing only the
 mean success rate gives product weights ``eta^l (1-eta)^(L-l)``, fixing
 the full success-count spectrum gives ``phi_k / C(L,k)`` per sequence,
-and the grouped two-coin variant factorizes per group.  These closed
-forms back the solver tests, the sensitivity experiments (an exactly
-solved pair-coupled generator) and the logistic-regression bridge, and
-every builder doubles as a data generator for simulation studies.
+the grouped two-coin variant factorizes per group, and coupling one
+pair of trials at a given mean rate and pair correlator leaves one
+quadratic to solve.  These closed forms back the solver tests, the
+sensitivity experiments (the pair-coupled generator) and the
+logistic-regression bridge, and every builder doubles as a data
+generator for simulation studies.  No builder calls a solver: an oracle
+computed by the solver it checks would be no oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .distribution import Distribution
 from .entity import AttributeDomain, EntitySpace
-from .errors import ProjectionError, SpaceError, TotemError
+from .errors import SpaceError, TotemError
 from .operators import (
     _count_indicator,
     _success_count,
@@ -64,6 +67,8 @@ def coin_space(length):
 
 def two_coin_space(length):
     """Bernoulli trials plus a leading binary group attribute (A/B)."""
+    if length < 1:
+        raise SpaceError(f"need at least one trial, got {length}")
     domains = [AttributeDomain("group", ("A", "B"))]
     domains += [AttributeDomain(f"s{i + 1}", (SUCCESS, FAILURE)) for i in range(length)]
     return EntitySpace(domains)
@@ -186,94 +191,47 @@ def binomial_test_statistic_closed_form(length, phi, eta=None):
 
 # --- pair-coupled (Ising-like) generator -----------------------------------
 
-#: The coupling solve's residual tolerance and Newton step budget.
-_ISING_TOL = 1e-13
-_ISING_MAX_ITER = 100
-
-
-def _ising_terms(space, i0, j0):
-    """Success counts and the 0/1 indicators of trials ``i0``, ``j0``."""
+def _ising_weights(space, i0, j0, h, j):
+    """Normalized weights ``exp(J s_i0 s_j0 + h l)`` per admissible entity."""
     trials = _trials(space)
     si, sj = (marginal_op(space, trials[i], SUCCESS).eigenvalues for i in (i0, j0))
-    return _successes(space), si, sj
-
-
-def _ising_weights(terms, h, j):
-    """Normalized weights ``exp(J s_i0 s_j0 + h l)`` per admissible entity."""
-    l, si, sj = terms
-    energy = j * si * sj + h * l
+    energy = j * si * sj + h * _successes(space)
     w = np.exp(energy - energy.max())
     return w / w.sum()
 
 
-def ising_parameters(length, eta, kappa, i0=0, j0=1, *, space=None):
-    """Solve field and coupling for exact mean rate and pair correlator.
+def ising_parameters(length, eta, kappa):
+    """Field ``h`` and coupling ``J`` for exact mean rate and pair correlator.
 
-    The first-order inverse formulas
-    ``h ~ log(eta/(1-eta)) - 2 kappa / (L eta (1-eta)^2)`` and
-    ``J ~ kappa / (eta^2 (1-eta)^2)`` seed a damped 2-d Newton solve so
-    that the built distribution has mean success rate exactly ``eta`` and
-    connected correlator between trials ``i0`` and ``j0`` exactly
-    ``kappa``.  The trials are numbered from 0.
+    Under the weights ``exp(J s_i s_j + h l)`` the coupled pair and the
+    other ``L - 2`` trials are independent.  With ``m`` the pair's
+    success rate, the pair's table is ``c = m^2 + kappa`` (both succeed),
+    ``m(1-m) - kappa`` (one of them) and ``(1-m)^2 + kappa`` (neither),
+    so ``h = log(one / neither)`` and ``J = log(c neither / one^2)
+    = log1p(kappa / one^2)``.  The other trials then succeed at rate
+    ``one / (1 - m)``, and the mean rate ``eta`` makes ``m`` a root of
+    ``m^2 - (1+eta) m + eta + (L-2) kappa / L = 0``; the smaller root,
+    which is ``eta`` at ``kappa = 0``, is taken.  The result does not
+    depend on which pair is coupled.
     """
     _check_rate("eta", eta)
     if length < 2:
         raise TotemError("pair coupling needs at least two trials")
-    if i0 == j0:
-        raise TotemError("coupled trials must differ")
-    for name, trial in (("i0", i0), ("j0", j0)):
-        if not 0 <= trial < length:
-            raise TotemError(f"{name}={trial} is not a trial index in [0, {length - 1}]")
     bound = 0.5 * eta ** 2 * (1.0 - eta) ** 2
-    if abs(kappa) > bound:
-        raise TotemError(
-            f"|kappa|={abs(kappa)} too large for eta={eta}; the expansion "
-            f"seeding the solve is only valid up to {bound}"
-        )
-    if space is None:
-        space = coin_space(length)
-    terms = _ising_terms(space, i0, j0)
-    l, si, sj = terms
-    h = math.log(eta / (1.0 - eta)) - 2.0 * kappa / (length * eta * (1.0 - eta) ** 2)
-    j = kappa / (eta ** 2 * (1.0 - eta) ** 2)
-
-    def residual(hh, jj):
-        w = _ising_weights(terms, hh, jj)
-        mean_rate = float((w * (l / length)).sum())
-        corr = float((w * si * sj).sum() - (w * si).sum() * (w * sj).sum())
-        return np.array([mean_rate - eta, corr - kappa])
-
-    res = residual(h, j)
-    for _ in range(_ISING_MAX_ITER):
-        if np.max(np.abs(res)) <= _ISING_TOL:
-            break
-        eps = 1e-6
-        jac = np.column_stack(
-            [
-                (residual(h + eps, j) - residual(h - eps, j)) / (2 * eps),
-                (residual(h, j + eps) - residual(h, j - eps)) / (2 * eps),
-            ]
-        )
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise ProjectionError(f"coupling solve broke down: {exc}") from exc
-        scale = 1.0
-        best = None
-        for _ in range(30):
-            trial = residual(h - scale * step[0], j - scale * step[1])
-            if np.max(np.abs(trial)) < np.max(np.abs(res)):
-                best = (h - scale * step[0], j - scale * step[1], trial)
-                break
-            scale *= 0.5
-        if best is None:
-            raise ProjectionError("coupling solve stalled; kappa may be out of range")
-        h, j, res = best
-    else:
-        raise ProjectionError(
-            f"coupling solve did not converge (residual {np.max(np.abs(res))!r})"
-        )
-    return h, j
+    if not abs(kappa) <= bound:
+        raise TotemError(f"|kappa|={abs(kappa)} too large for eta={eta}; at most {bound}")
+    s = (length - 2) * kappa / length
+    disc = (1.0 - eta) ** 2 - 4.0 * s
+    if disc < 0.0:
+        raise TotemError(f"no pair coupling gives eta={eta} and kappa={kappa} on "
+                         f"{length} trials: (1-eta)^2 - 4(L-2)kappa/L = {disc} is negative")
+    # inside the bound every cell is then positive.  n = 1 - m is the
+    # larger root less eta, which keeps the cells free of cancellation
+    root = math.sqrt(disc)
+    m = 2.0 * (eta + s) / (1.0 + eta + root)
+    n = 0.5 * (1.0 - eta + root)
+    one = m * n - kappa
+    return math.log(one / (n * n + kappa)), math.log1p(kappa / one / one)
 
 
 def ising_coin_generator(length, eta, kappa, i0=0, j0=1):
@@ -282,14 +240,19 @@ def ising_coin_generator(length, eta, kappa, i0=0, j0=1):
     ``kappa = 0`` recovers independent trials (the plain binomial
     product); otherwise the returned distribution has global mean success
     rate ``eta`` and connected pair correlator ``kappa`` between trials
-    ``i0`` and ``j0``, both exact to solver precision.
+    ``i0`` and ``j0`` (numbered from 0), both exact to rounding.
     """
+    for name, trial in (("i0", i0), ("j0", j0)):
+        if not 0 <= trial < length:
+            raise TotemError(f"{name}={trial} is not a trial index in [0, {length - 1}]")
+    if i0 == j0:
+        raise TotemError("coupled trials must differ")
     if kappa == 0.0:
         return binomial_projection_closed_form(length, eta)
+    h, j = ising_parameters(length, eta, kappa)
     space = coin_space(length)
-    h, j = ising_parameters(length, eta, kappa, i0, j0, space=space)
-    w = _ising_weights(_ising_terms(space, i0, j0), h, j)
-    return Distribution.from_admissible_weights(space, w, renormalize=True)
+    return Distribution.from_admissible_weights(
+        space, _ising_weights(space, i0, j0, h, j), renormalize=True)
 
 
 # --- logistic regression -----------------------------------------------------

@@ -269,14 +269,16 @@ class ConstructingElement:
     The eigenvalue matrix (operators by admissible entities) has full row
     rank, and the all-ones row lies in its row space: normalization is
     always part of the description.  Build through :func:`make_element`,
-    which also sets the column partition.
+    which checks the operators and computes ``columns``, their
+    partition.
     """
 
     __slots__ = ("space", "operators", "_fingerprint", "_columns")
 
-    def __init__(self, space, operators):
+    def __init__(self, space, operators, columns):
         self.space = space
         self.operators = tuple(operators)
+        self._columns = columns
         # the bytes of the stacked eigenvalue matrix, row after row
         h = hashlib.sha256()
         h.update(space.fingerprint.encode())
@@ -314,8 +316,8 @@ class ConstructingElement:
 
         Groups are numbered in order of first appearance and
         ``columns[:, group]`` equals ``matrix`` exactly: the partition
-        :func:`_column_partition` gives, set by :func:`make_element` from
-        the partition it decided the operators' independence on.
+        :func:`_column_partition` gives, passed in by :func:`make_element`
+        from the partition it decided the operators' independence on.
         """
         return self._columns
 
@@ -407,9 +409,7 @@ def make_element(operators, mode="strict"):
         columns = columns[: len(kept)].copy(order="F")
     columns.setflags(write=False)
     group.setflags(write=False)
-    element = ConstructingElement(space, operators)
-    element._columns = (columns, group)
-    return element
+    return ConstructingElement(space, operators, (columns, group))
 
 
 def fapp_equivalent(a, b):

@@ -217,6 +217,16 @@ class TestMain:
                  if line.strip().startswith("rank")]
         assert sorted(ranks) == ["mean", "spectrum"]
 
+    def test_score_use_repeated_name_is_config_error(self, coin_config, tmp_path, capsys):
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["score", "--config", str(config_path), "--use", "mean,mean"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("configuration error at tasks[0].elements[1]: "
+                                "element 'mean' is listed twice\n")
+        assert captured.out == ""
+
     def test_ipf_on_non_binary_element_is_config_error(self, coin_config, tmp_path, capsys):
         coin_config.tasks = [{"type": "ipf", "element": "mean"}]
         config_path = tmp_path / "analysis.json"
@@ -245,6 +255,32 @@ class TestMain:
         assert code == 1
         assert "i0=5 is not a trial index" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["L=3", "eta=0.5", "kappa=0", "i0=5"], "i0=5 is not a trial index"),
+            (["L=1", "eta=0.5", "kappa=0"], "j0=1 is not a trial index"),
+            (["L=12", "eta=0.95", "kappa=0.0008"], "(1-eta)^2 - 4(L-2)kappa/L"),
+        ],
+        ids=["index-uncoupled", "one-trial", "infeasible"],
+    )
+    def test_example_ising_rejected_params(self, params, message, capsys):
+        argv = ["example", "ising"]
+        for param in params:
+            argv += ["--param", param]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_example_two_coin_without_trials(self, capsys):
+        code = main(["example", "two-coin", "--param", "L=0", "--param", "phi_a=0.5",
+                     "--param", "eta_a=0.5", "--param", "eta_b=0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "need at least one trial, got 0" in captured.err
 
     def test_test_subcommand_with_flags(self, coin_csv, capsys):
         code = main(
@@ -426,6 +462,8 @@ class TestExitCodeContract:
             ({**_CALIBRATE, "seed": 2**64}, "tasks[0].seed"),
             ({"type": "ipf", "element": "spectrum", "max_cycles": 0}, "tasks[0].max_cycles"),
             ({"type": "score", "elements": []}, "tasks[0].elements"),
+            ({"type": "score", "elements": ["mean", "spectrum", "mean"]},
+             "tasks[0].elements[2]"),
         ],
     )
     def test_malformed_task_field(self, coin_config, task, field, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from totem import (
+    SpaceError,
     Totemplex,
     TotemError,
     binomial_projection_closed_form,
@@ -27,6 +28,7 @@ from totem.closed_forms import (
     coin_space,
     ising_parameters,
     k_marginal_element,
+    two_coin_space,
 )
 
 
@@ -78,6 +80,11 @@ class TestCountSpectrumForm:
 
 
 class TestTwoCoinForm:
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_no_trials_rejected(self, length):
+        with pytest.raises(SpaceError, match="need at least one trial"):
+            two_coin_space(length)
+
     def test_equal_rates_reduce_to_pooled_form(self):
         length = 3
         pooled = two_coin_projection_closed_form(length, 0.3, 0.55, 0.55)
@@ -156,10 +163,43 @@ class TestIsingGenerator:
 
     @pytest.mark.parametrize("i0, j0", [(5, 1), (0, 3), (-1, 1)])
     def test_trial_index_out_of_range(self, i0, j0):
-        with pytest.raises(TotemError, match="not a trial index"):
-            ising_parameters(3, 0.5, 0.01, i0, j0)
-        with pytest.raises(TotemError, match="not a trial index"):
-            ising_coin_generator(3, 0.5, 0.01, i0, j0)
+        # checked before the independent-trials shortcut too
+        for kappa in (0.01, 0.0):
+            with pytest.raises(TotemError, match="not a trial index"):
+                ising_coin_generator(3, 0.5, kappa, i0, j0)
+
+    def test_realized_moments_exact_on_a_grid(self):
+        accepted = 0
+        for length in (2, 3, 5, 8):
+            for eta in (0.1, 0.5, 0.7, 0.95):
+                for f in (-1.0, -0.4, 0.4, 1.0):
+                    kappa = f * eta**2 * (1 - eta) ** 2 / 2
+                    for i0, j0 in ((0, 1), (length - 1, 0)):
+                        try:
+                            dist = ising_coin_generator(length, eta, kappa, i0, j0)
+                        except TotemError as exc:
+                            assert "is negative" in str(exc)
+                            continue
+                        accepted += 1
+                        w = dist.admissible
+                        heads = [(dist.space.level_codes(f"s{i + 1}") == 0) * 1.0
+                                 for i in range(length)]
+                        mean_rate = float(np.mean([w @ h for h in heads]))
+                        corr = float(w @ (heads[i0] * heads[j0])
+                                     - (w @ heads[i0]) * (w @ heads[j0]))
+                        assert abs(mean_rate - eta) <= 1e-14
+                        assert abs(corr - kappa) <= 1e-14
+        assert accepted == 124
+
+    def test_infeasible_coupling_names_the_condition(self):
+        # inside the |kappa| bound, but no field and coupling reach it
+        with pytest.raises(TotemError, match=r"\(1-eta\)\^2 - 4\(L-2\)kappa/L = .* is negative"):
+            ising_coin_generator(12, 0.95, 0.0008)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected_at_the_bound(self, kappa):
+        with pytest.raises(TotemError, match="too large"):
+            ising_coin_generator(4, 0.5, kappa)
 
 
 class TestLogistic:
@@ -242,7 +282,7 @@ class TestFrozenBytes:
             (lambda: two_coin_projection_closed_form(4, 0.35, 0.6, 0.25),
              "45a9e5be3250b04f0a1e80f2b571b82a536f933d67c92c7f2a2859d1704c95c2"),
             (lambda: ising_coin_generator(6, 0.55, 0.02, 1, 4),
-             "10ec43f6730f6587aea57c1fe0742ea64678eca1d3bdfab522305f440e3f07dd"),
+             "079a7c2e270a6a28571e94b1d51804d792e1d5f14b068b043e6e7d0bdde78948"),
             (lambda: logistic_model_distribution(3, -0.4, [1.1, -0.7, 0.3]),
              "fe8fa3ad5067cf495e4fba553ee6dcd3e354210e953d3ffb795a607c26d92503"),
         ],

@@ -7,6 +7,7 @@ import pytest
 from totem import (
     AttributeDomain,
     CharacteristicOperator,
+    ConstructingElement,
     DataTable,
     Distribution,
     EntitySpace,
@@ -569,6 +570,15 @@ class TestColumnPartition:
     def test_duplicated_columns_are_the_matrix_partition(self, seed, relation):
         for element in _with_duplicated_columns(_random_pair(seed, relation), seed):
             self._check_element_partition(element)
+
+    def test_partition_is_a_constructor_argument(self):
+        space = coin_space(3)
+        with pytest.raises(TypeError):
+            ConstructingElement(space, [identity_op(space)])
+        built = coin_element(space)
+        element = ConstructingElement(space, built.operators, built.columns)
+        assert element.fingerprint == built.fingerprint
+        assert element.columns is built.columns
 
     def test_auto_reduce_partitions_the_kept_rows(self):
         # the dropped row splits the kept rows' columns within PIVOT_TOL

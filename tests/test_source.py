@@ -133,3 +133,22 @@ def test_no_public_members_without_callers():
                    for cls, name in _public_members(tree, set(_public_names(tree)))
                    if name not in read]
     assert not unread, f"public class members that no module, demo or benchmark reads: {unread}"
+
+
+def _imported_modules(tree):
+    """Each module an import names, and each name it imports read as a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield module
+            yield from (f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_oracles_import_no_solver():
+    # an oracle computed by the solver it checks is no oracle
+    path = SOURCE / "closed_forms.py"
+    solvers = sorted(m for m in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+                     if m.split(".")[-1] in ("projection", "inference"))
+    assert not solvers, f"closed_forms.py imports from the solvers: {solvers}"
