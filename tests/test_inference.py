@@ -36,6 +36,7 @@ from totem.closed_forms import (
     binomial_projection_closed_form,
     coin_element,
     coin_space,
+    ising_coin_generator,
     k_marginal_element,
     two_coin_pooled_element,
     two_coin_projection_closed_form,
@@ -192,6 +193,29 @@ class TestFrozenSamples:
         assert np.count_nonzero(counts) == 9651
         digest = hashlib.sha256(counts.tobytes()).hexdigest()
         assert digest == "d17dcef0be23b3d8bd8534938eaa931f37834099de332f226636de6970eb162c"
+
+    def test_full_support_count_vector(self):
+        counts = sample_multinomial(ising_coin_generator(12, 0.6, 0.02), 200_000, 7)
+        assert counts.dtype == np.int64 and counts.flags.writeable
+        assert np.count_nonzero(counts) == 4096
+        digest = hashlib.sha256(counts.tobytes()).hexdigest()
+        assert digest == "96df0b7da8e6aa1ea9cd455519c570313d512747b85c9951d2162f95e83ddcc7"
+
+    def test_partial_support_count_vector(self):
+        # zero weights on admissible entities and on every fifth, a nullentity
+        domains = coin_space(8).domains
+        nulls = [tuple("head" if (e >> i) & 1 else "tail" for i in range(8))
+                 for e in range(0, 256, 5)]
+        space = EntitySpace(domains, nulls)
+        rng = np.random.default_rng(3)
+        weights = rng.gamma(0.5, size=space.n_admissible)
+        weights[rng.random(space.n_admissible) < 0.3] = 0.0
+        p = Distribution.from_admissible_weights(space, weights, renormalize=True)
+        assert np.count_nonzero(p.weights) == 130
+        counts = sample_multinomial(p, 50_000, 11)
+        assert counts.dtype == np.int64 and counts.sum() == 50_000
+        digest = hashlib.sha256(counts.tobytes()).hexdigest()
+        assert digest == "c8b068c2bc59173b0495d506e1a39882f6d3327748eb16053f777bbcea6b57f3"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_sequential_binomials(self, seed):

@@ -633,6 +633,63 @@ class TestColumnPartition:
         self._check_partition(matrix, columns, group)
 
 
+def _cli_pipeline_element(specs):
+    space = coin_space(12)
+    return make_element([operator_from_spec(space, spec) for spec in specs], mode="auto-reduce")
+
+
+_PER_TRIAL = ["identity"] + [f"marginal(s{i + 1}=head)" for i in range(12)]
+
+
+class TestFrozenColumns:
+    """Each element's partition pinned in its memory layout: the element's
+    sums and products, and so every solve and Q, follow the bytes and the
+    strides of ``columns[0]``."""
+
+    @pytest.mark.parametrize("build, shape, strides, columns, groups", [
+        (lambda: coin_element(coin_space(5)), (2, 6), (8, 16),
+         "b826651219ebaec92c69129724f024699a385268b1f60a7f0ce5974324c68884",
+         "167a0c7840352b95c32549b81963e0395389a74980c8f31150d1623cdd509061"),
+        (lambda: k_marginal_element(coin_space(5)), (6, 6), (8, 48),
+         "688959d930f5bb022c34f79bb51ebadee02f21333d6268a1216a215362e5ed53",
+         "167a0c7840352b95c32549b81963e0395389a74980c8f31150d1623cdd509061"),
+        (lambda: two_coin_pooled_element(two_coin_space(3)), (3, 8), (8, 24),
+         "2ce4ef30178a7614e3a34ce558722a6bf98c3ea216b29bbdb2d19e3a3a98cca2",
+         "9d46206ca5d9782eedc4876daa944eb737827226b1f0c2c091590d79ba0aaad9"),
+        (lambda: two_coin_split_element(two_coin_space(3)), (4, 8), (8, 32),
+         "34f0d86172a1e804c9bf11678c72b241091344fbd1258623477fda259df4849c",
+         "9d46206ca5d9782eedc4876daa944eb737827226b1f0c2c091590d79ba0aaad9"),
+        (lambda: logistic_element(3), (12, 16), (8, 96),
+         "ad230756632d7d9d5a67c808a20a99416f8d09250af5fee1bf5b7be2e9e0b878",
+         "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee"),
+        (lambda: _cli_pipeline_element(["identity", "success(head)"]), (2, 13), (8, 16),
+         "6755db85f3845e8c0341c75e8a6291aff13cfb6cbbb121dde3534b640bab8438",
+         "54aa8624f18c28d64cc51ffdf945b1d899b41cdf4c7c0c524fc2d8ec0b208da7"),
+        (lambda: _cli_pipeline_element([f"k_marginal({k}, head)" for k in range(13)]),
+         (13, 13), (8, 104),
+         "2ad457e8070216af6042ea106c1fcdce8537c5e5bdcf62c6288765c9cf9fd2c1",
+         "54aa8624f18c28d64cc51ffdf945b1d899b41cdf4c7c0c524fc2d8ec0b208da7"),
+        (lambda: _cli_pipeline_element(_PER_TRIAL), (13, 4096), (8, 104),
+         "ce800a1c212c1e00a8d7e503033a26fccbea4bc42b61cc4b55f5c00aebd7b177",
+         "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3"),
+        (lambda: _cli_pipeline_element(
+            _PER_TRIAL + ["product(marginal(s1=head), marginal(s2=head))"]),
+         (14, 4096), (8, 112),
+         "d4a1d37876ba3a18c04647c3a87c0bc8ab77d27ca742305a0580078cb0223661",
+         "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3"),
+        (lambda: _cli_pipeline_element(["success(head)", "identity"]), (2, 13), (8, 16),
+         "4d9b56e16c6eb3a7ac1ceccffd471fe122b61cd23a91883ee08ad6c0b3c6c5a2",
+         "54aa8624f18c28d64cc51ffdf945b1d899b41cdf4c7c0c524fc2d8ec0b208da7"),
+    ], ids=["coin", "k_marginal", "pooled", "split", "logistic",
+            "cli-mean", "cli-spectrum", "cli-per_trial", "cli-pair", "cli-mean_dup"])
+    def test_columns(self, build, shape, strides, columns, groups):
+        distinct, group = build().columns
+        assert distinct.shape == shape and distinct.strides == strides
+        assert group.dtype == np.int64 and group.strides == (8,)
+        assert hashlib.sha256(distinct.tobytes()).hexdigest() == columns
+        assert hashlib.sha256(group.tobytes()).hexdigest() == groups
+
+
 def _sha256(array):
     assert array.dtype == np.float64
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
