@@ -212,25 +212,31 @@ def ising_parameters(length, eta, kappa):
     ``one / (1 - m)``, and the mean rate ``eta`` makes ``m`` a root of
     ``m^2 - (1+eta) m + eta + (L-2) kappa / L = 0``; the smaller root,
     which is ``eta`` at ``kappa = 0``, is taken.  The result does not
-    depend on which pair is coupled.
+    depend on which pair is coupled.  A coupling is accepted exactly when
+    the root is real and all three cells are positive; :class:`TotemError`
+    names the condition that fails otherwise.
     """
     _check_rate("eta", eta)
     if length < 2:
         raise TotemError("pair coupling needs at least two trials")
-    bound = 0.5 * eta ** 2 * (1.0 - eta) ** 2
-    if not abs(kappa) <= bound:
-        raise TotemError(f"|kappa|={abs(kappa)} too large for eta={eta}; at most {bound}")
+    if not math.isfinite(kappa):
+        raise TotemError(f"kappa must be finite, got {kappa}")
+    infeasible = f"no pair coupling gives eta={eta} and kappa={kappa} on {length} trials"
     s = (length - 2) * kappa / length
     disc = (1.0 - eta) ** 2 - 4.0 * s
     if disc < 0.0:
-        raise TotemError(f"no pair coupling gives eta={eta} and kappa={kappa} on "
-                         f"{length} trials: (1-eta)^2 - 4(L-2)kappa/L = {disc} is negative")
-    # inside the bound every cell is then positive.  n = 1 - m is the
-    # larger root less eta, which keeps the cells free of cancellation
+        raise TotemError(f"{infeasible}: kappa too large, "
+                         f"(1-eta)^2 - 4(L-2)kappa/L = {disc} is negative")
+    # n = 1 - m is the larger root less eta, which keeps the cells free of
+    # cancellation
     root = math.sqrt(disc)
     m = 2.0 * (eta + s) / (1.0 + eta + root)
     n = 0.5 * (1.0 - eta + root)
     one = m * n - kappa
+    for name, cell in (("m^2 + kappa", m * m + kappa), ("m(1-m) - kappa", one),
+                       ("(1-m)^2 + kappa", n * n + kappa)):
+        if not cell > 0.0:
+            raise TotemError(f"{infeasible}: the pair cell {name} = {cell} is not positive")
     return math.log(one / (n * n + kappa)), math.log1p(kappa / one / one)
 
 

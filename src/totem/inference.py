@@ -20,6 +20,7 @@ the counter, so parallel aggregation would be order-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -278,13 +279,18 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     the reference mass of the entities in both.  The data is touched on its
     support only (targets and the compatibility check), and no entity-level
     distribution is built.
+
+    That pass depends on ``outer``, ``inner`` and ``reference`` alone, so
+    its result is kept for the next call: a repeated test on the same three
+    objects (as in :func:`calibration_experiment`) makes no pass, and the
+    last three objects tested stay alive until a test on others.
     """
     n = _whole(n)
     if not 0.0 < alpha < 1.0:
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     outer_plex = Totemplex(outer, empirical)
     _check_reference(reference, outer_plex)
-    nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
+    nested, g, h, v, outer_mass, inner_mass = _pair_groups(outer, inner, reference)
     if not nested:
         raise NestingError(
             "outer element is not implied by the inner one; the test is only "
@@ -296,8 +302,6 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
             "elements have equal rank and row space; zero degrees of freedom"
         )
     inner_plex = Totemplex(inner, empirical)
-    outer_mass = np.bincount(h, weights=v, minlength=outer.columns[0].shape[1])
-    inner_mass = np.bincount(g, weights=v, minlength=inner.columns[0].shape[1])
     s = _solve_groups(reference, outer_plex, outer_mass, tol, max_iter).ratio[h]
     r = _solve_groups(reference, inner_plex, inner_mass, tol, max_iter).ratio[g]
     mass = r * v
@@ -320,6 +324,21 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         n=n,
         p_value_underflow=underflow,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_groups(outer, inner, reference):
+    """:func:`i_test`'s joint-group pass: whether ``outer`` is nested in
+    ``inner``, the joint groups ``(g, h)`` with their reference mass ``v``,
+    and each element's group mass, all read-only.  One entry, keyed on the
+    three objects: every one of them is immutable."""
+    nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
+    outer_mass = np.bincount(h, weights=v, minlength=outer.columns[0].shape[1])
+    inner_mass = np.bincount(g, weights=v, minlength=inner.columns[0].shape[1])
+    out = (g, h, v, outer_mass, inner_mass)
+    for array in out:
+        array.setflags(write=False)
+    return (nested, *out)
 
 
 def _data_divergence(empirical, reference, element, fit):
@@ -350,10 +369,13 @@ def _philox(seed, stream=0):
 
 
 def _draw_counts(dist, n, rng):
-    """One multinomial draw over the positive-weight entities."""
+    """One multinomial draw over the positive-weight entities; over a full
+    support, numpy's count vector itself."""
     if n > np.iinfo(np.int64).max:
         raise TotemError(f"sample size {n} is beyond the sampler's 64-bit range")
     support = dist._support()[0]
+    if len(support) == dist.space.n_entities:
+        return rng.multinomial(n, dist.weights)
     counts = np.zeros(dist.space.n_entities, dtype=np.int64)
     counts[support] = rng.multinomial(n, dist.weights[support])
     return counts

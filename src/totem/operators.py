@@ -228,37 +228,47 @@ def _row_basis(matrix):
     return q[: len(kept)], kept
 
 
-def _column_keys(matrix):
-    """A 64-bit hash of each column's bits; equal columns get equal keys."""
-    bits = matrix.view(np.uint64)
+def _column_keys(bits):
+    """A 64-bit hash of each column of the uint64 rows ``bits``; equal
+    columns get equal keys."""
     multipliers = np.random.default_rng(0).integers(
         2**63, size=len(bits), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-    keys = np.zeros(bits.shape[1], dtype=np.uint64)
+    keys = np.zeros(len(bits[0]), dtype=np.uint64)
     for row, multiplier in zip(bits, multipliers):
         # fold the high bits (sign, exponent) down before the odd multiplier
-        keys += (row ^ (row >> np.uint64(32))) * multiplier
+        folded = row >> np.uint64(32)
+        folded ^= row
+        folded *= multiplier
+        keys += folded
     return keys
 
 
-def _column_partition(matrix):
+def _column_partition(rows):
     """Distinct columns in order of first appearance, and each column's group.
 
-    ``columns[:, group]`` equals ``matrix`` bit for bit, and ``columns`` is
-    column-major.  Columns are grouped by a hash of their bits; should two
-    distinct columns share a hash, the grouping falls back to sorting the
-    raw column bytes.
+    ``rows`` is a sequence of equal-length rows (a matrix's rows will do);
+    they are never stacked into one matrix.  ``columns[:, group]`` equals
+    the rows stacked, bit for bit, and ``columns`` is column-major.
+    Columns are grouped by a hash of their bits; should two distinct
+    columns share a hash, the grouping falls back to sorting the raw
+    column bytes.
     """
-    contiguous = np.ascontiguousarray(matrix, dtype=np.float64)
-    _, first, group = np.unique(_column_keys(contiguous), return_index=True, return_inverse=True)
+    rows = [np.ascontiguousarray(row, dtype=np.float64) for row in rows]
+    bits = [row.view(np.uint64) for row in rows]
+    _, first, group = np.unique(_column_keys(bits), return_index=True, return_inverse=True)
     representative = first[group]
-    if not all(np.array_equal(row[representative], row) for row in contiguous.view(np.uint64)):
-        raw = np.ascontiguousarray(contiguous.T)
+    if not all(np.array_equal(row[representative], row) for row in bits):
+        raw = np.ascontiguousarray(np.vstack(rows).T)
         raw = raw.view(np.dtype((np.void, raw.strides[0]))).ravel()
         _, first, group = np.unique(raw, return_index=True, return_inverse=True)
     order = np.argsort(first)
     relabel = np.empty_like(order)
     relabel[order] = np.arange(len(order))
-    return contiguous[:, first[order]], relabel[group]
+    firsts = first[order]
+    columns = np.empty((len(rows), len(firsts)), order="F")
+    for row, out in zip(rows, columns):
+        out[:] = row[firsts]
+    return columns, relabel[group]
 
 
 # --- constructing elements -------------------------------------------------
@@ -368,11 +378,11 @@ def make_element(operators, mode="strict"):
             raise SpaceError("operators live on different spaces")
         if not np.any(op.eigenvalues):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
-    # stacked last, the all-ones row is kept iff normalization is not implied;
-    # the row space, and with it every decision below, is that of the
-    # distinct columns, whose largest entry is the whole stack's
+    # last, the all-ones row is kept iff normalization is not implied; the
+    # row space, and with it every decision below, is that of the distinct
+    # columns, whose largest entry is that of all the rows
     columns, group = _column_partition(
-        np.vstack([op.eigenvalues for op in operators] + [np.ones(space.n_admissible)]))
+        [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)])
     _, kept = _row_basis(columns)
     normalized = kept[-1] < len(operators)
     if not normalized:
@@ -397,7 +407,7 @@ def make_element(operators, mode="strict"):
     if not normalized:
         operators.append(identity_op(space))
         kept.append(len(columns) - 1)
-    # the element's rows are the stack's rows ``kept``.  The all-ones row
+    # the element's rows are the rows ``kept``.  The all-ones row
     # splits no columns, but a dropped row may split columns that the kept
     # rows do not: only then are the distinct columns partitioned again.
     if dropped:

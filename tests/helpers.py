@@ -3,8 +3,11 @@
 Everything is driven by an explicit numpy Generator so each test pins its
 own seed; builders re-draw on the measure-zero degenerate cases instead
 of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
-library's faster forms are checked against.
+library's faster forms are checked against.  :func:`peak_traced_bytes`
+measures a call's memory.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -158,3 +161,23 @@ def ipf_entitywise(reference, rows, targets, tol=1e-10, max_cycles=10_000):
         if residual <= tol:
             return p / p.sum(), cycles
     return None
+
+
+def peak_traced_bytes(call):
+    """The peak bytes ``call()`` holds allocated above what was allocated
+    when it started, as :mod:`tracemalloc` traces them.
+
+    numpy reports its array buffers to tracemalloc, so an array a call
+    builds and frees counts at its full size.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

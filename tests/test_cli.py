@@ -262,8 +262,9 @@ class TestMain:
             (["L=3", "eta=0.5", "kappa=0", "i0=5"], "i0=5 is not a trial index"),
             (["L=1", "eta=0.5", "kappa=0"], "j0=1 is not a trial index"),
             (["L=12", "eta=0.95", "kappa=0.0008"], "(1-eta)^2 - 4(L-2)kappa/L"),
+            (["L=4", "eta=0.5", "kappa=-0.2"], "the pair cell m^2 + kappa = "),
         ],
-        ids=["index-uncoupled", "one-trial", "infeasible"],
+        ids=["index-uncoupled", "one-trial", "infeasible", "negative-cell"],
     )
     def test_example_ising_rejected_params(self, params, message, capsys):
         argv = ["example", "ising"]
@@ -274,6 +275,15 @@ class TestMain:
         assert code == 1
         assert message in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_example_ising_beyond_the_first_order_bound(self, capsys):
+        # |kappa| = 0.05 exceeds eta^2 (1-eta)^2 / 2 = 0.03125, yet every
+        # pair cell is positive
+        code = main(["example", "ising", "--param", "L=4", "--param", "eta=0.5",
+                     "--param", "kappa=0.05"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert not captured.err
 
     def test_example_two_coin_without_trials(self, capsys):
         code = main(["example", "two-coin", "--param", "L=0", "--param", "phi_a=0.5",

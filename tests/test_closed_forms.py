@@ -198,8 +198,61 @@ class TestIsingGenerator:
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
     def test_non_finite_coupling_rejected_at_the_bound(self, kappa):
-        with pytest.raises(TotemError, match="too large"):
+        with pytest.raises(TotemError, match="kappa must be finite"):
             ising_coin_generator(4, 0.5, kappa)
+
+    def test_realized_moments_exact_beyond_the_first_order_bound(self):
+        # |kappa| from 2 to 20 times eta^2 (1-eta)^2 / 2, the bound of the
+        # first-order guess: every coupling the closed form accepts is exact
+        accepted, failed = 0, set()
+        for length in (2, 3, 5, 8):
+            for eta in (0.1, 0.5, 0.7, 0.95):
+                for f in (-20.0, -6.0, -2.0, 2.0, 6.0, 20.0):
+                    kappa = f * eta**2 * (1 - eta) ** 2 / 2
+                    for i0, j0 in ((0, 1), (length - 1, 0)):
+                        try:
+                            dist = ising_coin_generator(length, eta, kappa, i0, j0)
+                        except TotemError as exc:
+                            failed.add(str(exc).split(": ", 1)[1].split(" = ")[0])
+                            continue
+                        accepted += 1
+                        w = dist.admissible
+                        heads = [(dist.space.level_codes(f"s{i + 1}") == 0) * 1.0
+                                 for i in range(length)]
+                        mean_rate = float(np.mean([w @ h for h in heads]))
+                        corr = float(w @ (heads[i0] * heads[j0])
+                                     - (w @ heads[i0]) * (w @ heads[j0]))
+                        assert abs(mean_rate - eta) <= 1e-14
+                        assert abs(corr - kappa) <= 1e-14
+        assert accepted == 92
+        assert failed == {"kappa too large, (1-eta)^2 - 4(L-2)kappa/L",
+                          "the pair cell m^2 + kappa", "the pair cell m(1-m) - kappa",
+                          "the pair cell (1-m)^2 + kappa"}
+
+    @pytest.mark.parametrize("length, eta, kappa, cell", [
+        (4, 0.5, -0.2, "m^2 + kappa"),
+        (2, 0.5, 0.3, "m(1-m) - kappa"),
+        (2, 0.7, -0.1, "(1-m)^2 + kappa"),
+    ])
+    def test_rejection_names_the_failing_cell(self, length, eta, kappa, cell):
+        with pytest.raises(TotemError) as info:
+            ising_coin_generator(length, eta, kappa)
+        assert str(info.value).startswith(
+            f"no pair coupling gives eta={eta} and kappa={kappa} on {length} trials: "
+            f"the pair cell {cell} = ")
+        assert str(info.value).endswith(" is not positive")
+
+    def test_coupling_beyond_the_first_order_bound_accepted(self):
+        # L=4, eta=0.5: the old bound was 0.03125; the cells are 0.359, 0.197, 0.247
+        length, eta, kappa = 4, 0.5, 0.05
+        h, j = ising_parameters(length, eta, kappa)
+        dist = ising_coin_generator(length, eta, kappa)
+        heads = [(dist.space.level_codes(f"s{i + 1}") == 0) * 1.0 for i in range(length)]
+        w = dist.admissible
+        assert abs(float(np.mean([w @ x for x in heads])) - eta) <= 1e-14
+        assert abs(float(w @ (heads[0] * heads[1]) - (w @ heads[0]) * (w @ heads[1]))
+                   - kappa) <= 1e-14
+        assert math.isfinite(h) and j > 0.0
 
 
 class TestLogistic:

@@ -44,7 +44,7 @@ from totem.closed_forms import (
     two_coin_split_element,
 )
 
-from totem import operators, projection
+from totem import inference, operators, projection
 from totem.operators import ConstructingElement
 
 from helpers import constraint_residual, random_distribution, random_element, random_space
@@ -698,6 +698,77 @@ def _assert_projection_pinned(result, reference, plex):
     assert abs(result.residual - residual) <= 1e-12
 
 
+class TestPairGroupsMemo:
+    """i_test keeps its joint-group pass for the last (outer, inner,
+    reference) it tested, and for no other."""
+
+    @pytest.fixture
+    def joint_calls(self, monkeypatch):
+        inference._pair_groups.cache_clear()
+        calls = []
+        joint_groups = operators._joint_groups
+
+        def counting_joint_groups(*args):
+            calls.append(1)
+            assert inference._pair_groups.cache_info().currsize <= 1
+            return joint_groups(*args)
+
+        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
+        yield calls
+        inference._pair_groups.cache_clear()
+
+    @staticmethod
+    def _outcome(report):
+        """The report with its Q's bytes; checks the bound on the way."""
+        assert inference._pair_groups.cache_info().currsize <= 1
+        return np.float64(report.q_statistic).tobytes(), report
+
+    @pytest.mark.parametrize("case", [1, 3, 5])
+    def test_repeat_makes_no_pass(self, case, joint_calls):
+        space, ref, outer, inner, f, n = _nested_cases()[case]
+        first = self._outcome(i_test(ref, outer, inner, f, n))
+        assert len(joint_calls) == 1
+        for _ in range(2):
+            assert self._outcome(i_test(ref, outer, inner, f, n)) == first
+        assert len(joint_calls) == 1
+
+    def test_new_reference_makes_one_pass(self, joint_calls):
+        space, ref, outer, inner, f, n = _nested_cases()[1]
+        first = self._outcome(i_test(ref, outer, inner, f, n))
+        twin = Distribution(space, ref.weights)  # equal weights, another object
+        assert self._outcome(i_test(twin, outer, inner, f, n)) == first
+        assert len(joint_calls) == 2
+        assert self._outcome(i_test(twin, outer, inner, f, n)) == first
+        assert len(joint_calls) == 2
+        # one entry: the first reference was dropped
+        assert self._outcome(i_test(ref, outer, inner, f, n)) == first
+        assert len(joint_calls) == 3
+        assert inference._pair_groups.cache_info().currsize == 1
+
+    def test_new_data_makes_no_pass(self, joint_calls):
+        space, ref, outer, inner, f, n = _nested_cases()[1]
+        i_test(ref, outer, inner, f, n)
+        counts = sample_multinomial(binomial_projection_closed_form(12, 0.6, space), 400, 3)
+        i_test(ref, outer, inner, Distribution.from_counts(space, counts), 400)
+        assert len(joint_calls) == 1
+
+    def test_calibration_makes_one_pass(self, joint_calls):
+        generator = binomial_projection_closed_form(3, 0.5)
+        space = generator.space
+        result = calibration_experiment(generator, coin_element(space), k_marginal_element(space),
+                                        200, 9, seed=4)
+        assert result.replications == 9
+        assert len(joint_calls) == 1
+        assert inference._pair_groups.cache_info().currsize == 1
+
+    def test_kept_arrays_are_read_only(self, joint_calls):
+        space, ref, outer, inner, f, n = _nested_cases()[2]
+        i_test(ref, outer, inner, f, n)
+        nested, *arrays = inference._pair_groups(outer, inner, ref)
+        assert nested and len(joint_calls) == 1
+        assert not any(array.flags.writeable for array in arrays)
+
+
 class TestGroupLevelStatistics:
     """Q, the score's divergence and the projection diagnostics are summed on
     column groups; each equals the entity-level formula on the lifted
@@ -796,6 +867,7 @@ class TestGroupLevelStatistics:
         vector, and no group peaks while no multiplier overflows (the
         boundaries of cases 0, 1 and 6 are zero-target shells)."""
         space, ref, outer, inner, f, n = _nested_cases()[case]
+        inference._pair_groups.cache_clear()  # an earlier test may have made the pass
         joint_calls, lengths = [], []
         joint_groups, group_sums = operators._joint_groups, ConstructingElement.group_sums
 

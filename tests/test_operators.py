@@ -38,7 +38,7 @@ from totem.closed_forms import (
 from totem import operators
 from totem.operators import PIVOT_TOL, _column_partition, _row_basis, _success_count
 
-from helpers import random_element, random_nested_pair, random_space, rref
+from helpers import peak_traced_bytes, random_element, random_nested_pair, random_space, rref
 
 
 @pytest.fixture
@@ -595,9 +595,9 @@ class TestColumnPartition:
     def test_make_element_partitions_once(self, monkeypatch):
         calls = []
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return _column_partition(matrix)
+        def counted(rows):
+            calls.append((len(rows), len(rows[0])))
+            return _column_partition(rows)
 
         space = coin_space(6)
         ops = [k_marginal_op(space, k, "head") for k in range(7)]
@@ -607,6 +607,14 @@ class TestColumnPartition:
         calls.clear()
         element.columns
         assert calls == []
+
+    def test_make_element_holds_less_than_a_stack(self):
+        # a stack of the 15 rows and the all-ones row would be 16 n-wide rows
+        space = coin_space(14)
+        ops = [k_marginal_op(space, k, "head") for k in range(15)]
+        row = space.n_admissible * 8
+        peak = peak_traced_bytes(lambda: make_element(ops))
+        assert peak < (len(ops) + 1) * row, f"peak {peak / row:.1f} rows"
 
     @pytest.mark.parametrize("build", [coin_element, k_marginal_element])
     def test_row_basis_sees_distinct_columns_only(self, monkeypatch, build):
@@ -623,11 +631,12 @@ class TestColumnPartition:
 
     def test_hash_collision_falls_back_to_exact_grouping(self, monkeypatch):
         matrix = k_marginal_element(coin_space(5)).matrix
-        expected = _column_partition(matrix)
+        rows = list(matrix)
+        expected = _column_partition(rows)
         monkeypatch.setattr(
-            operators, "_column_keys", lambda m: np.zeros(m.shape[1], dtype=np.uint64)
+            operators, "_column_keys", lambda bits: np.zeros(len(bits[0]), dtype=np.uint64)
         )
-        columns, group = _column_partition(matrix)
+        columns, group = _column_partition(rows)
         np.testing.assert_array_equal(group, expected[1])
         np.testing.assert_array_equal(columns, expected[0])
         self._check_partition(matrix, columns, group)

@@ -152,3 +152,95 @@ def test_oracles_import_no_solver():
     solvers = sorted(m for m in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
                      if m.split(".")[-1] in ("projection", "inference"))
     assert not solvers, f"closed_forms.py imports from the solvers: {solvers}"
+
+
+_CACHES = ("cache", "lru_cache")
+
+
+def _cache_uses(node, nested=False):
+    """Each ``functools.cache`` or ``functools.lru_cache`` under ``node``:
+    ``(name, call or None when applied bare, line, nested)``, where
+    ``nested`` says whether it sits inside a function's body."""
+    def cache_name(expr):
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+            name = expr.attr if expr.value.id == "functools" else None
+        else:
+            name = expr.id if isinstance(expr, ast.Name) else None
+        return name if name in _CACHES else None
+
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        # decorators run where the function is defined, its body inside it
+        for decorator in node.decorator_list:
+            if cache_name(decorator):
+                yield cache_name(decorator), None, decorator.lineno, nested
+            else:
+                yield from _cache_uses(decorator, nested)
+        for statement in node.body:
+            yield from _cache_uses(statement, True)
+        return
+    if isinstance(node, ast.Call) and cache_name(node.func):
+        yield cache_name(node.func), node, node.lineno, nested
+    for child in ast.iter_child_nodes(node):
+        yield from _cache_uses(child, nested)
+
+
+def _maxsize(call):
+    """An ``lru_cache`` call's literal ``maxsize``, or ``None`` unless it is
+    a literal whole number."""
+    args = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    if len(args) != 1 or not isinstance(args[0], ast.Constant):
+        return None
+    value = args[0].value
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def _unbounded_caches(tree, module):
+    """Each cache in ``tree`` that outlives a call and has no explicit bound
+    of at most one entry: ``functools.cache`` outside a function body, or
+    ``functools.lru_cache`` there without a literal ``maxsize`` of 0 or 1."""
+    for name, call, line, nested in _cache_uses(tree):
+        where = f"{module}:{line} functools.{name}"
+        if name == "cache" and not nested:
+            yield f"{where} on a module-level function"
+        elif name == "lru_cache" and not nested:
+            size = None if call is None else _maxsize(call)
+            if size is None or not 0 <= size <= 1:
+                yield f"{where} without an explicit maxsize of at most 1"
+
+
+def test_caches_are_bounded():
+    # a module-level cache lives as long as the process and keeps every key
+    # it holds alive: elements, distributions and their n-wide arrays
+    unbounded = [problem for path in MODULES
+                 for problem in _unbounded_caches(ast.parse(path.read_text(), filename=str(path)),
+                                                  path.name)]
+    assert not unbounded, f"caches that can grow without bound: {unbounded}"
+
+
+def test_cache_scan_sees_every_form():
+    source = """
+import functools
+from functools import cache, lru_cache
+@functools.cache
+def a(x): pass
+@functools.lru_cache
+def b(x): pass
+@functools.lru_cache(maxsize=None)
+def c(x): pass
+@functools.lru_cache(maxsize=1)
+def d(x): pass
+@lru_cache(1)
+def e(x): pass
+class F:
+    @cache
+    def g(self): pass
+def h():
+    @functools.cache
+    def i(): pass
+    return functools.lru_cache(maxsize=None)(i)
+j = lru_cache(maxsize=2)(d)
+k = functools.lru_cache(maxsize=True)(d)
+"""
+    lines = [int(problem.split(":")[1].split()[0])
+             for problem in _unbounded_caches(ast.parse(source), "m")]
+    assert lines == [4, 6, 8, 15, 21, 22]
