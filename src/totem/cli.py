@@ -591,7 +591,8 @@ def run(config):
                     _RUNNERS[task["type"]](analysis, fields, i, body)
             except NonConvergenceError as exc:
                 body.append(f"  error: {exc}")
-                body.append("  hint: retry via chained stages or a looser tolerance")
+                budget = "max_cycles" if task["type"] == "ipf" else "max_iter"
+                body.append(f"  hint: raise the task's {budget} or loosen its tol")
                 code = 2
             except ProjectionError as exc:
                 body.append(f"  error: {exc}")

@@ -211,7 +211,7 @@ def i_score(reference, plex, n, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """
     n = _whole(n)
     fit = _project_groups(reference, plex, tol, max_iter)
-    divergence = _data_divergence(plex.empirical, reference, plex.element, fit)
+    divergence = _data_divergence(plex, reference, fit)
     kernel_dim = plex.element.kernel_dim
     score = -n * divergence + 0.5 * kernel_dim * math.log(n)
     return ScoreReport(
@@ -290,7 +290,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     outer_plex = Totemplex(outer, empirical)
     _check_reference(reference, outer_plex)
-    nested, g, h, v, outer_mass, inner_mass = _pair_groups(outer, inner, reference)
+    nested, g, h, v, outer_mass = _pair_groups(outer, inner, reference)
     if not nested:
         raise NestingError(
             "outer element is not implied by the inner one; the test is only "
@@ -303,6 +303,8 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         )
     inner_plex = Totemplex(inner, empirical)
     s = _solve_groups(reference, outer_plex, outer_mass, tol, max_iter).ratio[h]
+    # the inner family lies in the outer's, so within the outer projection's support
+    inner_mass = np.bincount(g, weights=v * (s > 0.0), minlength=inner.columns[0].shape[1])
     r = _solve_groups(reference, inner_plex, inner_mass, tol, max_iter).ratio[g]
     mass = r * v
     on = mass > 0.0
@@ -330,33 +332,31 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
 def _pair_groups(outer, inner, reference):
     """:func:`i_test`'s joint-group pass: whether ``outer`` is nested in
     ``inner``, the joint groups ``(g, h)`` with their reference mass ``v``,
-    and each element's group mass, all read-only.  One entry, keyed on the
+    and the outer element's group mass, all read-only.  One entry, keyed on the
     three objects: every one of them is immutable."""
     nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
     outer_mass = np.bincount(h, weights=v, minlength=outer.columns[0].shape[1])
-    inner_mass = np.bincount(g, weights=v, minlength=inner.columns[0].shape[1])
-    out = (g, h, v, outer_mass, inner_mass)
+    out = (g, h, v, outer_mass)
     for array in out:
         array.setflags(write=False)
     return (nested, *out)
 
 
-def _data_divergence(empirical, reference, element, fit):
-    """``D(f || q)`` for the projection ``q_e = v_e r_g`` of ``fit``.
+def _data_divergence(plex, reference, fit):
+    """``D(f || q)`` for ``plex``'s data and the projection ``q_e = v_e r_g`` of ``fit``.
 
     ``sum_e f_e log(f_e / v_e) - sum_g F_g log r_g`` with ``F`` the data's
     group sums: one pass over the data's support and one over the groups.
     ``math.inf`` when the data has mass on a group the projection zeroes.
     """
-    seen = empirical._support()[1]
-    f_seen = empirical.admissible[seen]
-    mass = element._support_sums(empirical)
-    on = mass > 0.0
+    seen = plex.empirical._support()[1]
+    f_seen = plex.empirical.admissible[seen]
+    on = plex._mass > 0.0
     ratio = fit.ratio[on]
     if np.any(ratio <= 0.0):
         return math.inf
     data_term = float(np.sum(f_seen * (np.log(f_seen) - np.log(reference.admissible[seen]))))
-    return max(data_term - float(np.sum(mass[on] * np.log(ratio))), 0.0)
+    return max(data_term - float(np.sum(plex._mass[on] * np.log(ratio))), 0.0)
 
 
 # --- seeded simulation ------------------------------------------------------

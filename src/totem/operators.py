@@ -211,21 +211,33 @@ def _row_basis(matrix):
     is kept when its residual against the rows kept before it exceeds
     ``PIVOT_TOL * max|entry|`` in its largest component; the residual is
     projected out twice (classical Gram-Schmidt with re-orthogonalization),
-    one matrix product per row.  Stack a candidate row under a matrix to
-    ask whether it lies in the row space: it does iff it is not kept.
+    one matrix product per row.  Should a kept row's residual cancel to
+    below ``1e-6`` of its norm, ``Q`` (which spans nearly parallel rows only
+    to ``1e-16`` over that ratio) is found again from the kept rows in
+    extended precision.  Stack a candidate row under a matrix to ask whether it lies
+    in the row space: it does iff it is not kept.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     thresh = PIVOT_TOL * _scale(matrix)
-    q = np.empty_like(matrix)
-    kept = []
+    q = np.empty(matrix.shape)
+    kept, cancelled = [], False
     for i, row in enumerate(matrix):
         basis = q[: len(kept)]
         for _ in range(2):
             row = row - (basis @ row) @ basis
         if np.max(np.abs(row), initial=0.0) > thresh:
-            q[len(kept)] = row / np.linalg.norm(row)
+            norm = np.linalg.norm(row)
+            q[len(kept)] = row / norm
             kept.append(i)
-    return q[: len(kept)], kept
+            cancelled |= norm < 1e-6 * np.linalg.norm(matrix[i])
+    if not cancelled:
+        return q[: len(kept)], kept
+    q = np.array(matrix[kept], dtype=np.longdouble, order="C")
+    for i, row in enumerate(q):
+        for _ in range(2):
+            row = row - (q[:i] @ row) @ q[:i]
+        q[i] = row / np.linalg.norm(row)
+    return q.astype(np.float64), kept
 
 
 def _column_keys(bits):
@@ -283,12 +295,13 @@ class ConstructingElement:
     partition.
     """
 
-    __slots__ = ("space", "operators", "_fingerprint", "_columns")
+    __slots__ = ("space", "operators", "_fingerprint", "_columns", "_basis")
 
     def __init__(self, space, operators, columns):
         self.space = space
         self.operators = tuple(operators)
         self._columns = columns
+        self._basis = None
         # the bytes of the stacked eigenvalue matrix, row after row
         h = hashlib.sha256()
         h.update(space.fingerprint.encode())
@@ -327,9 +340,18 @@ class ConstructingElement:
         Groups are numbered in order of first appearance and
         ``columns[:, group]`` equals ``matrix`` exactly: the partition
         :func:`_column_partition` gives, passed in by :func:`make_element`
-        from the partition it decided the operators' independence on.
+        from the partition it decided the operators' independence on; it
+        keeps the orthonormal rows ``Q`` it found there as well.
         """
         return self._columns
+
+    def _orthonormal_rows(self):
+        """``Q``: orthonormal rows spanning the row space on ``columns``,
+        kept from :func:`make_element` or else found on first use."""
+        if self._basis is None:
+            self._basis = _row_basis(self._columns[0])[0]
+            self._basis.setflags(write=False)
+        return self._basis
 
     def group_sums(self, values):
         """Sum per-entity ``values`` over each column group."""
@@ -383,7 +405,7 @@ def make_element(operators, mode="strict"):
     # columns, whose largest entry is that of all the rows
     columns, group = _column_partition(
         [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)])
-    _, kept = _row_basis(columns)
+    basis, kept = _row_basis(columns)
     normalized = kept[-1] < len(operators)
     if not normalized:
         kept.pop()
@@ -413,13 +435,22 @@ def make_element(operators, mode="strict"):
     if dropped:
         columns, sub = _column_partition(columns[kept])
         group = sub[group]
+        basis = basis[:, np.unique(sub, return_index=True)[1]]  # first members
     else:
         # the leading rows, column-major as _column_partition lays them
         # out: the element's sums and products depend on that layout
         columns = columns[: len(kept)].copy(order="F")
-    columns.setflags(write=False)
-    group.setflags(write=False)
-    return ConstructingElement(space, operators, (columns, group))
+    for array in (columns, group, basis):
+        array.setflags(write=False)
+    element = ConstructingElement(space, operators, (columns, group))
+    element._basis = basis
+    return element
+
+
+def _element_from_rows(space, rows):
+    """The auto-reduced element of operators ``row0``, ``row1``, ..."""
+    ops = [CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)]
+    return make_element(ops, mode="auto-reduce")
 
 
 def fapp_equivalent(a, b):
@@ -485,19 +516,21 @@ class Totemplex:
 
     Targets are the exact expectations of the element under a stored
     empirical distribution, so the constrained family is never empty (the
-    empirical distribution itself belongs to it).
+    empirical distribution itself belongs to it); they are summed from
+    ``_mass``, the data's mass ``F`` on each of the element's column groups.
     """
 
-    __slots__ = ("element", "targets", "empirical")
+    __slots__ = ("element", "targets", "empirical", "_mass")
 
     def __init__(self, element, empirical):
         if not element.space.same_space(empirical.space):
             raise SpaceError("element and empirical distribution live on different spaces")
         self.element = element
         self.empirical = empirical
-        targets = element.expectations(empirical)
-        targets.setflags(write=False)
-        self.targets = targets
+        self._mass = element._support_sums(empirical)
+        self.targets = np.sum(element.columns[0] * self._mass, axis=1)
+        self._mass.setflags(write=False)
+        self.targets.setflags(write=False)
 
     @property
     def space(self):

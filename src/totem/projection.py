@@ -19,26 +19,26 @@ Each solver returns group masses, and one function lifts them back as
 reference on the groups; the nested test and the score use the group
 masses directly and never lift.  The lift fits the multipliers once, for
 every solver, from ``theta . m_g = log(q_g / v_g)``; Newton's own ``theta``
-only signals a boundary-seeking solve.  Which rows are independent on
-the distinct columns is decided once, by :func:`~totem.operators.make_element`;
-Newton takes the element's rows as they are and decides again only on a
-support that a clamp has shrunk.  Every Newton solve, that of
-:func:`newton_project`, the score, the nested test and each chained or
-fallback stage, runs the same loop.  The Jacobian is symmetric positive
-definite on the interior; a failed Cholesky factorization or solve, or a
-non-finite merit, marks it singular and triggers one automatic fallback
-that chains the projection one operator at a time.
+only signals a boundary-seeking solve.  The family depends only on the
+row space, so Newton is posed on the orthonormal rows ``Q`` that
+:func:`~totem.operators.make_element` kept, with targets ``Q F`` from the
+data's group mass ``F``, and finds a basis again only on a smaller
+support.  Every Newton solve, that of :func:`newton_project`,
+the score, the nested test and each chained stage, runs the same loop.
+The Jacobian is symmetric positive definite on the interior; a failed
+Cholesky factorization or solve, or a non-finite merit, marks it
+singular, which raises :class:`~totem.errors.SingularJacobianError`.
 
 Interior solutions keep every weight strictly positive wherever the
-reference is positive.  Boundary targets (a zero marginal) cannot be met
-in the interior: affected weights are clamped to zero, the constraints
-are re-posed on the reduced support, and the result is flagged with
-``boundary=True``.  Clamping acts on whole column groups; a group is
-clamped when its largest per-entity weight falls below ``_CLAMP``.  Those
-weights need each group's largest per-entity reference share, its peak,
-which takes a pass over the entities; every solver computes the peaks on
-demand, once a multiplier exceeds ``_MULTIPLIER_OVERFLOW``, so an
-interior solve never does.
+reference is positive.  Boundary targets (a zero marginal, a target at
+a row's extreme) cannot be met in the interior: affected weights are
+clamped to zero, the constraints are re-posed on the reduced support,
+and the result is flagged with ``boundary=True``.  Clamping acts on
+whole column groups; a group is clamped when its largest per-entity
+weight falls below ``_CLAMP``.  Those weights need each group's largest
+per-entity reference share, its peak, which takes a pass over the
+entities; every solver computes the peaks on demand, once a multiplier
+exceeds ``_MULTIPLIER_OVERFLOW``, so an interior solve never does.
 """
 
 from __future__ import annotations
@@ -60,14 +60,7 @@ from .errors import (
     SingularJacobianError,
     SpaceError,
 )
-from .operators import (
-    CharacteristicOperator,
-    Totemplex,
-    _joint_groups,
-    _row_basis,
-    is_nested,
-    make_element,
-)
+from .operators import _element_from_rows, _joint_groups, _row_basis, is_nested
 
 __all__ = [
     "ProjectionResult",
@@ -128,15 +121,21 @@ def _merit(m, p, t):
     return f_vec, d, merit
 
 
-def _zero_target_support(matrix, targets, support):
-    """Drop support forced empty by nonnegative rows with target zero."""
+def _forced_support(matrix, targets, support):
+    """Drop support forced empty by a target at (or beyond) a row's extreme
+    on the support, or by a zero target on a row nonnegative there."""
     clamped = False
     for row, target in zip(matrix, targets):
-        if target == 0.0 and row.min() >= 0.0:
-            forced = support & (row > 0.0)
-            if forced.any():
-                support = support & ~forced
-                clamped = True
+        low, high = row[support].min(initial=np.inf), row[support].max(initial=-np.inf)
+        if target <= low:
+            forced = support & (row > (low if target else 0.0))
+        elif target >= high:
+            forced = support & (row < high)
+        else:
+            continue
+        if forced.any():
+            support = support & ~forced
+            clamped = True
     return support, clamped
 
 
@@ -151,7 +150,8 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     plex : Totemplex
         Constraint family (element plus target expectations).
     tol : float
-        Convergence threshold on the largest constraint mismatch.
+        Convergence threshold on the largest constraint mismatch, in an
+        orthonormal row basis and in units of each row's largest entry.
     max_iter : int
         Total Newton iteration budget (shared across boundary re-poses).
 
@@ -164,8 +164,7 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     IncompatibleReferenceError
         Reference has no weight on an observed entity.
     SingularJacobianError
-        Constraint Jacobian numerically singular, also after the chained
-        fallback.
+        Constraint Jacobian numerically singular.
     NonConvergenceError
         Iteration budget exhausted; the caller may retry with
         :func:`chained_project` and a finer stage partition.
@@ -261,47 +260,35 @@ def _project_groups(reference, plex, tol, max_iter):
 
 def _solve_groups(reference, plex, mass, tol, max_iter):
     """:func:`_project_groups` from the reference ``mass`` of each column
-    group, with the reference already checked against ``plex``.
-
-    A singular Jacobian falls back to a chained solve with one operator per
-    stage.  Each prefix of the element's operators is implied by the next,
-    so the stages are nested by construction and their nesting is not
-    re-checked.
-    """
+    group, with the reference already checked against ``plex``."""
     element = plex.element
-    try:
-        return _newton(element.columns[0], plex.targets, mass,
-                       _peaks(reference, element, mass), tol, max_iter)
-    except SingularJacobianError:
-        ops = element.operators
-        stages = [
-            Totemplex(make_element(list(ops[:nu]), mode="auto-reduce"), plex.empirical)
-            for nu in range(1, len(ops) + 1)
-        ]
-        return _chain(reference, stages, tol, max_iter)._replace(method="newton+chained")
+    return _newton(element.columns[0], element._orthonormal_rows(), plex._mass, plex.targets,
+                   mass, _peaks(reference, element, mass), tol, max_iter)
 
 
-def _newton(columns, targets, mass, peak, tol, max_iter):
+def _newton(columns, basis, data, targets, mass, peak, tol, max_iter):
     """Newton from the reference ``mass`` of each of the distinct ``columns``,
     re-posed on a shrinking support at a boundary.
 
-    Columns that a nonnegative row with target zero forces empty are
-    dropped first.  ``peak()`` gives each column's largest per-entity share
-    of its mass, so ``p * peak()`` is the largest entity weight, which the
-    clamp is judged on; it is called only once a multiplier exceeds
-    ``_MULTIPLIER_OVERFLOW``.  The rows are taken as given
-    (:func:`~totem.operators.make_element` decided their independence on
-    the same columns) until a clamp shrinks the support.  A full step that
+    Columns that :func:`_forced_support` forces empty are dropped first.
+    The solve is posed on ``basis`` (``Q``, orthonormal rows spanning those
+    of ``columns``) with targets ``Q F / sum(F)`` from the data's mass
+    ``data`` (``F``); on a support short of every column, the support's own
+    basis is found instead.  It stops once the ``Q`` residual is at most
+    ``tol`` and each row of ``columns`` meets ``targets`` within ``tol``
+    times its largest entry on the support.  ``peak()`` gives each
+    column's largest per-entity share of its mass, so ``p * peak()`` is the
+    largest entity weight, which the clamp is judged on; it is called only
+    once a multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  A full step that
     increases the quadratic merit or overflows is halved, up to
     ``_MAX_HALVINGS`` times; the merit of the step taken is that of the
     next iterate, so each iterate is evaluated once.  Each iterate is
     tested against ``tol`` before the budget: ``max_iter`` steps in all,
-    across re-poses.  ``boundary`` flags a zero target or a clamp, as opposed to a
-    mere reference-support restriction.  Raises
-    :class:`SingularJacobianError` rather than falling back.
+    across re-poses.  ``boundary`` flags a forced-empty group or a clamp,
+    as opposed to a mere reference-support restriction.
     """
     n_columns = columns.shape[1]
-    support, boundary = _zero_target_support(columns, targets, mass > 0.0)
+    support, boundary = _forced_support(columns, targets, mass > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
     idx = np.flatnonzero(support)
@@ -309,18 +296,16 @@ def _newton(columns, targets, mass, peak, tol, max_iter):
     m = None  # posed on ``idx`` at the loop's top, again after each re-pose
     while True:
         if m is None:
-            kept = (list(range(len(columns))) if len(idx) == n_columns
-                    else _row_basis(columns[:, idx])[1])
-            if not kept:
-                raise ProjectionError("no independent constraints on the support")
-            m = columns[np.ix_(kept, idx)]
-            t = targets[kept]
+            raw = columns if len(idx) == n_columns else columns[:, idx]
+            m = basis if raw is columns else _row_basis(raw)[0]
+            t = m @ data[idx] / np.sum(data[idx])
             p = mass[idx] / np.sum(mass[idx])
-            theta = np.zeros(len(kept), dtype=np.longdouble)
+            theta = np.zeros(len(m), dtype=np.longdouble)
             state = _merit(m, p, t)
         f_vec, d, merit = state
         residual = float(np.max(np.abs(f_vec)))
-        if residual <= tol:
+        if residual <= tol and np.all(
+                np.abs(raw @ p - targets) <= tol * np.max(np.abs(raw), axis=1)):
             q = np.zeros(n_columns)
             q[idx] = p
             return _GroupFit(q, mass, used, bool(boundary), "newton")
@@ -443,13 +428,12 @@ def _chain(reference, plexes, tol, max_iter):
                     f"a column of stage {i} but not of stage {i - 1}"
                 )
             mass = v * fit.ratio[parent]
-            observed = element._support_sums(plex.empirical) > 0.0
-            if np.any(observed & (mass <= 0.0)):
+            if np.any((plex._mass > 0.0) & (mass <= 0.0)):
                 raise IncompatibleReferenceError(
                     f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
                 )
-        fit = _newton(element.columns[0], plex.targets, mass,
-                      _peaks(reference, element, v), tol, max_iter)._replace(v=v)
+        fit = _newton(element.columns[0], element._orthonormal_rows(), plex._mass, plex.targets,
+                      mass, _peaks(reference, element, v), tol, max_iter)._replace(v=v)
         iterations += fit.iterations
         boundary = boundary or fit.boundary
         previous = element
@@ -505,13 +489,12 @@ def ipf_project(
     if not np.all((targets >= -1e-12) & (targets <= 1.0 + 1e-12)):
         raise ProjectionError("marginal targets must lie in [0, 1]")
 
-    ops = [CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)]
-    element = make_element(ops, mode="auto-reduce")
+    element = _element_from_rows(space, rows)
     # A row the element drops lies within PIVOT_TOL of its row space, so a
     # binary row takes one value on each of the element's column groups.
     rows = rows[:, np.unique(element.columns[1], return_index=True)[1]]
     v = element.group_sums(reference.admissible)
-    support, boundary = _zero_target_support(rows, targets, v > 0.0)
+    support, boundary = _forced_support(rows, targets, v > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
 

@@ -3,11 +3,14 @@
 Everything is driven by an explicit numpy Generator so each test pins its
 own seed; builders re-draw on the measure-zero degenerate cases instead
 of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
-library's faster forms are checked against.  :func:`peak_traced_bytes`
-measures a call's memory.
+library's faster forms are checked against.  :func:`projection_errors`
+is the projection oracle, built on decimal arithmetic alone.
+:func:`peak_traced_bytes` measures a call's memory.
 """
 
+import decimal
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from totem import (
     Totemplex,
     identity_op,
     make_element,
+    marginal_op,
 )
 from totem.operators import PIVOT_TOL, _row_basis
 
@@ -92,6 +96,78 @@ def constraint_residual(p, plex):
     """Expectation mismatches ``<(p - f) M_a>`` per operator, summed over
     every admissible entity."""
     return plex.element.matrix @ p.admissible - plex.targets
+
+
+def exact_orthonormal_rows(rows):
+    """Orthonormal rows spanning the row space of the float ``rows``.
+
+    Modified Gram-Schmidt in 50-digit decimal arithmetic, from the exact
+    values of the floats, each row rounded to float once at the end; a
+    row whose residual is below ``1e-30`` of its size counts as dependent.
+    A float64 QR would not do: on rows independent only to about
+    ``PIVOT_TOL`` its basis spans them to about ``1e-16 / 1e-9``, far
+    coarser than the ``1e-9`` the oracle is asked to resolve.
+    """
+    basis = []
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for row in np.asarray(rows, dtype=np.float64):
+            r = np.array([Decimal(x) for x in row.tolist()], dtype=object)
+            size = max(abs(x) for x in r)
+            for b in basis:
+                r = r - np.dot(b, r) * b
+            norm = np.dot(r, r).sqrt()
+            if norm > Decimal("1e-30") * size:
+                basis.append(r / norm)
+    return np.array([[float(x) for x in b] for b in basis]).reshape(len(basis), -1)
+
+
+def projection_errors(rows, q, f, v):
+    """How far ``q`` is from the projection of ``v`` onto ``{p : rows p = rows f}``.
+
+    The columns of ``rows`` are entities or column groups, and ``q``, ``f``
+    (the data) and ``v`` (the reference) are masses on them; ``f`` is
+    scaled to unit mass.  Returns ``(constraints, stationarity)``:
+
+    - ``max |Q (q - f)|``, with ``Q`` orthonormal rows spanning ``rows``;
+    - how far ``z = log(q / v)`` on the support of ``q`` lies from the row
+      space there: ``max |z - U'U z| / max(1, max |z|)``, with ``U``
+      orthonormal rows spanning ``rows`` on that support.
+
+    Both bases come from :func:`exact_orthonormal_rows`; neither the
+    library's row-space primitive nor any solver is used.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64) / np.sum(f)
+    constraints = float(np.max(np.abs(exact_orthonormal_rows(rows) @ (q - f))))
+    on = q > 0.0
+    z = np.log(q[on]) - np.log(v[on])
+    u = exact_orthonormal_rows(rows[:, on])
+    stationarity = float(np.max(np.abs(z - u.T @ (u @ z)))) / max(1.0, float(np.max(np.abs(z))))
+    return constraints, stationarity
+
+
+def assert_projection(result, plex, reference, tol):
+    """``result`` passes the projection oracle on ``plex``'s column groups
+    within ``tol``."""
+    element = plex.element
+    errors = projection_errors(element.columns[0],
+                               element.group_sums(result.distribution.admissible),
+                               element.group_sums(plex.empirical.admissible),
+                               element.group_sums(reference.admissible))
+    assert max(errors) <= tol, f"constraints {errors[0]!r}, stationarity {errors[1]!r}"
+
+
+def mixed_marginal_element(space, trials=None):
+    """The head marginals of the first ``trials`` flips (all by default) in
+    a mixed basis: row ``k`` is the head count minus twice flip ``k``'s.
+    A face such as all heads lies strictly inside every row's range, so
+    no single row's target shows it; only a multiplier beyond
+    ``_MULTIPLIER_OVERFLOW`` does."""
+    flips = [marginal_op(space, d.name, "head").eigenvalues for d in space.domains[:trials]]
+    return make_element([identity_op(space)] + [
+        CharacteristicOperator(space, sum(flips) - 2.0 * flip, f"mix{k}")
+        for k, flip in enumerate(flips)])
 
 
 def random_totemplex(rng, space, rank, alpha=5.0):

@@ -91,6 +91,26 @@ class TestRun:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize("task, hint", [
+        ({"type": "project", "element": "spectrum", "max_iter": 1},
+         "hint: raise the task's max_iter or loosen its tol"),
+        ({"type": "ipf", "element": "per_flip", "max_cycles": 1},
+         "hint: raise the task's max_cycles or loosen its tol"),
+    ], ids=["project", "ipf"])
+    def test_nonconvergence_hint_names_the_task_fields(self, coin_config, task, hint,
+                                                       tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("s1,s2\nhead,head\nhead,tail\ntail,tail\n")
+        coin_config.data = str(data)
+        coin_config.elements["per_flip"] = ["marginal(s1=head)", "marginal(s2=head)"]
+        coin_config.tasks = [task]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        assert main(["run", str(config_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        error = next(i for i, line in enumerate(lines) if line.startswith("  error: "))
+        assert lines[error + 1] == f"  {hint}"
+
     def test_repeated_projection_uses_its_own_budget(self, coin_config):
         coin_config.tasks = [
             {"type": "project", "element": "spectrum"},

@@ -11,7 +11,6 @@ from totem import (
     Distribution,
     EntitySpace,
     NestingError,
-    SingularJacobianError,
     Totemplex,
     TotemError,
     binomial_test_statistic_closed_form,
@@ -47,7 +46,8 @@ from totem.closed_forms import (
 from totem import inference, operators, projection
 from totem.operators import ConstructingElement
 
-from helpers import constraint_residual, random_distribution, random_element, random_space
+from helpers import (assert_projection, constraint_residual, mixed_marginal_element,
+                     random_distribution, random_element, random_space)
 
 
 class TestChi2Cdf:
@@ -689,10 +689,20 @@ def peak_passes(monkeypatch):
 
 
 def _assert_projection_pinned(result, reference, plex):
-    """Group-level residual and divergence equal their entity-level values."""
+    """Group-level residual and divergence equal their entity-level values,
+    and the result passes the projection oracle.
+
+    The divergence is a sum of terms ``q log(q / v)`` of both signs, so the
+    two sums agree to within the rounding of those terms: ``1e-12`` of
+    their absolute sum, or of the divergence where that is larger.
+    """
     dist = result.distribution
     expected = i_divergence(dist, reference)
-    assert result.divergence_from_reference == pytest.approx(expected, rel=1e-12, abs=0.0)
+    q, v = dist.admissible, reference.admissible
+    on = q > 0.0
+    terms = float(np.sum(q[on] * np.abs(np.log(q[on] / v[on]))))
+    assert abs(result.divergence_from_reference - expected) <= 1e-12 * max(expected, terms)
+    assert_projection(result, plex, reference, 1e-9)
     # the targets are expectations of order one
     residual = float(np.max(np.abs(constraint_residual(dist, plex))))
     assert abs(result.residual - residual) <= 1e-12
@@ -793,27 +803,6 @@ class TestGroupLevelStatistics:
         space, ref, outer, inner, f, n = _nested_cases()[0]
         assert newton_project(ref, Totemplex(inner, f)).boundary
 
-    def test_chained_fallback(self, monkeypatch):
-        space, ref, outer, inner, f, n = _nested_cases()[1]
-        solve = projection._newton
-
-        def singular_on_inner(columns, *args):
-            if columns is inner.columns[0]:
-                raise SingularJacobianError("forced")
-            return solve(columns, *args)
-
-        monkeypatch.setattr(projection, "_newton", singular_on_inner)
-        plex = Totemplex(inner, f)
-        fit = newton_project(ref, plex)
-        assert fit.method == "newton+chained"
-        _assert_projection_pinned(fit, ref, plex)
-        expected = i_divergence(f, fit.distribution)
-        assert i_score(ref, plex, n).divergence == pytest.approx(expected, rel=1e-12, abs=0.0)
-        q_outer = newton_project(ref, Totemplex(outer, f)).distribution
-        expected = 2 * n * i_divergence(fit.distribution, q_outer)
-        report = i_test(ref, outer, inner, f, n)
-        assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
-
     def test_i_test_builds_no_distribution(self, monkeypatch):
         space, ref, outer, inner, f, n = _nested_cases()[1]
         built = []
@@ -833,33 +822,43 @@ class TestGroupLevelStatistics:
 
     @pytest.mark.parametrize("coarse", [False, True], ids=["coin", "identity"])
     def test_overflow_clamp_inside_i_test(self, coarse, peak_passes):
-        # all heads: the coin's mean sits on the boundary, which only the
-        # multiplier-overflow clamp detects, so i_test computes the group
-        # peaks.  Against k_marginal both projections are the point mass up
-        # to the solver's tol and Q is a residue of about 4e-9; against the
-        # identity alone it is of order one.
+        # every subject shows heads on the first two flips, a face of the
+        # trial marginals that no row of their mixed basis shows alone, so
+        # only the multiplier-overflow clamp finds it and i_test computes
+        # the group peaks.  The coin's mean, or the identity, stays interior.
+        space = coin_space(3)
+        counts = np.array([10 + i if space.entity_at(i)[:2] == ("head", "head") else 0
+                           for i in range(space.n_entities)])
+        f = Distribution.from_counts(space, counts)
+        n = int(counts.sum())
+        ref = random_distribution(np.random.default_rng(2), space)
+        inner = mixed_marginal_element(space)
+        outer = make_element([identity_op(space)]) if coarse else coin_element(space)
+        plexes = [Totemplex(element, f) for element in (outer, inner)]
+        fits = [newton_project(ref, plex) for plex in plexes]
+        assert not fits[0].boundary and fits[1].boundary and peak_passes
+        for fit, plex in zip(fits, plexes):
+            assert_projection(fit, plex, ref, 1e-9)
+        expected = 2 * n * i_divergence(fits[1].distribution, fits[0].distribution)
+        assert expected > 1.0
+        peak_passes.clear()
+        report = i_test(ref, outer, inner, f, n)
+        assert peak_passes
+        assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_inner_projection_stays_on_the_outer_support(self):
+        # all heads: the coin's mean is at its maximum, so the outer
+        # projection is exactly the point mass, while the mixed-basis
+        # marginals show that face to no single row.  The inner family lies
+        # in the outer's, so the inner solve keeps to the outer's support
+        # and Q is 0, not the inf of a tail left where the outer has none.
         space = coin_space(3)
         counts = np.zeros(space.n_entities, dtype=np.int64)
-        counts[space.index_of(("head", "head", "head"))] = 10
+        counts[space.index_of(("head",) * 3)] = 10
         f = Distribution.from_counts(space, counts)
         ref = random_distribution(np.random.default_rng(2), space)
-        if coarse:
-            outer, inner = make_element([identity_op(space)]), coin_element(space)
-        else:
-            outer, inner = coin_element(space), k_marginal_element(space)
-        fits = [newton_project(ref, Totemplex(element, f)) for element in (outer, inner)]
-        assert fits[1].boundary and peak_passes
-        expected = 2 * 10 * i_divergence(fits[1].distribution, fits[0].distribution)
-        assert (expected > 1e-3) == coarse
-        peak_passes.clear()
-        report = i_test(ref, outer, inner, f, 10)
-        assert peak_passes
-        if coarse:
-            assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
-        else:
-            # the residue is a difference of logarithms of numbers within
-            # 2e-10 of one, which both formulas round to a few ulps
-            assert abs(report.q_statistic - expected) <= 2 * 10 * 1e-15
+        report = i_test(ref, coin_element(space), mixed_marginal_element(space), f, 10)
+        assert report.q_statistic == 0.0 and not report.reject
 
     @pytest.mark.parametrize("case", range(7))
     def test_one_pass(self, case, monkeypatch, peak_passes):

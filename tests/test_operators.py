@@ -38,7 +38,14 @@ from totem.closed_forms import (
 from totem import operators
 from totem.operators import PIVOT_TOL, _column_partition, _row_basis, _success_count
 
-from helpers import peak_traced_bytes, random_element, random_nested_pair, random_space, rref
+from helpers import (
+    exact_orthonormal_rows,
+    peak_traced_bytes,
+    random_element,
+    random_nested_pair,
+    random_space,
+    rref,
+)
 
 
 @pytest.fixture
@@ -485,6 +492,44 @@ class TestRowSpaceAgainstRref:
         assert make_element(ops, mode="auto-reduce").labels == ("moment(x,4)",)
         with pytest.raises(OperatorError, match="dependent"):
             make_element(ops, mode="strict")
+
+
+class TestOrthonormalBasis:
+    """Each element keeps the orthonormal basis ``Q`` of its rows that
+    make_element decided their independence with, and ``Q`` spans nearly
+    parallel rows as accurately as well-separated ones."""
+
+    @staticmethod
+    def _projector_error(basis, rows):
+        exact = exact_orthonormal_rows(rows)
+        return float(np.max(np.abs(basis.T @ basis - exact.T @ exact)))
+
+    @pytest.mark.parametrize("eps", [2e-9, 1e-8, 1e-7, 1e-5])
+    def test_nearly_parallel_rows_are_spanned_to_1e_10(self, eps):
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal(6)
+        rows = np.vstack([r, r + eps * rng.standard_normal(6), np.ones(6)])
+        basis, kept = _row_basis(rows)
+        assert kept == [0, 1, 2]
+        np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-15)
+        assert self._projector_error(basis, rows) < 1e-10
+
+    @pytest.mark.parametrize("build", ["strict", "dropped", "direct"])
+    def test_element_basis_spans_its_columns(self, build):
+        space = EntitySpace([AttributeDomain("e", ["a", "b", "c", "d"])])
+        ops = [CharacteristicOperator(space, [1.0, 1.0, 0.0, 0.0], "x"),
+               CharacteristicOperator(space, [1.0, 1.0 + 1e-13, 0.0, 0.0], "y"),
+               CharacteristicOperator(space, [0.0, 0.5, 2.0, 3.0], "z")]
+        if build == "strict":
+            element = make_element([ops[0], ops[2], identity_op(space)])
+        else:
+            element = make_element(ops, mode="auto-reduce")
+        if build == "direct":
+            element = ConstructingElement(space, element.operators, element.columns)
+        columns = element.columns[0]
+        basis = element._orthonormal_rows()
+        assert basis.shape == columns.shape and not basis.flags.writeable
+        assert self._projector_error(basis, columns) < 1e-15
 
 
 class TestTotemplex:

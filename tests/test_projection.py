@@ -15,7 +15,6 @@ from totem import (
     NonConvergenceError,
     OperatorError,
     ProjectionError,
-    SingularJacobianError,
     TotemError,
     Totemplex,
     chained_project,
@@ -27,6 +26,7 @@ from totem import (
     make_element,
     marginal_op,
     max_norm_distance,
+    moment_op,
     newton_project,
     product_op,
     sample_multinomial,
@@ -44,8 +44,10 @@ from totem import projection
 from totem.projection import _newton
 
 from helpers import (
+    assert_projection,
     constraint_residual,
     ipf_entitywise,
+    mixed_marginal_element,
     random_distribution,
     random_element,
     random_feasible_point,
@@ -256,6 +258,84 @@ class TestBoundary:
         assert result.distribution.weights[space.index_of(("b", "y"))] == 0.0
 
 
+    def test_target_at_a_row_maximum_forces_the_point_mass(self):
+        # the moment's target is its largest value: every other level is
+        # forced empty up front, where a solve to tol left about 3e-14 on
+        # each and reported an interior point
+        space = EntitySpace([AttributeDomain("x", ["0", "1", "10", "1000"])])
+        element = make_element([identity_op(space), moment_op(space, "x", 1)])
+        f = Distribution.from_counts(space, np.array([0, 0, 0, 7]))
+        result = newton_project(uniform(space), Totemplex(element, f))
+        assert result.boundary and result.iterations == 0
+        np.testing.assert_array_equal(result.distribution.admissible, [0.0, 0.0, 0.0, 1.0])
+
+    def test_target_at_a_row_minimum_on_the_support(self):
+        # x's smallest value on the reference's support is 1: a target of 1
+        # leaves only that level, though 0 is smaller
+        space = EntitySpace([AttributeDomain("x", ["0", "1", "2", "3"])])
+        element = make_element([identity_op(space), moment_op(space, "x", 1)])
+        f = Distribution.from_counts(space, np.array([0, 4, 0, 0]))
+        ref = Distribution(space, [0.0, 0.2, 0.5, 0.3])
+        result = newton_project(ref, Totemplex(element, f))
+        assert result.boundary
+        np.testing.assert_array_equal(result.distribution.admissible, [0.0, 1.0, 0.0, 0.0])
+
+    def test_infeasible_zero_target_on_a_positive_row_raises(self):
+        # a row that is one wherever the reference has mass cannot have
+        # expectation zero: every group is forced empty
+        space = coin_space(2)
+        with pytest.raises(ProjectionError, match="empty support"):
+            ipf_project(uniform(space), np.ones((1, 4)), np.array([0.0]))
+
+
+class TestOrthonormalPosing:
+    """Newton is posed on the element's orthonormal rows, so near-dependent
+    operators cost it neither its answer nor a fallback."""
+
+    def test_near_dependent_strict_element_reaches_the_only_member(self):
+        # rank 3 on three entities: the family is the data alone
+        space = EntitySpace([AttributeDomain("e", ["a", "b", "c"])])
+        ops = [CharacteristicOperator(space, [1.0, 1.0, 0.0], "x"),
+               CharacteristicOperator(space, [0.99999999919220539, 0.99999999930633288,
+                                              -1.8747198264761463e-09], "y"),
+               identity_op(space)]
+        f = Distribution.from_counts(space, np.array([1, 2, 1]))
+        ref = Distribution(space, [0.638738010136093, 0.20139679604872374, 0.15986519381518322])
+        result = newton_project(ref, Totemplex(make_element(ops), f))
+        assert result.method == "newton"
+        np.testing.assert_allclose(result.distribution.admissible, [0.25, 0.5, 0.25],
+                                   rtol=0.0, atol=1e-9)
+
+    def test_near_dependent_rows_fuzz(self):
+        # rows r and r + eps * noise, eps from 1e-12 to 1e-5, half of them
+        # with a third random row: each solve returns the projection or
+        # raises a typed error
+        rng = np.random.default_rng(0)
+        returned = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            space = EntitySpace([AttributeDomain("e", [f"v{i}" for i in range(n)])])
+            r = rng.standard_normal(n)
+            rows = [r, r + 10.0 ** rng.uniform(-12, -5) * rng.standard_normal(n)]
+            if rng.random() < 0.5:
+                rows.append(rng.standard_normal(n))
+            counts = rng.integers(0, 6, size=n)
+            counts[0] += 1
+            w = rng.gamma(2.0, size=n)
+            element = make_element([CharacteristicOperator(space, row, f"r{i}")
+                                    for i, row in enumerate(rows)], mode="auto-reduce")
+            ref = Distribution.from_admissible_weights(space, w / w.sum())
+            plex = Totemplex(element, Distribution.from_counts(space, counts))
+            try:
+                result = newton_project(ref, plex)
+            except TotemError:
+                continue
+            assert result.method == "newton"
+            assert_projection(result, plex, ref, 1e-9)
+            returned += 1
+        assert returned >= 190
+
+
 class TestDiagnostics:
     def test_reference_support_restriction_is_not_boundary(self):
         # a reference that is zero on an admissible entity restricts the
@@ -273,47 +353,6 @@ class TestDiagnostics:
         assert result.distribution.weights[space.index_of(("b", "x"))] == 0.0
         assert result.distribution.weights[space.index_of(("a", "x"))] == pytest.approx(
             2 / 3, abs=1e-10)
-
-    def test_prefix_fallback_reaches_the_same_answer(self, monkeypatch):
-        space = coin_space(3)
-        f = empirical_counts_coin(space)
-        plex = Totemplex(k_marginal_element(space), f)
-        ref = uniform(space)
-        direct = newton_project(ref, plex)
-        solve = projection._newton
-
-        def singular_on_element(columns, *args):
-            if columns is plex.element.columns[0]:
-                raise SingularJacobianError("forced")
-            return solve(columns, *args)
-
-        monkeypatch.setattr(projection, "_newton", singular_on_element)
-        staged = newton_project(ref, plex)
-        assert staged.method == "newton+chained"
-        q_direct = plex.element.group_sums(direct.distribution.admissible)
-        q_staged = plex.element.group_sums(staged.distribution.admissible)
-        assert np.max(np.abs(q_staged - q_direct)) < 1e-8
-
-    def test_failed_cholesky_reaches_prefix_fallback(self, monkeypatch):
-        space = coin_space(3)
-        f = empirical_counts_coin(space)
-        plex = Totemplex(k_marginal_element(space), f)
-        ref = uniform(space)
-        direct = newton_project(ref, plex)
-        cholesky = np.linalg.cholesky
-        calls = []
-
-        def fails_first(j):
-            calls.append(j.shape)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(j)
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails_first)
-        staged = newton_project(ref, plex)
-        assert calls[0] == (plex.element.rank, plex.element.rank)
-        assert staged.method == "newton+chained"
-        assert max_norm_distance(staged.distribution, direct.distribution) < 1e-8
 
 
 class TestChained:
@@ -602,9 +641,11 @@ _FROZEN_L12 = [
 
 
 def _direct_projection(reference, plex):
-    """The projection solved over every entity, without column lumping."""
+    """The projection solved over every entity, without column lumping,
+    posed on orthonormal rows from a QR factorization of the element's."""
     m, t, v = plex.element.matrix, plex.targets, reference.admissible
-    q = _newton(m, t, v, lambda: np.ones(len(v)), 1e-10, 200).q
+    basis = np.linalg.qr(m.T)[0].T
+    q = _newton(m, basis, plex.empirical.admissible, t, v, lambda: np.ones(len(v)), 1e-10, 200).q
     return q / q.sum()
 
 
@@ -690,8 +731,9 @@ class TestLumping:
                                    rtol=1e-12)
 
     def test_overflow_clamp_on_groups(self):
-        # every subject all heads: the mean sits on the boundary, which
-        # only the multiplier-overflow clamp detects
+        # every subject all heads: the mean sits at its maximum, a boundary
+        # the overflow clamp used to find and the exact single-row rule now
+        # decides up front, in the lumped and the per-entity solve alike
         space = coin_space(3)
         counts = np.zeros(space.n_entities, dtype=np.int64)
         counts[space.index_of(("head", "head", "head"))] = 10
@@ -705,6 +747,23 @@ class TestLumping:
         q, direct = result.distribution.admissible, _direct_projection(ref, plex)
         np.testing.assert_array_equal(q == 0.0, direct == 0.0)
         np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-12)
+
+    def test_overflow_clamp_on_lumped_groups(self):
+        # every subject all heads, on three of four flips' marginals in a
+        # mixed basis: the boundary, the group of the two all-heads-on-three
+        # entities, is found only once a multiplier overflows.  The lumped
+        # and the per-entity solve clamp at different iterates, so the mass
+        # each leaves off the face is its own, below the stopping rule's tol.
+        space = coin_space(4)
+        ref = random_distribution(np.random.default_rng(2), space)
+        plex = _all_heads_plex(space, trials=3)
+        assert plex.element.columns[0].shape == (4, 8)
+        result = newton_project(ref, plex)
+        assert result.boundary
+        assert_projection(result, plex, ref, 1e-9)
+        q, direct = result.distribution.admissible, _direct_projection(ref, plex)
+        np.testing.assert_array_equal(q == 0.0, direct == 0.0)
+        np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-10)
 
 
 def _digest(weights):
@@ -759,14 +818,13 @@ class TestFrozenSolves:
     def test_newton_overflow_clamp(self):
         # every subject all heads: found only once a multiplier overflows
         space = coin_space(3)
-        counts = np.zeros(space.n_entities, dtype=np.int64)
-        counts[space.index_of(("head", "head", "head"))] = 10
         ref = random_distribution(np.random.default_rng(2), space)
-        plex = Totemplex(coin_element(space), Distribution.from_counts(space, counts))
+        plex = _all_heads_plex(space)
         result = newton_project(ref, plex)
-        assert result.iterations == 53 and result.boundary
+        assert result.iterations == 51 and result.boundary
         assert _digest(result.distribution.weights) == (
-            "ceb2b4f3f17fdbe8f6341f29f1db215d679c4804a21d94c7fa034f1342741325")
+            "7bb548b46c3a4e7c8c98c8b75b0cd90fa4567126b41252ad641117dc54b45011")
+        assert_projection(result, plex, ref, 1e-9)
 
     def test_newton_interior(self):
         space = coin_space(6)
@@ -825,11 +883,12 @@ def _zero_shell_plex():
     return ref, Totemplex(k_marginal_element(space), Distribution.from_counts(space, counts))
 
 
-def _all_heads_plex(space):
+def _all_heads_plex(space, trials=None):
+    """Every subject all heads, on :func:`mixed_marginal_element`."""
     counts = np.zeros(space.n_entities, dtype=np.int64)
     counts[space.index_of(("head",) * len(space.domains))] = 10
-    element = make_element([identity_op(space), success_op(space, "head")])
-    return Totemplex(element, Distribution.from_counts(space, counts))
+    return Totemplex(mixed_marginal_element(space, trials),
+                     Distribution.from_counts(space, counts))
 
 
 def _mostly_null_coin():
@@ -887,12 +946,12 @@ class TestNewtonCallCounts:
         assert [args[0].shape for args, _ in row_basis.calls] == [(5, 4)]
 
     @pytest.mark.parametrize("space, widths", [
-        (coin_space(3), [3, 2]),
-        (_mostly_null_coin(), [2]),
+        (coin_space(3), [7, 4]),
+        (_mostly_null_coin(), [5]),
     ], ids=["all-heads", "mostly-null"])
     def test_overflow_re_pose_decides_once_per_support(self, monkeypatch, space, widths):
-        # every subject all heads: the mean sits on the boundary, which
-        # only a multiplier beyond _MULTIPLIER_OVERFLOW reveals
+        # every subject all heads, a boundary that only a multiplier beyond
+        # _MULTIPLIER_OVERFLOW reveals (see _all_heads_plex)
         ref = random_distribution(np.random.default_rng(2), space)
         plex = _all_heads_plex(space)
         row_basis = _Recorded(monkeypatch, "_row_basis")
@@ -900,6 +959,7 @@ class TestNewtonCallCounts:
         assert [args[0].shape[1] for args, _ in row_basis.calls] == widths
         assert result.boundary and result.residual <= 1e-10
         assert max_norm_distance(result.distribution, plex.empirical) < 1e-9
+        assert_projection(result, plex, ref, 1e-9)
         q, direct = result.distribution.admissible, _direct_projection(ref, plex)
         np.testing.assert_allclose(q, direct, rtol=0.0, atol=1e-12)
 
@@ -946,9 +1006,37 @@ class TestNewtonCallCounts:
         last = merit.calls[-1][1][0]
         assert f"(residual {float(np.max(np.abs(last)))!r})" in str(info.value)
 
+    def test_overflowing_trials_are_rejected_quietly(self, monkeypatch):
+        # a reference that all but misses an observed entity: Newton's first
+        # full steps overflow np.exp, and the line search rejects them
+        # without a warning (which would be an untyped exception here)
+        space = EntitySpace([AttributeDomain("e", list("abc"))])
+        element = make_element([identity_op(space), marginal_op(space, "e", "a")])
+        f = Distribution.from_counts(space, np.array([1, 1, 0]))
+        ref = Distribution.from_admissible_weights(space, np.array([1e-6, 1.0, 1.0]),
+                                                   renormalize=True)
+        overflowed = []
+        exp = np.exp
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                y = exp(x)
+                overflowed.append(not np.all(np.isfinite(y)))
+                return y
+
+        monkeypatch.setattr(projection, "np", Numpy())
+        result = newton_project(ref, Totemplex(element, f))
+        assert any(overflowed)
+        np.testing.assert_allclose(result.distribution.admissible, [0.5, 0.25, 0.25],
+                                   rtol=0.0, atol=1e-10)
+
     def test_overflowing_trial_raises_typed(self):
-        # a near-dependent moment row: a full step's trial overflows np.exp,
-        # which the line search rejects without a warning
+        # a near-dependent moment row: posed on the raw rows, a full step's
+        # trial overflowed np.exp and the Jacobian then went singular; posed
+        # on orthonormal rows, the solve converges to the projection
         space = EntitySpace([AttributeDomain("e", list("abcde"))])
         rows = [[1, 0, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 0],
                 [-2.0897600366030584, 0.12725858700674758, -2.217018096828316,
@@ -957,5 +1045,5 @@ class TestNewtonCallCounts:
         f = Distribution.from_counts(space, np.array([5, 0, 0, 3, 3]))
         ref = Distribution(space, [0.3533643656754857, 0.14419014754783904, 0.13519212181123863,
                                    0.17052806706512608, 0.19672529790031065])
-        with pytest.raises(SingularJacobianError):
-            newton_project(ref, Totemplex(make_element(ops, mode="auto-reduce"), f))
+        plex = Totemplex(make_element(ops, mode="auto-reduce"), f)
+        assert_projection(newton_project(ref, plex), plex, ref, 1e-9)
