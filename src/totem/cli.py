@@ -35,8 +35,7 @@ from .entity import AttributeDomain, EntitySpace, empirical_distribution, ingest
 from .errors import ConfigError, NonConvergenceError, ProjectionError, TotemError
 from .inference import calibration_experiment, i_test, select_element
 from .operators import Totemplex, make_element, operator_from_spec
-from .projection import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_ITER, DEFAULT_TOL, ipf_project,
-                         newton_project)
+from .projection import DEFAULT_MAX_CYCLES, DEFAULT_MAX_ITER, DEFAULT_TOL, _ipf, newton_project
 
 __all__ = ["AnalysisConfig", "run", "report_emit", "main"]
 
@@ -498,10 +497,8 @@ def _run_test(analysis, f, i, lines):
 
 def _run_ipf(analysis, f, i, lines):
     element = analysis.elements[f["element"]]
-    result = ipf_project(
-        analysis.reference, element.matrix, element.expectations(analysis.empirical),
-        tol=f["tol"], max_cycles=f["max_cycles"],
-    )
+    result = _ipf(analysis.reference, element, element.columns[0],
+                  element.expectations(analysis.empirical), f["tol"], f["max_cycles"])
     _kv(lines, "element", f["element"])
     _kv(lines, "cycles", result.iterations)
     _kv(lines, "residual", result.residual)

@@ -13,7 +13,10 @@ so ``q_e / v_e`` depends on an entity only through its operator column
 mass summed per column group.  Newton's Jacobian, residual and step sum
 over distinct columns; :func:`chained_project` passes group masses from
 one stage to the next, finer one; :func:`ipf_project`, the classic cyclic
-update for purely binary (marginal) constraints, rescales group masses.
+update for purely binary (marginal) constraints, rescales group masses
+block by block over partitions of the support, each closed by the
+groups its rows leave uncovered, so every partition sums to 1 and no
+normalization row is needed.
 Each solver returns group masses, and one function lifts them back as
 ``q_e = v_e q_g / v_g`` and takes the residual and the divergence from the
 reference on the groups; the nested test and the score use the group
@@ -78,6 +81,9 @@ _MULTIPLIER_OVERFLOW = 50.0
 #: Weights below this are clamped to zero when re-posing on a boundary.
 _CLAMP = 1e-16
 _MAX_HALVINGS = 30
+#: How far rounding may leave a marginal target outside [0, 1], and an IPF
+#: remainder target from zero.
+_TARGET_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -440,15 +446,8 @@ def _chain(reference, plexes, tol, max_iter):
     return _GroupFit(fit.q, fit.v, iterations, boundary, "chained")
 
 
-def _binary_rows(constraints, space):
-    try:
-        rows = np.asarray(constraints, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProjectionError(f"constraint matrix is not an array of numbers: {exc}") from None
-    if rows.ndim != 2 or rows.shape[1] != space.n_admissible:
-        raise ProjectionError(
-            f"constraint matrix must be M x {space.n_admissible}, got {rows.shape}"
-        )
+def _binary_rows(rows):
+    """``rows`` rounded to 0/1; an entry more than 1e-12 from both raises."""
     if not np.all((np.abs(rows) < 1e-12) | (np.abs(rows - 1.0) < 1e-12)):
         raise OperatorError("iterative proportional fitting needs binary rows")
     return np.rint(rows)
@@ -466,68 +465,126 @@ def ipf_project(
     """Iterative proportional fitting for binary (marginal) constraints.
 
     ``constraints`` is one ``M x |E*|`` matrix of 0/1 rows over admissible
-    entities and ``targets`` the ``M`` row expectations.  Each cycle
-    rescales each row's support by ``target/current``; this converges
-    whenever the targets are jointly feasible.  A normalization row is appended
-    automatically when the given rows do not already imply it.  Zero
-    targets zero out their row's support and flag the result as a
-    boundary solution.  ``variant`` must be ``"proportional"``, the only
-    update there is; the keyword stays so that calls spelling it out work.
+    entities and ``targets`` the ``M`` row expectations.  The rows are
+    sorted into partitions of the support: a row joins the first partition
+    whose rows it is disjoint from, or starts a new one, and each partition
+    is closed by its remainder, the supported entities none of its rows
+    cover, with target ``1 - sum(targets)``.  Each cycle rescales every
+    block of every partition to its target, partition by partition; this
+    converges whenever the targets are jointly feasible.  Every partition
+    sums to 1, so no normalization row is needed.  Zero targets, and
+    remainder targets within 1e-12 of zero, zero out their block and flag
+    the result as a boundary solution.  Disjoint rows whose targets sum
+    past 1, or that cover the support and sum to other than 1, raise a
+    :class:`~totem.errors.ProjectionError`.  ``variant`` must be
+    ``"proportional"``, the only update there is; the keyword stays so
+    that calls spelling it out work.
     """
     if variant != "proportional":
         raise ProjectionError(f"unknown IPF variant {variant!r}; expected 'proportional'")
+    space = reference.space
+    try:
+        rows = np.asarray(constraints, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ProjectionError(f"constraint matrix is not an array of numbers: {exc}") from None
+    if rows.ndim != 2 or rows.shape[1] != space.n_admissible:
+        raise ProjectionError(
+            f"constraint matrix must be M x {space.n_admissible}, got {rows.shape}"
+        )
+    # checked per entity: a row the element drops lies only within PIVOT_TOL
+    # of its row space, so a binary row takes one value on each of the
+    # element's column groups, but a non-binary one need not
+    rows = _binary_rows(rows)
+    element = _element_from_rows(space, rows)
+    rows = rows[:, np.unique(element.columns[1], return_index=True)[1]]
+    return _ipf(reference, element, rows, targets, tol, max_cycles)
+
+
+def _partitions(on):
+    """Each partition's rows, and the groups they cover, of the rows ``on``
+    (M x S, boolean): a row joins the first partition whose rows it is
+    disjoint from, or starts a new one."""
+    partitions = []
+    for i, row in enumerate(on):
+        for members, covered in partitions:
+            if not np.any(covered & row):
+                members.append(i)
+                covered |= row
+                break
+        else:
+            partitions.append(([i], row.copy()))
+    return partitions
+
+
+def _ipf(reference, element, rows, targets, tol, max_cycles):
+    """:func:`ipf_project` on ``element``'s column groups, from the 0/1
+    ``rows`` (one column per group) and their ``targets``.
+
+    Each block of a partition is given a label on the supported groups, so
+    one cycle is a ``bincount`` and a gather per partition.  A remainder
+    target is ``1`` less a sum of targets, which rounding can leave a few
+    ulps from zero: one within ``_TARGET_SLACK`` of zero is zero, below
+    that the targets are infeasible, and so are targets of rows that cover
+    the support and sum to farther than that from 1.
+    """
     if max_cycles < 1:
         raise ProjectionError(f"max_cycles must be at least 1, got {max_cycles!r}")
-    space = reference.space
-    rows = _binary_rows(constraints, space)
+    rows = _binary_rows(rows)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (rows.shape[0],):
         raise ProjectionError(
             f"{rows.shape[0]} rows but {targets.shape} targets"
         )
     # written so that NaN, which fails every comparison, fails the check
-    if not np.all((targets >= -1e-12) & (targets <= 1.0 + 1e-12)):
+    if not np.all((targets >= -_TARGET_SLACK) & (targets <= 1.0 + _TARGET_SLACK)):
         raise ProjectionError("marginal targets must lie in [0, 1]")
 
-    element = _element_from_rows(space, rows)
-    # A row the element drops lies within PIVOT_TOL of its row space, so a
-    # binary row takes one value on each of the element's column groups.
-    rows = rows[:, np.unique(element.columns[1], return_index=True)[1]]
     v = element.group_sums(reference.admissible)
     support, boundary = _forced_support(rows, targets, v > 0.0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
+    on = rows[:, support] > 0.0
+    partitions = _partitions(on)
+    rests, kept = [], np.ones(on.shape[1], dtype=bool)
+    for members, covered in partitions:
+        total = math.fsum(targets[members])
+        rest = 1.0 - total
+        if covered.all() and abs(rest) > _TARGET_SLACK:
+            raise ProjectionError(
+                f"rows that cover the support have targets summing to {total!r}, not 1")
+        if rest < -_TARGET_SLACK:
+            raise ProjectionError(f"disjoint rows have targets summing to {total!r}, past 1")
+        if rest <= _TARGET_SLACK:
+            rest = 0.0
+            kept &= covered
+        rests.append(rest)
+    boundary = boundary or not kept.all()
+    idx = np.flatnonzero(support)[kept]
+    on = on[:, kept]
 
-    # each row's supported groups as indices: the values gathered, and their
-    # order, are those of a boolean mask
-    work = [(np.flatnonzero(support & (row > 0.0)), target)
-            for row, target in zip(rows, targets)]
-    # stacked last, the all-ones row is kept iff the rows do not imply it
-    kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
-    if kept[-1] == len(targets):
-        work.append((np.flatnonzero(support), 1.0))
+    blocks = []
+    for (members, _), rest in zip(partitions, rests):
+        labels = np.full(len(idx), len(members))
+        for j, i in enumerate(members):
+            labels[on[i]] = j
+        block_targets = np.append(targets[members], rest)
+        filled = np.bincount(labels, minlength=len(block_targets)) > 0
+        starved = block_targets[~filled & (block_targets > 0.0)]
+        if len(starved):
+            raise ProjectionError(
+                f"target {float(starved[0])!r} is positive on a block that has no reference "
+                "mass left"
+            )
+        # number the filled blocks only: every block updated has mass
+        labels = (np.cumsum(filled) - 1)[labels]
+        blocks.append((labels, block_targets[filled]))
 
-    p = np.where(support, v, 0.0)
-    p = p / p.sum()
-    cycles = 0
-    while cycles < max_cycles:
-        cycles += 1
-        # one gather and one scatter per row update; the gathered values
-        # are summed pairwise in index order
-        for on, target in work:
-            x = p.take(on)
-            current = float(np.add.reduce(x))
-            if current <= 0.0:
-                if target == 0.0:
-                    continue
-                raise ProjectionError(
-                    f"target {target} is positive on a row whose support has no "
-                    "reference mass left"
-                )
-            x *= target / current
-            p[on] = x
-        residual = float(max(abs(float(np.add.reduce(p.take(on))) - target)
-                             for on, target in work))
+    p = v[idx] / np.sum(v[idx])
+    for cycles in range(1, max_cycles + 1):
+        for labels, block_targets in blocks:
+            p *= (block_targets / np.bincount(labels, weights=p))[labels]
+        residual = max(float(np.max(np.abs(np.bincount(labels, weights=p) - block_targets)))
+                       for labels, block_targets in blocks)
         if residual <= tol:
             break
     else:
@@ -536,6 +593,7 @@ def ipf_project(
             f"(residual {residual!r}); the targets may be jointly infeasible"
         )
 
-    q = p / p.sum()
+    q = np.zeros(len(v))
+    q[idx] = p / np.sum(p)
     fit = _GroupFit(q, v, cycles, boundary, "ipf-proportional")
     return _result(reference, element, fit, rows, targets)

@@ -208,32 +208,50 @@ def rref(matrix, tol=PIVOT_TOL):
 
 
 def ipf_entitywise(reference, rows, targets, tol=1e-10, max_cycles=10_000):
-    """Cyclic proportional fitting over every admissible entity.
+    """Cyclic proportional fitting over every admissible entity, on blocks
+    that partition the support.
 
     Returns the normalized admissible weights and the cycles used, or
     ``None`` when ``max_cycles`` runs out.  Zero targets remove their row's
-    support first; a normalization row is appended when the rows do not
-    imply it on the support.
+    support first.  A row joins the first partition whose rows it is
+    disjoint from on the support, or starts a new one; each partition is
+    closed by the supported entities none of its rows cover, with target
+    one less the sum of its rows' targets, and a remainder target within
+    1e-12 of zero removes its entities from the support.  A cycle rescales
+    each block in turn, partition by partition, each remainder after its
+    partition's rows.
     """
     ref_adm = reference.admissible
     support = ref_adm > 0.0
     for row, target in zip(rows, targets):
         if target == 0.0:
             support = support & ~(row > 0.0)
-    work = [(row, target) for row, target in zip(rows, targets)]
-    kept = _row_basis(np.vstack([rows[:, support], np.ones(int(support.sum()))]))[1]
-    if kept[-1] == len(rows):
-        work.append((np.ones(len(ref_adm)), 1.0))
+    partitions = []
+    for row, target in zip(rows, targets):
+        on = (row > 0.0) & support
+        for blocks in partitions:
+            if not any(np.any(on & other) for other, _ in blocks):
+                blocks.append((on, target))
+                break
+        else:
+            partitions.append([(on, target)])
+    work = []
+    for blocks in partitions:
+        rest = support & ~np.any([on for on, _ in blocks], axis=0)
+        target = 1.0 - sum(target for _, target in blocks)
+        if abs(target) <= 1e-12:
+            support = support & ~rest
+        work += blocks + [(rest, target)]
     p = np.where(support, ref_adm, 0.0)
     p = p / p.sum()
     for cycles in range(1, max_cycles + 1):
-        for row, target in work:
-            on = (row > 0.0) & support
+        for on, target in work:
+            on = on & support
             current = float(p[on].sum())
             if current > 0.0:
                 p[on] *= target / current
-        residual = max(abs(float(p[(row > 0.0) & support].sum()) - target)
-                       for row, target in work)
+        residual = max(abs(float(p[on & support].sum()) - target) for on, target in work
+                       if np.any(on & support))
         if residual <= tol:
             return p / p.sum(), cycles
     return None

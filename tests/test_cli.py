@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from totem import cli
+from totem import cli, operators
 from totem.cli import AnalysisConfig, main, run
+from totem.operators import make_element
 
 
 @pytest.fixture
@@ -102,7 +103,11 @@ class TestRun:
         data = tmp_path / "three.csv"
         data.write_text("s1,s2\nhead,head\nhead,tail\ntail,tail\n")
         coin_config.data = str(data)
-        coin_config.elements["per_flip"] = ["marginal(s1=head)", "marginal(s2=head)"]
+        # the flips' marginals alone fit in one cycle; their product ties
+        # the partitions together, and the data's empty (tail, head) cell
+        # is a boundary IPF only approaches
+        coin_config.elements["per_flip"] = ["marginal(s1=head)", "marginal(s2=head)",
+                                            "product(marginal(s1=head), marginal(s2=head))"]
         coin_config.tasks = [task]
         config_path = tmp_path / "analysis.json"
         config_path.write_text(coin_config.to_json())
@@ -110,6 +115,24 @@ class TestRun:
         lines = capsys.readouterr().out.splitlines()
         error = next(i for i, line in enumerate(lines) if line.startswith("  error: "))
         assert lines[error + 1] == f"  {hint}"
+
+    def test_ipf_builds_no_element_of_its_own(self, coin_config, monkeypatch):
+        # every ipf task runs on the column groups of its declared element
+        coin_config.elements["per_flip"] = ["identity", "marginal(s1=head)",
+                                            "marginal(s2=head)"]
+        coin_config.tasks = [{"type": "ipf", "element": name}
+                             for name in ("spectrum", "per_flip", "spectrum")]
+        built = []
+
+        def counted(ops, mode="strict"):
+            built.append(mode)
+            return make_element(ops, mode)
+
+        monkeypatch.setattr(cli, "make_element", counted)
+        monkeypatch.setattr(operators, "make_element", counted)
+        code, report = run(coin_config)
+        assert code == 0 and report.count("  cycles: 1\n") == 3
+        assert len(built) == len(coin_config.elements) == 3
 
     def test_repeated_projection_uses_its_own_budget(self, coin_config):
         coin_config.tasks = [

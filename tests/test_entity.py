@@ -447,3 +447,19 @@ class TestIngestBytes:
         assert table.column_names == ("u", "v")
         assert table.records == (("a", "b"), ("c", "d"))
         assert table.counts.tolist() == [3, 2]
+
+    def test_lines_across_read_buffers(self, tmp_path):
+        # over 2 MiB of LF, CR LF and bare CR endings and two-byte
+        # characters, so the read buffers end inside lines, line endings
+        # and characters alike; text mode with ``newline=""`` is the check
+        endings, accent = ["\n", "\r\n", "\r"], "\u00e9"
+        body = "".join(f"{i % 97},{accent * (i % 5 + 1)}{endings[i % 3]}"
+                       for i in range(230_000))
+        path = tmp_path / "data.csv"
+        path.write_bytes(("u,v\n" + body).encode("utf-8"))
+        assert path.stat().st_size > 2 << 20
+        with open(path, encoding="utf-8", newline="") as handle:
+            expected = Counter(tuple(row) for row in list(csv.reader(handle))[1:])
+        table = ingest_csv(path)
+        assert table.records == tuple(expected)
+        assert table.counts.tolist() == list(expected.values())

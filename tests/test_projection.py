@@ -502,7 +502,7 @@ class TestIpf:
             via_ipf = ipf_project(ref, rows, targets)
             element = make_element(ops, mode="auto-reduce")
             via_newton = newton_project(ref, Totemplex(element, f))
-            assert max_norm_distance(via_ipf.distribution, via_newton.distribution) < 1e-8
+            assert max_norm_distance(via_ipf.distribution, via_newton.distribution) < 1e-10
 
     def test_group_cycles_match_entitywise_cycles(self):
         rng = np.random.default_rng(37)
@@ -551,6 +551,55 @@ class TestIpf:
         assert result.distribution.weights[space.index_of(("r1", "c1"))] == 0.0
         assert result.distribution.weights[space.index_of(("r1", "c2"))] == 0.0
 
+    def test_multi_level_marginals_fit_within_five_cycles(self):
+        # one binary and three four-level attributes: auto-reduce drops a
+        # level of each, which comes back as its partition's remainder.
+        # Under a product reference the fit is exact in one cycle.
+        space = EntitySpace([AttributeDomain("b", ["0", "1"])] + [
+            AttributeDomain(f"x{i}", ["a", "b", "c", "d"]) for i in range(3)])
+        rng = np.random.default_rng(5)
+        f = Distribution.from_counts(space, rng.integers(0, 20, size=space.n_entities))
+        element = make_element([identity_op(space)] + [
+            marginal_op(space, d.name, level) for d in space.domains for level in d.levels],
+            mode="auto-reduce")
+        assert element.rank == 11
+        level_weights = [rng.gamma(2.0, size=len(d.levels)) for d in space.domains]
+        v = np.prod([w[space.level_codes(d.name)]
+                     for d, w in zip(space.domains, level_weights)], axis=0)
+        ref = Distribution.from_admissible_weights(space, v, renormalize=True)
+        plex = Totemplex(element, f)
+        result = ipf_project(ref, element.matrix, element.expectations(f), max_cycles=5)
+        assert result.iterations == 1 and not result.boundary
+        assert_projection(result, plex, ref, 1e-9)
+        assert max_norm_distance(result.distribution,
+                                 newton_project(ref, plex).distribution) < 1e-10
+
+    @pytest.mark.parametrize("counts, rest", [
+        ([1, 1, 1, 4, 0, 0], 1.1102230246251565e-16),
+        ([1, 1, 25, 29, 0, 0], -2.220446049250313e-16),
+    ], ids=["above", "below"])
+    def test_remainder_target_within_rounding_of_zero_is_zero(self, counts, rest):
+        # no record has x = c, the level auto-reduce drops: its remainder
+        # target is 1 less the other levels' sum, a rounding off zero
+        space = EntitySpace([AttributeDomain("x", ["a", "b", "c"]),
+                             AttributeDomain("y", ["h", "t"])])
+        element = make_element([identity_op(space)] + [
+            marginal_op(space, "x", level) for level in "abc"] + [
+            marginal_op(space, "y", "h")], mode="auto-reduce")
+        assert element.labels == ("identity", "marginal(x=a)", "marginal(x=b)",
+                                  "marginal(y=h)")
+        f = Distribution.from_counts(space, np.array(counts))
+        targets = element.expectations(f)
+        assert 1.0 - math.fsum(targets[1:3]) == rest
+        result = ipf_project(uniform(space), element.matrix, targets)
+        assert result.boundary and result.iterations == 1
+        q = result.distribution.admissible.reshape(3, 2)
+        np.testing.assert_array_equal(q[2], 0.0)
+        # uniform is a product, and so is its projection onto the marginals
+        np.testing.assert_allclose(
+            q, np.outer([targets[1], targets[2], 0.0], [targets[3], 1.0 - targets[3]]),
+            rtol=1e-12, atol=0.0)
+
     def test_non_binary_rows_rejected(self):
         space = coin_space(2)
         rows = np.array([[0.5, 0.5, 0.0, 0.0]])
@@ -591,9 +640,15 @@ def _coin2_ipf(rows=None, targets=(0.3,), reference=None, **kwargs):
          NonConvergenceError, r"within 3 cycles \(residual 0\.\d+\)"),
         (lambda: chained_project(uniform(coin_space(2)), []), ProjectionError,
          "at least one stage"),
+        # the all-ones row covers the support: its target must be 1
+        (lambda: _coin2_ipf(rows=np.ones((1, 4)), targets=(0.5,)), ProjectionError,
+         r"cover the support have targets summing to 0\.5, not 1"),
+        # P(s1 = s2 = head) and P(s1 = head, s2 = tail), disjoint, past 1
+        (lambda: _coin2_ipf(rows=[[1, 0, 0, 0], [0, 1, 0, 0]], targets=(0.6, 0.5)),
+         ProjectionError, r"disjoint rows have targets summing to 1\.1, past 1"),
     ],
     ids=["variant", "columns", "one-dimensional", "operators", "targets",
-         "no-reference-mass", "max-cycles", "no-stages"],
+         "no-reference-mass", "max-cycles", "no-stages", "covering-sum", "disjoint-sum"],
 )
 def test_typed_solver_errors(call, error, message):
     with pytest.raises(error, match=message) as caught:
@@ -771,17 +826,23 @@ def _digest(weights):
 
 
 def _one_sided_ipf(zero_first=False):
-    """``ipf_project`` on eight flips: one ``head`` row per flip, which
-    leaves normalization to the appended all-ones row, under a reference
-    that favours many or few heads, so the rows pull against each other."""
+    """``ipf_project`` on eight flips: one ``head`` row per flip, each
+    closed by its complement, under a reference that favours many or few
+    heads, so the partitions pull against each other.  Returns the result,
+    and the family as a :class:`Totemplex` on data that meets the targets
+    (independent flips), for the oracle."""
     space = coin_space(8)
     heads = _successes(space)
     ref = Distribution.from_admissible_weights(space, 1.0 + (heads - 4.0) ** 2, renormalize=True)
-    rows = np.array([marginal_op(space, f"s{i}", "head").eigenvalues for i in range(1, 9)])
+    ops = [marginal_op(space, f"s{i}", "head") for i in range(1, 9)]
+    rows = np.array([op.eigenvalues for op in ops])
     targets = np.linspace(0.2, 0.8, 8)
     if zero_first:
         targets[0] = 0.0
-    return ipf_project(ref, rows, targets)
+    data = np.prod([np.where(row > 0.0, t, 1.0 - t) for row, t in zip(rows, targets)], axis=0)
+    plex = Totemplex(make_element(ops, mode="auto-reduce"),
+                     Distribution.from_admissible_weights(space, data, renormalize=True))
+    return ipf_project(ref, rows, targets), plex, ref
 
 
 class TestFrozenSolves:
@@ -790,16 +851,18 @@ class TestFrozenSolves:
     differently, changes them."""
 
     def test_one_sided_ipf(self):
-        result = _one_sided_ipf()
-        assert result.iterations == 110 and not result.boundary
+        result, plex, ref = _one_sided_ipf()
+        assert result.iterations == 16 and not result.boundary
         assert _digest(result.distribution.weights) == (
-            "9ec4e986a7afd57bc0108aaf42c5563197afdf6da67c18a55a1a24fc608662f3")
+            "cf86356f740353ab75e433342f7ccb9e245c5c8a2f8f7731631e142724508ebb")
+        assert_projection(result, plex, ref, 1e-9)
 
     def test_ipf_with_a_zero_target(self):
-        result = _one_sided_ipf(zero_first=True)
-        assert result.iterations == 104 and result.boundary
+        result, plex, ref = _one_sided_ipf(zero_first=True)
+        assert result.iterations == 16 and result.boundary
         assert _digest(result.distribution.weights) == (
-            "514c2994350c05ea3e22f765f4ba92706afbe5c66c188d63c28c5243311c22d4")
+            "927a9317090ffb91d395b802cc60dafbbeadfe4197ead753bf1be9a3713231eb")
+        assert_projection(result, plex, ref, 1e-9)
 
     def test_newton_zero_target_clamp(self):
         # no subject shows zero heads: the k = 0 shell is clamped up front
