@@ -74,6 +74,11 @@ class Distribution:
         total = float(np.sum(weights))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise TotemError(f"weights sum to {total!r}, not 1 within {_NORMALIZATION_TOL}")
+        self._hold(space, weights)
+
+    def _hold(self, space, weights):
+        """Set the slots on checked ``weights`` that no one else holds,
+        frozen in place."""
         weights.setflags(write=False)
         self.space = space
         self.weights = weights
@@ -128,7 +133,10 @@ class Distribution:
                     f"declared nullentity {space.entity_at(int(bad))!r} observed "
                     f"{int(counts[bad])} time(s) in the data"
                 )
-        dist = cls(space, counts / n)
+        # whole nonnegative counts summing to n > 0: their frequencies are
+        # finite, nonnegative and sum to one within rounding, unchecked
+        dist = cls.__new__(cls)
+        dist._hold(space, counts / n)
         counts = counts.copy()  # the caller's array stays writable
         counts.setflags(write=False)
         dist.counts = counts

@@ -24,6 +24,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -51,16 +52,27 @@ __all__ = [
 #: different scales, so the threshold is relative to the largest entry.
 PIVOT_TOL = 1e-9
 
+#: Deepest nesting of parentheses an operator spec may have: the parser
+#: recurses once per ``product(...)`` level, and Python's stack holds
+#: about a thousand frames.
+_MAX_SPEC_DEPTH = 500
+
 
 class CharacteristicOperator:
-    """Diagonal operator: one finite eigenvalue per admissible entity."""
+    """Diagonal operator: one finite eigenvalue per admissible entity.
+
+    The operator keeps a read-only copy of ``eigenvalues``; the builders
+    below, whose arrays are their own, freeze them in place instead.
+    """
 
     __slots__ = ("space", "eigenvalues", "label")
 
     def __init__(self, space, eigenvalues, label=""):
         # a copy: freezing the caller's array (or a view of it) would tie
         # the operator to later writes there
-        eigenvalues = np.array(eigenvalues, dtype=np.float64)
+        self._freeze(space, np.array(eigenvalues, dtype=np.float64), label)
+
+    def _freeze(self, space, eigenvalues, label):
         if eigenvalues.shape != (space.n_admissible,):
             raise OperatorError(
                 f"expected {space.n_admissible} eigenvalues, got {eigenvalues.shape}"
@@ -82,11 +94,19 @@ class CharacteristicOperator:
         return f"CharacteristicOperator({self.label!r})"
 
 
+def _operator(space, eigenvalues, label):
+    """The operator on ``eigenvalues``, a float64 array its caller has just
+    made and holds nowhere else: checked and frozen in place, not copied."""
+    op = CharacteristicOperator.__new__(CharacteristicOperator)
+    op._freeze(space, eigenvalues, label)
+    return op
+
+
 # --- builders ------------------------------------------------------------
 
 def identity_op(space):
     """Eigenvalue one on every admissible entity (normalization row)."""
-    return CharacteristicOperator(space, np.ones(space.n_admissible), "identity")
+    return _operator(space, np.ones(space.n_admissible), "identity")
 
 
 def marginal_op(space, attributes, levels):
@@ -108,7 +128,7 @@ def marginal_op(space, attributes, levels):
         pos = domain.position(level)
         eig *= (space.level_codes(name) == pos).astype(np.float64)
     spec = ",".join(f"{a}={l}" for a, l in zip(attributes, levels))
-    return CharacteristicOperator(space, eig, f"marginal({spec})")
+    return _operator(space, eig, f"marginal({spec})")
 
 
 def moment_op(space, attribute, n):
@@ -121,7 +141,7 @@ def moment_op(space, attribute, n):
             f"attribute {attribute!r} has non-numeric levels; moments are undefined"
         )
     values = np.asarray(domain.numeric_values)[space.level_codes(attribute)]
-    return CharacteristicOperator(space, values ** int(n), f"moment({attribute},{int(n)})")
+    return _operator(space, values ** int(n), f"moment({attribute},{int(n)})")
 
 
 def _success_count(space, success, attributes):
@@ -165,8 +185,8 @@ def success_op(space, success, attributes=None):
     ``success(head, s1)``.
     """
     length, count = _success_count(space, success, attributes)
-    return CharacteristicOperator(space, count / length,
-                                  f"success({_trial_label(space, success, attributes)})")
+    return _operator(space, count / length,
+                     f"success({_trial_label(space, success, attributes)})")
 
 
 def k_marginal_op(space, k, success, attributes=None):
@@ -185,16 +205,14 @@ def _count_indicator(space, count, k, trials):
     """The ``k_marginal`` operator read off a precomputed success count;
     ``trials`` is the label's text for the success level and trials."""
     eig = (count == int(k)).astype(np.float64)
-    return CharacteristicOperator(space, eig, f"k_marginal({int(k)},{trials})")
+    return _operator(space, eig, f"k_marginal({int(k)},{trials})")
 
 
 def product_op(a, b):
     """Elementwise eigenvalue product (diagonal operators commute)."""
     if not a.space.same_space(b.space):
         raise SpaceError("operators live on different spaces")
-    return CharacteristicOperator(
-        a.space, a.eigenvalues * b.eigenvalues, f"product({a.label},{b.label})"
-    )
+    return _operator(a.space, a.eigenvalues * b.eigenvalues, f"product({a.label},{b.label})")
 
 
 # --- dense linear algebra -------------------------------------------------
@@ -246,9 +264,10 @@ def _column_keys(bits):
     multipliers = np.random.default_rng(0).integers(
         2**63, size=len(bits), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     keys = np.zeros(len(bits[0]), dtype=np.uint64)
+    folded = np.empty_like(keys)
     for row, multiplier in zip(bits, multipliers):
         # fold the high bits (sign, exponent) down before the odd multiplier
-        folded = row >> np.uint64(32)
+        np.right_shift(row, np.uint64(32), out=folded)
         folded ^= row
         folded *= multiplier
         keys += folded
@@ -261,15 +280,23 @@ def _column_partition(rows):
     ``rows`` is a sequence of equal-length rows (a matrix's rows will do);
     they are never stacked into one matrix.  ``columns[:, group]`` equals
     the rows stacked, bit for bit, and ``columns`` is column-major.
-    Columns are grouped by a hash of their bits; should two distinct
-    columns share a hash, the grouping falls back to sorting the raw
-    column bytes.
+    Columns are grouped by a 64-bit hash of their bits: one sort of the
+    hashes finds the distinct ones, a binary search numbers each column's
+    group and a running minimum finds each group's first member.  The
+    grouping is then checked against the rows through the distinct
+    columns; should two distinct columns share a hash, it falls back to
+    sorting the raw column bytes.
     """
     rows = [np.ascontiguousarray(row, dtype=np.float64) for row in rows]
     bits = [row.view(np.uint64) for row in rows]
-    _, first, group = np.unique(_column_keys(bits), return_index=True, return_inverse=True)
-    representative = first[group]
-    if not all(np.array_equal(row[representative], row) for row in bits):
+    keys = _column_keys(bits)
+    distinct = np.sort(keys)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    group = np.searchsorted(distinct, keys)
+    del keys  # the n-long arrays go before the next ones are made
+    first = np.full(len(distinct), len(group))
+    np.minimum.at(first, group, np.arange(len(group)))
+    if not all(np.array_equal(row[first][group], row) for row in bits):
         raw = np.ascontiguousarray(np.vstack(rows).T)
         raw = raw.view(np.dtype((np.void, raw.strides[0]))).ravel()
         _, first, group = np.unique(raw, return_index=True, return_inverse=True)
@@ -302,12 +329,7 @@ class ConstructingElement:
         self.operators = tuple(operators)
         self._columns = columns
         self._basis = None
-        # the bytes of the stacked eigenvalue matrix, row after row
-        h = hashlib.sha256()
-        h.update(space.fingerprint.encode())
-        for op in self.operators:
-            h.update(op.eigenvalues)
-        self._fingerprint = h.hexdigest()
+        self._fingerprint = None
 
     @property
     def matrix(self):
@@ -327,6 +349,15 @@ class ConstructingElement:
 
     @property
     def fingerprint(self):
+        """sha256 of the space's fingerprint and the bytes of the stacked
+        eigenvalue matrix, row after row: computed on first read and kept.
+        Two threads reading it first both compute the same digest."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(self.space.fingerprint.encode())
+            for op in self.operators:
+                h.update(op.eigenvalues)
+            self._fingerprint = h.hexdigest()
         return self._fingerprint
 
     @property
@@ -387,9 +418,9 @@ def make_element(operators, mode="strict"):
 
     ``mode="strict"`` demands the given operators be linearly independent
     (and imply normalization) as stated.  ``mode="auto-reduce"`` keeps the
-    earliest linearly independent operators, drops the rest, and appends
-    the identity operator when the all-ones row is missing from the row
-    space.
+    earliest linearly independent operators, drops the rest (logging a
+    warning that names them on the ``totem`` logger), and appends the
+    identity operator when the all-ones row is missing from the row space.
     """
     operators = list(operators)
     if not operators:
@@ -400,19 +431,21 @@ def make_element(operators, mode="strict"):
             raise SpaceError("operators live on different spaces")
         if not np.any(op.eigenvalues):
             raise OperatorError(f"zero operator {op.label!r} cannot enter an element")
-    # last, the all-ones row is kept iff normalization is not implied; the
-    # row space, and with it every decision below, is that of the distinct
-    # columns, whose largest entry is that of all the rows
-    columns, group = _column_partition(
-        [op.eigenvalues for op in operators] + [np.ones(space.n_admissible)])
+    # the row space, and with it every decision below, is that of the
+    # distinct columns, whose largest entry is that of all the rows.  The
+    # all-ones row splits no columns: it is appended to the distinct
+    # columns, last, and kept iff normalization is not implied.
+    distinct, group = _column_partition([op.eigenvalues for op in operators])
+    columns = np.ones((len(operators) + 1, distinct.shape[1]), order="F")
+    columns[:-1] = distinct
     basis, kept = _row_basis(columns)
     normalized = kept[-1] < len(operators)
     if not normalized:
         kept.pop()
 
+    dropped = [op.label for i, op in enumerate(operators) if i not in kept]
     if mode == "strict":
-        if len(kept) != len(operators):
-            dropped = [operators[i].label for i in range(len(operators)) if i not in kept]
+        if dropped:
             raise OperatorError(
                 f"operators {dropped} are linearly dependent on earlier ones "
                 "(use mode='auto-reduce' to drop them)"
@@ -424,7 +457,8 @@ def make_element(operators, mode="strict"):
             )
     elif mode != "auto-reduce":
         raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
-    dropped = len(kept) < len(operators)
+    elif dropped:
+        _warn("auto-reduce dropped operators %s: linearly dependent on earlier ones", dropped)
     operators = [operators[i] for i in kept]
     if not normalized:
         operators.append(identity_op(space))
@@ -436,15 +470,28 @@ def make_element(operators, mode="strict"):
         columns, sub = _column_partition(columns[kept])
         group = sub[group]
         basis = basis[:, np.unique(sub, return_index=True)[1]]  # first members
-    else:
-        # the leading rows, column-major as _column_partition lays them
-        # out: the element's sums and products depend on that layout
-        columns = columns[: len(kept)].copy(order="F")
+    elif normalized:
+        # column-major as _column_partition lays them out: the element's
+        # sums and products depend on that layout
+        columns = distinct
     for array in (columns, group, basis):
         array.setflags(write=False)
     element = ConstructingElement(space, operators, (columns, group))
     element._basis = basis
     return element
+
+
+def _warn(message, *args):
+    """Log a warning on the ``totem`` logger, which prints nothing unless
+    the application configures logging.  :mod:`logging` is imported here,
+    not with the package: importing it takes about 10 ms, a sixth of
+    ``import totem.cli``."""
+    import logging
+
+    log = logging.getLogger("totem")
+    if not log.handlers:
+        log.addHandler(logging.NullHandler())  # keeps the last-resort handler quiet
+    log.warning(message, *args)
 
 
 def _element_from_rows(space, rows):
@@ -570,7 +617,17 @@ def _split_args(text):
 
 
 def operator_from_spec(space, spec):
-    """Parse one operator declaration (see module grammar) into an operator."""
+    """Parse one operator declaration (see module grammar) into an operator.
+
+    Parentheses may nest at most ``_MAX_SPEC_DEPTH`` deep.
+    """
+    if max(itertools.accumulate((ch == "(") - (ch == ")") for ch in spec),
+           default=0) > _MAX_SPEC_DEPTH:
+        raise OperatorError(f"operator spec nests parentheses more than {_MAX_SPEC_DEPTH} deep")
+    return _parse_spec(space, spec)
+
+
+def _parse_spec(space, spec):
     spec = spec.strip()
     if spec == "identity":
         return identity_op(space)
@@ -616,5 +673,5 @@ def operator_from_spec(space, spec):
     if head == "product":
         if len(args) != 2:
             raise OperatorError(f"product expects two operator specs, got {spec!r}")
-        return product_op(operator_from_spec(space, args[0]), operator_from_spec(space, args[1]))
+        return product_op(_parse_spec(space, args[0]), _parse_spec(space, args[1]))
     raise OperatorError(f"unknown operator kind {head!r}")

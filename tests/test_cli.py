@@ -466,6 +466,20 @@ class TestExitCodeContract:
         assert exc.value.code == 0
         assert "usage: totem run" in capsys.readouterr().out
 
+    def test_deeply_nested_spec(self, coin_config, tmp_path, capsys):
+        spec = "identity"
+        for _ in range(1200):
+            spec = f"product({spec}, identity)"
+        coin_config.elements["deep"] = ["identity", spec]
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("configuration error at elements.deep[1]: ")
+        assert "more than 500 deep" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.json")])
         captured = capsys.readouterr()
@@ -669,9 +683,27 @@ def test_fuzzed_command_lines(coin_config, coin_csv, tmp_path, monkeypatch, caps
     _exit_code(argv, capsys)
 
 
-def test_import_leaves_scipy_unloaded():
+def _python(code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, totem, totem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_logging_unloaded():
+    code = "import sys, totem, totem.cli; print('logging' in sys.modules)"
+    assert _python(code).stdout.strip() == "False"
+
+
+def test_auto_reduce_warning_prints_nothing_by_default():
+    # logging imported but not configured: Python's last-resort handler
+    # would print the warning to stderr
+    code = ("import logging, totem; from totem.closed_forms import coin_space; "
+            "s = coin_space(2); print(totem.make_element("
+            "[totem.identity_op(s), totem.identity_op(s)], mode='auto-reduce').labels)")
+    done = _python(code)
+    assert done.stdout.strip() == "('identity',)" and done.stderr == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, totem, totem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _python(code).stdout.strip() == "[]"

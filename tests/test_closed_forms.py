@@ -18,8 +18,10 @@ from totem import (
     logistic_model_distribution,
     logistic_space,
     logit_affine_fit,
+    make_element,
     max_norm_distance,
     newton_project,
+    operator_from_spec,
     two_coin_projection_closed_form,
     uniform,
 )
@@ -322,6 +324,9 @@ class TestReferenceUpdate:
         assert max_norm_distance(result.distribution, day2_data) < 1e-8
 
 
+_PER_TRIAL = ["identity"] + [f"marginal(s{i + 1}=head)" for i in range(12)]
+
+
 class TestFrozenBytes:
     """Closed-form weights and coin element fingerprints pinned bit for bit."""
 
@@ -352,3 +357,22 @@ class TestFrozenBytes:
             "962013723ccae902b12b45e331a0024a188f114dba64957648256a0d0e4e20aa")
         assert k_marginal_element(space).fingerprint == (
             "70281de561a916eb6d8a61d88c388aedf2c9af5662ae63531c6d8eaa7b71d2d7")
+
+    @pytest.mark.parametrize("specs, digest", [
+        (["identity", "success(head)"],
+         "df07825d324118e6342536c23c8ee7f72177973984487f396035170785b61430"),
+        ([f"k_marginal({k}, head)" for k in range(13)],
+         "3c643e824819fcb03fc4ea3b47eff6b5b92286704b4499203cabf4fcdf2fcefe"),
+        (_PER_TRIAL,
+         "e81939ac5c7522ee4b6a5e37929b10d1dfa8f860186a0d64989c2b01afef1776"),
+        (_PER_TRIAL + ["product(marginal(s1=head), marginal(s2=head))"],
+         "1fb31ca70d778bf77b63d8adaa3656d72840d7f5fecd27ec698c513689665035"),
+        (["success(head)", "identity"],
+         "9d86ea356aa4ad1a4525d938ee63e59d41bf8dfada238d8049d94ef50f84ef58"),
+    ], ids=["mean", "spectrum", "per_trial", "pair", "mean_dup"])
+    def test_cli_pipeline_element_fingerprints(self, specs, digest):
+        # the five elements of the benchmark's L = 12 pipeline config
+        space = coin_space(12)
+        element = make_element([operator_from_spec(space, spec) for spec in specs],
+                               mode="auto-reduce")
+        assert element.fingerprint == digest

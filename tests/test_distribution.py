@@ -58,6 +58,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.counts[0] = 7
 
+    @pytest.mark.parametrize("nullentities", [(), [("a", "y")]])
+    def test_from_counts_holds_the_exact_ratios(self, nullentities):
+        space = quad_space(nullentities)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            counts = rng.integers(0, 1000, space.n_entities)
+            counts[~space.admissible_mask] = 0
+            n = int(counts.sum())
+            dist = Distribution.from_counts(space, counts)
+            built = Distribution(space, counts / n)
+            assert dist.weights.tobytes() == built.weights.tobytes() == (counts / n).tobytes()
+            assert dist.admissible.tobytes() == built.admissible.tobytes()
+            assert not dist.weights.flags.writeable and not dist.admissible.flags.writeable
+            for got, want in zip(dist._support(), built._support()):
+                np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("keyword", [{"counts": [1, 1]}, {"n_samples": 2}])
     def test_counts_attach_only_through_from_counts(self, keyword):
         # the constructor once stored unchecked counts: [1.5, 0.5] became [1, 0]

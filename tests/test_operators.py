@@ -1,4 +1,5 @@
 import hashlib
+import logging
 from math import fsum
 
 import numpy as np
@@ -205,6 +206,20 @@ class TestMakeElement:
         assert fapp_equivalent(split, asym)
         # and both imply the pooled description
         assert is_nested(two_coin_pooled_element(space), split)
+
+    def test_auto_reduce_logs_the_dropped_operators(self, grid, caplog):
+        a = marginal_op(grid, "first", "a")
+        b = marginal_op(grid, "first", "b")
+        with caplog.at_level(logging.WARNING, logger="totem"):
+            make_element([identity_op(grid), a, b, a], mode="auto-reduce")
+        assert [(r.name, r.levelname) for r in caplog.records] == [("totem", "WARNING")]
+        assert caplog.records[0].getMessage() == (
+            "auto-reduce dropped operators ['marginal(first=b)', 'marginal(first=a)']: "
+            "linearly dependent on earlier ones")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="totem"):
+            make_element([a], mode="auto-reduce")  # the identity appended, none dropped
+        assert caplog.records == []
 
     def test_auto_reduce_appends_identity(self, grid):
         element = make_element([marginal_op(grid, "first", "a")], mode="auto-reduce")
@@ -648,7 +663,7 @@ class TestColumnPartition:
         ops = [k_marginal_op(space, k, "head") for k in range(7)]
         monkeypatch.setattr(operators, "_column_partition", counted)
         element = make_element(ops)
-        assert calls == [(8, space.n_admissible)]  # the operators and the ones row
+        assert calls == [(7, space.n_admissible)]  # the operators; the ones row splits none
         calls.clear()
         element.columns
         assert calls == []
@@ -660,6 +675,33 @@ class TestColumnPartition:
         row = space.n_admissible * 8
         peak = peak_traced_bytes(lambda: make_element(ops))
         assert peak < (len(ops) + 1) * row, f"peak {peak / row:.1f} rows"
+
+    def test_element_build_holds_fewer_rows(self):
+        # the builders' rows, the success count and the partition together:
+        # copying each builder's array and hashing the all-ones row with the
+        # operators took the build to 23.2 entity-length float rows
+        space = coin_space(14)
+        k_marginal_element(space)  # the space's level codes, made once
+        row = space.n_admissible * 8
+        peak = peak_traced_bytes(lambda: k_marginal_element(space))
+        assert peak < 21 * row, f"peak {peak / row:.1f} rows"
+
+    def test_fingerprint_is_hashed_on_first_read(self, monkeypatch):
+        space = coin_space(12)
+        made = []
+        sha256 = hashlib.sha256
+
+        def counted(*args):
+            made.append(1)
+            return sha256(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        element = k_marginal_element(space)
+        assert made == []
+        digest = element.fingerprint
+        assert made == [1]
+        assert element.fingerprint == digest
+        assert made == [1]
 
     @pytest.mark.parametrize("build", [coin_element, k_marginal_element])
     def test_row_basis_sees_distinct_columns_only(self, monkeypatch, build):
@@ -825,6 +867,20 @@ class TestOperatorSpecs:
         for spec in ["mystery(1)", "marginal(first)", "k_marginal(1)", "success()"]:
             with pytest.raises(OperatorError):
                 operator_from_spec(grid, spec)
+
+    def test_nesting_depth_is_bounded(self, grid):
+        def nested(levels):
+            spec = "marginal(first=a)"
+            for _ in range(levels):
+                spec = f"product({spec}, identity)"
+            return spec
+
+        # 499 products around a marginal: parentheses 500 deep
+        op = operator_from_spec(grid, nested(499))
+        np.testing.assert_array_equal(op.eigenvalues, marginal_op(grid, "first", "a").eigenvalues)
+        for levels in (500, 1200):
+            with pytest.raises(OperatorError, match="more than 500 deep"):
+                operator_from_spec(grid, nested(levels))
 
 
 def _numeric_two_coin():

@@ -244,3 +244,50 @@ k = functools.lru_cache(maxsize=True)(d)
     lines = [int(problem.split(":")[1].split()[0])
              for problem in _unbounded_caches(ast.parse(source), "m")]
     assert lines == [4, 6, 8, 15, 21, 22]
+
+
+#: Each private name that freezes an eigenvalue array in place rather than
+#: a copy, and the only definitions in operators.py that may reach it: the
+#: builders, whose arrays are fresh and held nowhere else.
+_NO_COPY = {
+    "_operator": {"identity_op", "marginal_op", "moment_op", "success_op",
+                  "_count_indicator", "product_op"},
+    "_freeze": {"CharacteristicOperator", "_operator"},
+}
+
+
+def _references(tree, names):
+    """``(name, enclosing module-level definition or None, line)`` for each
+    read of ``names`` as a name or an attribute."""
+    for node in tree.body:
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for ref in ast.walk(node):
+            name = (ref.id if isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Load)
+                    else ref.attr if isinstance(ref, ast.Attribute) else None)
+            if name in names:
+                yield name, scope, ref.lineno
+
+
+def test_no_copy_operators_come_from_the_builders():
+    # any other caller could hand over an array it still writes to
+    paths = MODULES + list(SCRIPTS.values()) + sorted((ROOT / "perfbench").glob("*.py"))
+    stray = [f"{path.name}:{line} {name} in {scope}" for path in paths
+             for name, scope, line in _references(ast.parse(path.read_text()), _NO_COPY)
+             if path.name != "operators.py" or scope not in _NO_COPY[name]]
+    assert not stray, f"no-copy operator paths reached outside the builders: {stray}"
+
+
+def test_no_copy_scan_sees_calls_and_aliases():
+    source = """
+def identity_op(space):
+    return _operator(space, ones, "identity")
+def helper(space, values):
+    make = _operator
+    return make(space, values, "x")
+class Sneaky(CharacteristicOperator):
+    def __init__(self, space, values):
+        self._freeze(space, values, "")
+"""
+    found = [(name, scope) for name, scope, _ in _references(ast.parse(source), _NO_COPY)]
+    assert found == [("_operator", "identity_op"), ("_operator", "helper"),
+                     ("_freeze", "Sneaky")]
