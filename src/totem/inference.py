@@ -302,10 +302,10 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
             "elements have equal rank and row space; zero degrees of freedom"
         )
     inner_plex = Totemplex(inner, empirical)
-    s = _solve_groups(reference, outer_plex, outer_mass, tol, max_iter).ratio[h]
+    s = _solve_groups(outer_plex, outer_mass, tol, max_iter).ratio[h]
     # the inner family lies in the outer's, so within the outer projection's support
     inner_mass = np.bincount(g, weights=v * (s > 0.0), minlength=inner.columns[0].shape[1])
-    r = _solve_groups(reference, inner_plex, inner_mass, tol, max_iter).ratio[g]
+    r = _solve_groups(inner_plex, inner_mass, tol, max_iter).ratio[g]
     mass = r * v
     on = mass > 0.0
     if np.any(s[on] <= 0.0):

@@ -21,9 +21,8 @@ Each solver returns group masses, and one function lifts them back as
 ``q_e = v_e q_g / v_g`` and takes the residual and the divergence from the
 reference on the groups; the nested test and the score use the group
 masses directly and never lift.  The lift fits the multipliers once, for
-every solver, from ``theta . m_g = log(q_g / v_g)``; Newton's own ``theta``
-only signals a boundary-seeking solve.  The family depends only on the
-row space, so Newton is posed on the orthonormal rows ``Q`` that
+every solver, from ``theta . m_g = log(q_g / v_g)``.  The family depends
+only on the row space, so Newton is posed on the orthonormal rows ``Q`` that
 :func:`~totem.operators.make_element` kept, with targets ``Q F`` from the
 data's group mass ``F``, and finds a basis again only on a smaller
 support.  Every Newton solve, that of :func:`newton_project`,
@@ -33,20 +32,15 @@ Cholesky factorization or solve, or a non-finite merit, marks it
 singular, which raises :class:`~totem.errors.SingularJacobianError`.
 
 Interior solutions keep every weight strictly positive wherever the
-reference is positive.  Boundary targets (a zero marginal, a target at
-a row's extreme) cannot be met in the interior: affected weights are
-clamped to zero, the constraints are re-posed on the reduced support,
-and the result is flagged with ``boundary=True``.  Clamping acts on
-whole column groups; a group is clamped when its largest per-entity
-weight falls below ``_CLAMP``.  Those weights need each group's largest
-per-entity reference share, its peak, which takes a pass over the
-entities; every solver computes the peaks on demand, once a multiplier
-exceeds ``_MULTIPLIER_OVERFLOW``, so an interior solve never does.
+reference is positive.  On a face of the family (a zero marginal, a
+target at a row's extreme, or any face a combination of rows exposes),
+:func:`_face` decides exactly, before Newton's first step, which groups
+every member leaves empty; Newton is posed once on the rest, and the
+result is flagged with ``boundary=True``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,7 +57,7 @@ from .errors import (
     SingularJacobianError,
     SpaceError,
 )
-from .operators import _element_from_rows, _joint_groups, _row_basis, is_nested
+from .operators import PIVOT_TOL, _element_from_rows, _joint_groups, _row_basis, is_nested
 
 __all__ = [
     "ProjectionResult",
@@ -76,11 +70,11 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 DEFAULT_MAX_CYCLES = 10_000
 
-#: A multiplier magnitude beyond this signals a boundary-seeking solve.
-_MULTIPLIER_OVERFLOW = 50.0
-#: Weights below this are clamped to zero when re-posing on a boundary.
-_CLAMP = 1e-16
 _MAX_HALVINGS = 30
+#: A combination of orthonormal rows, its coefficients at most 1 in an
+#: orthonormal basis, above this on a column group certifies it empty.
+_FACE_TOL = 1e-12
+_MAX_PIVOTS = 1_000
 #: How far rounding may leave a marginal target outside [0, 1], and an IPF
 #: remainder target from zero.
 _TARGET_SLACK = 1e-12
@@ -127,22 +121,66 @@ def _merit(m, p, t):
     return f_vec, d, merit
 
 
-def _forced_support(matrix, targets, support):
-    """Drop support forced empty by a target at (or beyond) a row's extreme
-    on the support, or by a zero target on a row nonnegative there."""
-    clamped = False
-    for row, target in zip(matrix, targets):
-        low, high = row[support].min(initial=np.inf), row[support].max(initial=-np.inf)
-        if target <= low:
-            forced = support & (row > (low if target else 0.0))
-        elif target >= high:
-            forced = support & (row < high)
-        else:
-            continue
-        if forced.any():
-            support = support & ~forced
-            clamped = True
-    return support, clamped
+def _face(basis, data, support):
+    """``support`` less the column groups every member of the family leaves
+    empty, and whether there were any (facial reduction).
+
+    A group is forced empty iff some ``w = a Q`` of the orthonormal rows
+    ``basis`` is zero on the groups ``data`` observed, nonnegative on the
+    support and positive on that group.  With ``N`` orthonormal rows
+    spanning the ``a`` zero on the observed groups, ``w = c N Q``; the
+    largest with ``|c| <= 1`` is :func:`_simplex`'s, repeated on the rest.
+    """
+    seen = data > 0.0
+    empty = support & ~seen
+    # a unit ``a`` zero on the observed groups puts all of its weight
+    # ``|a Q|^2 = 1`` on the other groups, which need that much of ``Q``
+    if not empty.any() or np.sum(basis[:, ~seen] ** 2) < 0.5:
+        return support, False
+    observed = basis[:, seen].T
+    _, s, vt = np.linalg.svd(observed, full_matrices=len(observed) < len(basis))
+    b = vt[np.count_nonzero(s > PIVOT_TOL * s[0]):] @ basis[:, empty]
+    groups = np.flatnonzero(empty)
+    support = support.copy()
+    while len(b) and len(groups):
+        forced = _simplex(b) @ b > _FACE_TOL
+        if not forced.any():
+            break
+        support[groups[forced]] = False
+        groups, b = groups[~forced], b[:, ~forced]
+    return support, not support[empty].all()
+
+
+def _simplex(b):
+    """The ``c`` of ``max sum(c B) : c B >= 0, |c| <= 1`` for ``k`` rows ``b``.
+
+    The simplex method on the dual, ``min sum(mu) : -B lam + mu+ - mu- =
+    B 1`` over nonnegative ``lam`` and ``mu``, which has ``k`` rows: the
+    ``mu`` matching the signs of ``B 1`` are a feasible first basis, Bland's
+    rule picks each pivot, and ``c`` is the optimum's simplex multipliers.
+    """
+    k, n = b.shape
+    a = np.hstack([-b, np.eye(k), -np.eye(k)])
+    cost = np.concatenate([np.zeros(n), np.ones(2 * k)])
+    rhs = b.sum(axis=1)
+    basic = n + np.arange(k) + np.where(rhs < 0.0, k, 0)
+    for _ in range(_MAX_PIVOTS):
+        try:
+            inverse = np.linalg.inv(a[:, basic])
+        except np.linalg.LinAlgError:
+            break
+        c = cost[basic] @ inverse
+        entering = np.flatnonzero(cost - c @ a < -_FACE_TOL)
+        if not len(entering):
+            return c
+        column = inverse @ a[:, entering[0]]
+        rows = np.flatnonzero(column > _FACE_TOL)
+        if not len(rows):
+            break
+        ratios = np.maximum(inverse @ rhs, 0.0)[rows] / column[rows]
+        ties = rows[ratios == ratios.min()]
+        basic[ties[np.argmin(basic[ties])]] = entering[0]
+    raise ProjectionError("could not decide the face of the family the data lie on")
 
 
 def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -159,7 +197,7 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
         Convergence threshold on the largest constraint mismatch, in an
         orthonormal row basis and in units of each row's largest entry.
     max_iter : int
-        Total Newton iteration budget (shared across boundary re-poses).
+        Newton iteration budget.
 
     Returns
     -------
@@ -241,18 +279,6 @@ def _check_reference(reference, plex):
         )
 
 
-def _peaks(reference, element, mass):
-    """A function of no arguments that returns each column group's largest
-    per-entity share of its reference ``mass``; the pass over the entities
-    runs on its first call only."""
-    @functools.cache
-    def peaks():
-        peak = np.zeros(len(mass))
-        np.maximum.at(peak, element.columns[1], reference.admissible)
-        return np.divide(peak, mass, out=np.zeros_like(peak), where=mass > 0.0)
-    return peaks
-
-
 def _project_groups(reference, plex, tol, max_iter):
     """The projection of ``reference`` onto ``plex``'s family, per column group.
 
@@ -260,61 +286,47 @@ def _project_groups(reference, plex, tol, max_iter):
     entities.
     """
     _check_reference(reference, plex)
-    return _solve_groups(reference, plex, plex.element.group_sums(reference.admissible),
-                         tol, max_iter)
+    return _solve_groups(plex, plex.element.group_sums(reference.admissible), tol, max_iter)
 
 
-def _solve_groups(reference, plex, mass, tol, max_iter):
+def _solve_groups(plex, mass, tol, max_iter):
     """:func:`_project_groups` from the reference ``mass`` of each column
     group, with the reference already checked against ``plex``."""
     element = plex.element
     return _newton(element.columns[0], element._orthonormal_rows(), plex._mass, plex.targets,
-                   mass, _peaks(reference, element, mass), tol, max_iter)
+                   mass, tol, max_iter)
 
 
-def _newton(columns, basis, data, targets, mass, peak, tol, max_iter):
-    """Newton from the reference ``mass`` of each of the distinct ``columns``,
-    re-posed on a shrinking support at a boundary.
+def _newton(columns, basis, data, targets, mass, tol, max_iter):
+    """Newton from the reference ``mass`` of each of the distinct ``columns``.
 
-    Columns that :func:`_forced_support` forces empty are dropped first.
-    The solve is posed on ``basis`` (``Q``, orthonormal rows spanning those
-    of ``columns``) with targets ``Q F / sum(F)`` from the data's mass
-    ``data`` (``F``); on a support short of every column, the support's own
-    basis is found instead.  It stops once the ``Q`` residual is at most
-    ``tol`` and each row of ``columns`` meets ``targets`` within ``tol``
-    times its largest entry on the support.  ``peak()`` gives each
-    column's largest per-entity share of its mass, so ``p * peak()`` is the
-    largest entity weight, which the clamp is judged on; it is called only
-    once a multiplier exceeds ``_MULTIPLIER_OVERFLOW``.  A full step that
+    Posed once, on the columns :func:`_face` leaves, on ``basis`` (``Q``,
+    orthonormal rows spanning those of ``columns``), or on the support's
+    own basis when it is short of a column, with targets ``Q F / sum(F)``
+    from the data's mass ``data`` (``F``).  It stops once the ``Q`` residual
+    is at most ``tol`` and each row of ``columns`` meets ``targets`` within
+    ``tol`` times its largest entry on the support.  A full step that
     increases the quadratic merit or overflows is halved, up to
     ``_MAX_HALVINGS`` times; the merit of the step taken is that of the
-    next iterate, so each iterate is evaluated once.  Each iterate is
-    tested against ``tol`` before the budget: ``max_iter`` steps in all,
-    across re-poses.  ``boundary`` flags a forced-empty group or a clamp,
-    as opposed to a mere reference-support restriction.
+    next iterate, so each iterate is evaluated once, and tested against
+    ``tol`` before the budget of ``max_iter`` steps.  ``boundary`` flags a
+    forced-empty group, not a mere reference-support restriction.
     """
-    n_columns = columns.shape[1]
-    support, boundary = _forced_support(columns, targets, mass > 0.0)
-    if not support.any():
-        raise ProjectionError("constraints force an empty support")
+    support, boundary = _face(basis, data, mass > 0.0)
     idx = np.flatnonzero(support)
+    raw = columns if support.all() else columns[:, idx]
+    m = basis if raw is columns else _row_basis(raw)[0]
+    t = m @ data[idx] / np.sum(data[idx])
+    p = mass[idx] / np.sum(mass[idx])
+    f_vec, d, merit = _merit(m, p, t)
     used = 0
-    m = None  # posed on ``idx`` at the loop's top, again after each re-pose
     while True:
-        if m is None:
-            raw = columns if len(idx) == n_columns else columns[:, idx]
-            m = basis if raw is columns else _row_basis(raw)[0]
-            t = m @ data[idx] / np.sum(data[idx])
-            p = mass[idx] / np.sum(mass[idx])
-            theta = np.zeros(len(m), dtype=np.longdouble)
-            state = _merit(m, p, t)
-        f_vec, d, merit = state
         residual = float(np.max(np.abs(f_vec)))
         if residual <= tol and np.all(
                 np.abs(raw @ p - targets) <= tol * np.max(np.abs(raw), axis=1)):
-            q = np.zeros(n_columns)
+            q = np.zeros(len(support))
             q[idx] = p
-            return _GroupFit(q, mass, used, bool(boundary), "newton")
+            return _GroupFit(q, mass, used, boundary, "newton")
         if used >= max_iter:
             raise NonConvergenceError(
                 f"no convergence after {max_iter} iterations (residual {residual!r})"
@@ -345,9 +357,9 @@ def _newton(columns, basis, data, targets, mass, peak, tol, max_iter):
                     trial = trial / trial_sum
                     trial_state = _merit(m, trial, t)
                     if trial_state[2] <= merit * (1.0 + 1e-12):
-                        chosen = (trial, step, trial_state)
+                        chosen = (trial, trial_state)
                         break
-                    smallest_finite = (trial, step, trial_state)
+                    smallest_finite = (trial, trial_state)
                 step *= 0.5
         if chosen is None:
             if smallest_finite is None:
@@ -356,18 +368,7 @@ def _newton(columns, basis, data, targets, mass, peak, tol, max_iter):
                     "are too far apart for a direct solve"
                 )
             chosen = smallest_finite
-        p, applied, state = chosen
-        theta -= d * applied
-        # Boundary-seeking solves show both runaway multipliers and
-        # weights collapsing to zero; large multipliers alone merely
-        # mean an ill-conditioned operator basis.
-        if (
-            float(np.max(np.abs(theta))) > _MULTIPLIER_OVERFLOW
-            and bool(np.any(p * peak()[idx] < _CLAMP))
-        ):
-            idx = idx[p * peak()[idx] > _CLAMP]
-            boundary = True
-            m = None
+        p, (f_vec, d, merit) = chosen
 
 
 def _fit_multipliers(columns, q, v):
@@ -438,8 +439,7 @@ def _chain(reference, plexes, tol, max_iter):
                 raise IncompatibleReferenceError(
                     f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
                 )
-        fit = _newton(element.columns[0], element._orthonormal_rows(), plex._mass, plex.targets,
-                      mass, _peaks(reference, element, v), tol, max_iter)._replace(v=v)
+        fit = _solve_groups(plex, mass, tol, max_iter)._replace(v=v)
         iterations += fit.iterations
         boundary = boundary or fit.boundary
         previous = element
@@ -540,7 +540,7 @@ def _ipf(reference, element, rows, targets, tol, max_cycles):
         raise ProjectionError("marginal targets must lie in [0, 1]")
 
     v = element.group_sums(reference.admissible)
-    support, boundary = _forced_support(rows, targets, v > 0.0)
+    support = (v > 0.0) & ~np.any(rows[targets <= 0.0] > 0.0, axis=0)
     if not support.any():
         raise ProjectionError("constraints force an empty support")
     on = rows[:, support] > 0.0
@@ -558,7 +558,7 @@ def _ipf(reference, element, rows, targets, tol, max_cycles):
             rest = 0.0
             kept &= covered
         rests.append(rest)
-    boundary = boundary or not kept.all()
+    boundary = not kept.all() or not np.array_equal(support, v > 0.0)
     idx = np.flatnonzero(support)[kept]
     on = on[:, kept]
 

@@ -162,8 +162,7 @@ def mixed_marginal_element(space, trials=None):
     """The head marginals of the first ``trials`` flips (all by default) in
     a mixed basis: row ``k`` is the head count minus twice flip ``k``'s.
     A face such as all heads lies strictly inside every row's range, so
-    no single row's target shows it; only a multiplier beyond
-    ``_MULTIPLIER_OVERFLOW`` does."""
+    no single row's target shows it; only a combination of rows does."""
     flips = [marginal_op(space, d.name, "head").eigenvalues for d in space.domains[:trials]]
     return make_element([identity_op(space)] + [
         CharacteristicOperator(space, sum(flips) - 2.0 * flip, f"mix{k}")

@@ -288,6 +288,109 @@ class TestBoundary:
             ipf_project(uniform(space), np.ones((1, 4)), np.array([0.0]))
 
 
+def _moment_plex(levels, counts, order=3, reference=None):
+    """Identity and ``x`` to ``x^order`` on one numeric attribute, with the
+    data ``counts`` and a reference uniform on the levels it weights."""
+    space = EntitySpace([AttributeDomain("x", [repr(level) for level in levels])])
+    element = make_element([identity_op(space)] + [moment_op(space, "x", k)
+                                                   for k in range(1, order + 1)],
+                           mode="auto-reduce")
+    weights = np.ones(len(levels)) if reference is None else np.asarray(reference, dtype=float)
+    ref = Distribution.from_admissible_weights(space, weights, renormalize=True)
+    return ref, Totemplex(element, Distribution.from_counts(space, np.asarray(counts)))
+
+
+class TestFace:
+    """The groups every member of the family leaves empty are decided
+    exactly, before Newton's first step, by combinations of the rows."""
+
+    @pytest.mark.parametrize("flips", [3, 12])
+    def test_first_flip_always_heads(self, flips):
+        # every record shows s1 = head, but the s1 marginal's target sums to
+        # a few ulps below 1, so no row's target sits at its maximum; the
+        # combination identity - marginal(s1) is zero on the data
+        space = coin_space(flips)
+        ops = [identity_op(space)] + [marginal_op(space, f"s{i}", "head")
+                                      for i in range(1, flips + 1)]
+        heads = np.array([e[0] == "head" for e in map(space.entity_at, range(space.n_entities))])
+        if flips == 3:
+            counts = np.array([3, 1, 1, 1, 0, 0, 0, 0])
+        else:
+            ops += [product_op(ops[1], ops[2]), product_op(ops[3], ops[4])]
+            counts = np.random.default_rng(0).multinomial(300, heads / heads.sum())
+        plex = Totemplex(make_element(ops), Distribution.from_counts(space, counts))
+        assert 0.0 < 1.0 - plex.targets[1] < 1e-14
+        ref = uniform(space)
+        result = newton_project(ref, plex)
+        assert result.boundary
+        assert np.sum(result.distribution.admissible[~heads]) == 0.0
+        assert_projection(result, plex, ref, 1e-9)
+
+    def test_alternating_combination_forces_nothing(self):
+        # data on levels 0, 1 and 3 of 0..4: the one combination zero there
+        # is the cubic x(x - 1)(x - 3), negative at 2 and positive at 4
+        ref, plex = _moment_plex([0, 1, 2, 3, 4], [2, 1, 0, 3, 0])
+        element = plex.element
+        support = np.ones(5, dtype=bool)
+        face, boundary = projection._face(element._orthonormal_rows(), plex._mass, support)
+        assert not boundary and face.all()
+        result = newton_project(ref, plex)
+        assert not result.boundary and np.all(result.distribution.admissible > 0.0)
+        assert_projection(result, plex, ref, 1e-9)
+
+    def test_moment_fuzz(self):
+        # x to x^3 on 3 to 6 levels spread over 1e-3..1e3: each solve returns
+        # the projection or raises a typed error
+        rng = np.random.default_rng(0)
+        returned = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            levels = np.sort(10.0 ** rng.uniform(-3, 3, size=n))
+            counts = rng.integers(0, 6, size=n)
+            counts[0] += counts.sum() == 0
+            ref, plex = _moment_plex(levels.tolist(), counts)
+            try:
+                result = newton_project(ref, plex)
+            except TotemError:
+                continue
+            assert_projection(result, plex, ref, 1e-9)
+            returned += 1
+        assert returned >= 192
+
+    def test_matches_linprog_on_integer_levels(self):
+        # a supported group without data is empty throughout the family iff
+        # no member of it (nonnegative on the reference's support, with the
+        # data's expectations) puts mass there: one linprog per group
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(0)
+        dropped = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 7))
+            levels = np.sort(rng.choice(10, size=n, replace=False))
+            order = int(rng.integers(1, 4))
+            counts = rng.integers(0, 4, size=n)
+            counts[0] += counts.sum() == 0
+            weights = np.where((counts == 0) & (rng.random(n) < 0.15), 0.0, 1.0)
+            ref, plex = _moment_plex(levels.tolist(), counts, order, weights)
+            element = plex.element
+            columns, data = element.columns[0], plex._mass
+            support = element.group_sums(ref.admissible) > 0.0
+            face, boundary = projection._face(element._orthonormal_rows(), data, support)
+            expected = support.copy()
+            for g in np.flatnonzero(support & (data == 0.0)):
+                objective = np.zeros(len(support))
+                objective[g] = -1.0
+                lp = linprog(objective, A_eq=columns, b_eq=columns @ (data / data.sum()),
+                             bounds=[(0.0, None if on else 0.0) for on in support])
+                assert lp.status == 0
+                expected[g] = -lp.fun > 1e-9
+            np.testing.assert_array_equal(face, expected)
+            assert boundary == (not face[support].all())
+            dropped += boundary
+        assert dropped >= 50
+
+
 class TestOrthonormalPosing:
     """Newton is posed on the element's orthonormal rows, so near-dependent
     operators cost it neither its answer nor a fallback."""
@@ -700,7 +803,7 @@ def _direct_projection(reference, plex):
     posed on orthonormal rows from a QR factorization of the element's."""
     m, t, v = plex.element.matrix, plex.targets, reference.admissible
     basis = np.linalg.qr(m.T)[0].T
-    q = _newton(m, basis, plex.empirical.admissible, t, v, lambda: np.ones(len(v)), 1e-10, 200).q
+    q = _newton(m, basis, plex.empirical.admissible, t, v, 1e-10, 200).q
     return q / q.sum()
 
 
@@ -787,8 +890,7 @@ class TestLumping:
 
     def test_overflow_clamp_on_groups(self):
         # every subject all heads: the mean sits at its maximum, a boundary
-        # the overflow clamp used to find and the exact single-row rule now
-        # decides up front, in the lumped and the per-entity solve alike
+        # decided up front, in the lumped and the per-entity solve alike
         space = coin_space(3)
         counts = np.zeros(space.n_entities, dtype=np.int64)
         counts[space.index_of(("head", "head", "head"))] = 10
@@ -806,9 +908,8 @@ class TestLumping:
     def test_overflow_clamp_on_lumped_groups(self):
         # every subject all heads, on three of four flips' marginals in a
         # mixed basis: the boundary, the group of the two all-heads-on-three
-        # entities, is found only once a multiplier overflows.  The lumped
-        # and the per-entity solve clamp at different iterates, so the mass
-        # each leaves off the face is its own, below the stopping rule's tol.
+        # entities, is a face no single row shows.  The lumped and the
+        # per-entity solve each decide it exactly before their first step.
         space = coin_space(4)
         ref = random_distribution(np.random.default_rng(2), space)
         plex = _all_heads_plex(space, trials=3)
@@ -865,7 +966,7 @@ class TestFrozenSolves:
         assert_projection(result, plex, ref, 1e-9)
 
     def test_newton_zero_target_clamp(self):
-        # no subject shows zero heads: the k = 0 shell is clamped up front
+        # no subject shows zero heads: the k = 0 shell is emptied up front
         space = coin_space(4)
         rng = np.random.default_rng(12)
         ref = Distribution.from_admissible_weights(
@@ -879,14 +980,16 @@ class TestFrozenSolves:
             "70c179ca1ad4507dc4eea87fe60a823386346729c346bf6a0e9c4e408ccb410e")
 
     def test_newton_overflow_clamp(self):
-        # every subject all heads: found only once a multiplier overflows
+        # every subject all heads, a face no single row shows: decided
+        # before the first step, and the family on it is the point mass
         space = coin_space(3)
         ref = random_distribution(np.random.default_rng(2), space)
         plex = _all_heads_plex(space)
         result = newton_project(ref, plex)
-        assert result.iterations == 51 and result.boundary
+        assert result.iterations == 0 and result.boundary
         assert _digest(result.distribution.weights) == (
-            "7bb548b46c3a4e7c8c98c8b75b0cd90fa4567126b41252ad641117dc54b45011")
+            "193102fb2674025fa8eb7c45c183b77a90d87d59b612b7b8962d863abdd86668")
+        np.testing.assert_array_equal(result.distribution.weights, plex.empirical.weights)
         assert_projection(result, plex, ref, 1e-9)
 
     def test_newton_interior(self):
@@ -973,7 +1076,8 @@ def _interior_plex():
 
 class TestNewtonCallCounts:
     """Each Newton iterate is evaluated once, and row independence is
-    decided again only on a support a clamp has shrunk."""
+    decided again only on a support the face has shrunk, once, before the
+    first step."""
 
     @pytest.mark.parametrize("case", ["interior", "zero-target", "overflow"])
     def test_one_merit_per_iterate_plus_one_per_rejected_trial(self, monkeypatch, case):
@@ -991,8 +1095,9 @@ class TestNewtonCallCounts:
         assert len(merit.calls) == starts + taken + rejected
         points = [p.tobytes() for (_, p, _), _ in merit.calls]
         assert len(set(points)) == len(points)
+        assert starts == 1  # posed once, on the face decided before the first step
         if case == "interior":
-            assert (starts, rejected) == (1, 0)
+            assert rejected == 0
 
     def test_full_support_decides_nothing(self, monkeypatch):
         ref, plex = _interior_plex()
@@ -1005,21 +1110,20 @@ class TestNewtonCallCounts:
         row_basis = _Recorded(monkeypatch, "_row_basis")
         result = newton_project(ref, plex)
         assert result.boundary and result.residual <= 1e-10
-        # the k = 0 shell is clamped before the first iterate
+        # the k = 0 shell is emptied before the first iterate
         assert [args[0].shape for args, _ in row_basis.calls] == [(5, 4)]
 
-    @pytest.mark.parametrize("space, widths", [
-        (coin_space(3), [7, 4]),
-        (_mostly_null_coin(), [5]),
-    ], ids=["all-heads", "mostly-null"])
-    def test_overflow_re_pose_decides_once_per_support(self, monkeypatch, space, widths):
-        # every subject all heads, a boundary that only a multiplier beyond
-        # _MULTIPLIER_OVERFLOW reveals (see _all_heads_plex)
+    @pytest.mark.parametrize("space", [coin_space(3), _mostly_null_coin()],
+                             ids=["all-heads", "mostly-null"])
+    def test_face_decided_once_before_first_step(self, monkeypatch, space):
+        # every subject all heads, a face that no single row shows but a
+        # combination of rows does (see _all_heads_plex): the solve is
+        # posed once, on the all-heads group alone
         ref = random_distribution(np.random.default_rng(2), space)
         plex = _all_heads_plex(space)
         row_basis = _Recorded(monkeypatch, "_row_basis")
         result = newton_project(ref, plex)
-        assert [args[0].shape[1] for args, _ in row_basis.calls] == widths
+        assert [args[0].shape[1] for args, _ in row_basis.calls] == [1]
         assert result.boundary and result.residual <= 1e-10
         assert max_norm_distance(result.distribution, plex.empirical) < 1e-9
         assert_projection(result, plex, ref, 1e-9)

@@ -1,6 +1,7 @@
 """Static checks on the library's source files."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,24 @@ def _imported_names(tree):
 
 def test_modules_found():
     assert len(MODULES) >= 8
+
+
+#: What the library may import besides itself: the standard library and
+#: numpy, its one runtime dependency in ``pyproject.toml``.  Anything more
+#: is a new dependency, and slows ``import totem``.
+_RUNTIME = set(sys.stdlib_module_names) | {"numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [(alias.name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [(node.module, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    foreign = [f"{name} (line {line})" for name, line in imported
+               if name.split(".")[0] not in _RUNTIME]
+    assert not foreign, f"{path.name} imports beyond the standard library and numpy: {foreign}"
 
 
 ROOT = SOURCE.parent.parent
