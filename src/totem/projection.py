@@ -71,6 +71,8 @@ DEFAULT_MAX_ITER = 200
 DEFAULT_MAX_CYCLES = 10_000
 
 _MAX_HALVINGS = 30
+#: The share of the predicted decrease of the dual a damped step must attain.
+_ARMIJO = 1e-4
 #: A combination of orthonormal rows, its coefficients at most 1 in an
 #: orthonormal basis, above this on a column group certifies it empty.
 _FACE_TOL = 1e-12
@@ -210,7 +212,8 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     SingularJacobianError
         Constraint Jacobian numerically singular.
     NonConvergenceError
-        Iteration budget exhausted; the caller may retry with
+        Iteration budget exhausted, no damped step lowering the convex
+        dual, or a weight underflowed to zero; the caller may retry with
         :func:`chained_project` and a finer stage partition.
     """
     fit = _project_groups(reference, plex, tol, max_iter)
@@ -305,11 +308,16 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
     own basis when it is short of a column, with targets ``Q F / sum(F)``
     from the data's mass ``data`` (``F``).  It stops once the ``Q`` residual
     is at most ``tol`` and each row of ``columns`` meets ``targets`` within
-    ``tol`` times its largest entry on the support.  A full step that
-    increases the quadratic merit or overflows is halved, up to
-    ``_MAX_HALVINGS`` times; the merit of the step taken is that of the
-    next iterate, so each iterate is evaluated once, and tested against
-    ``tol`` before the budget of ``max_iter`` steps.  ``boundary`` flags a
+    ``tol`` times its largest entry on the support.  Each step is damped
+    Newton on the convex dual ``phi(theta) = sum_g p_g exp(theta . m_g) -
+    theta . t``, whose gradient and Hessian are :func:`_merit`'s residual and
+    Jacobian: the full step is halved, up to ``_MAX_HALVINGS`` times, until
+    it lowers ``phi`` by ``_ARMIJO`` of the decrease the quadratic merit
+    predicts (an overflowing trial fails), and no such step raises
+    :class:`~totem.errors.NonConvergenceError`.  Each iterate is evaluated
+    once, and tested against ``tol`` before the budget of ``max_iter``
+    steps.  A converged weight of exactly zero on the support is underflow,
+    not a face, and raises the same error.  ``boundary`` flags a
     forced-empty group, not a mere reference-support restriction.
     """
     support, boundary = _face(basis, data, mass > 0.0)
@@ -324,6 +332,8 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
         residual = float(np.max(np.abs(f_vec)))
         if residual <= tol and np.all(
                 np.abs(raw @ p - targets) <= tol * np.max(np.abs(raw), axis=1)):
+            if not p.all():  # _face emptied every group the family forces empty
+                raise NonConvergenceError(f"a weight underflowed to zero after {used} iterations")
             q = np.zeros(len(support))
             q[idx] = p
             return _GroupFit(q, mass, used, boundary, "newton")
@@ -345,30 +355,19 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
                 f"residual {residual!r})"
             )
         used += 1
-        step = 1.0
-        chosen = smallest_finite = None
-        exponent = -(m.T @ d)
-        # an overflowing trial is rejected by the finiteness check below
-        with np.errstate(over="ignore"):
+        step, exponent = 1.0, -(m.T @ d)
+        # an overflowing trial makes the dual inf or NaN, which fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_MAX_HALVINGS + 1):
-                trial = p * np.exp(exponent * step)
-                trial_sum = trial.sum()
-                if np.isfinite(trial_sum) and trial_sum > 0.0:
-                    trial = trial / trial_sum
-                    trial_state = _merit(m, trial, t)
-                    if trial_state[2] <= merit * (1.0 + 1e-12):
-                        chosen = (trial, trial_state)
-                        break
-                    smallest_finite = (trial, trial_state)
+                if p @ np.expm1(exponent * step) + step * (d @ t) <= -_ARMIJO * step * merit:
+                    break
                 step *= 0.5
-        if chosen is None:
-            if smallest_finite is None:
+            else:
                 raise NonConvergenceError(
-                    "every damped step overflowed; reference and targets "
-                    "are too far apart for a direct solve"
-                )
-            chosen = smallest_finite
-        p, (f_vec, d, merit) = chosen
+                    f"no damped step lowers the dual (residual {residual!r})")
+        trial = p * np.exp(exponent * step)
+        p = trial / trial.sum()
+        f_vec, d, merit = _merit(m, p, t)
 
 
 def _fit_multipliers(columns, q, v):

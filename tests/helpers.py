@@ -6,6 +6,8 @@ of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
 library's faster forms are checked against.  :func:`projection_errors`
 is the projection oracle, built on decimal arithmetic alone.
 :func:`peak_traced_bytes` measures a call's memory.
+:func:`near_dependent_problem` and :func:`moment_problem` draw the cases
+of the two projection fuzzes, in tier 1 and in ``fuzz_projection.py``.
 """
 
 import decimal
@@ -23,6 +25,7 @@ from totem import (
     identity_op,
     make_element,
     marginal_op,
+    moment_op,
 )
 from totem.operators import PIVOT_TOL, _row_basis
 
@@ -167,6 +170,50 @@ def mixed_marginal_element(space, trials=None):
     return make_element([identity_op(space)] + [
         CharacteristicOperator(space, sum(flips) - 2.0 * flip, f"mix{k}")
         for k, flip in enumerate(flips)])
+
+
+def moment_plex(levels, counts, order=3, reference=None):
+    """Identity and ``x`` to ``x^order`` on one numeric attribute, with the
+    data ``counts`` and a reference uniform on the levels it weights (or
+    proportional to ``reference``).  Returns ``(reference, plex)``."""
+    space = EntitySpace([AttributeDomain("x", [repr(level) for level in levels])])
+    element = make_element([identity_op(space)] + [moment_op(space, "x", k)
+                                                   for k in range(1, order + 1)],
+                           mode="auto-reduce")
+    weights = np.ones(len(levels)) if reference is None else np.asarray(reference, dtype=float)
+    ref = Distribution.from_admissible_weights(space, weights, renormalize=True)
+    return ref, Totemplex(element, Distribution.from_counts(space, np.asarray(counts)))
+
+
+def moment_problem(rng):
+    """A draw of the moments fuzz: ``x`` to ``x^3`` on 3 to 6 levels
+    log-uniform in 1e-3..1e3, counts 0 to 5 (not all zero), a uniform
+    reference.  Returns ``(reference, plex)``."""
+    n = int(rng.integers(3, 7))
+    levels = np.sort(10.0 ** rng.uniform(-3, 3, size=n))
+    counts = rng.integers(0, 6, size=n)
+    counts[0] += counts.sum() == 0
+    return moment_plex(levels.tolist(), counts)
+
+
+def near_dependent_problem(rng):
+    """A draw of the near-dependent rows fuzz: rows ``r`` and ``r + eps *
+    noise`` on 3 to 6 entities, ``eps`` log-uniform in 1e-12..1e-5, half of
+    them with a third random row; counts 0 to 5 (the first at least 1) and
+    a gamma reference.  Returns ``(reference, plex)``."""
+    n = int(rng.integers(3, 7))
+    space = EntitySpace([AttributeDomain("e", [f"v{i}" for i in range(n)])])
+    r = rng.standard_normal(n)
+    rows = [r, r + 10.0 ** rng.uniform(-12, -5) * rng.standard_normal(n)]
+    if rng.random() < 0.5:
+        rows.append(rng.standard_normal(n))
+    counts = rng.integers(0, 6, size=n)
+    counts[0] += 1
+    w = rng.gamma(2.0, size=n)
+    element = make_element([CharacteristicOperator(space, row, f"r{i}")
+                            for i, row in enumerate(rows)], mode="auto-reduce")
+    ref = Distribution.from_admissible_weights(space, w / w.sum())
+    return ref, Totemplex(element, Distribution.from_counts(space, counts))
 
 
 def random_totemplex(rng, space, rank, alpha=5.0):
