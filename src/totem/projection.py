@@ -28,8 +28,8 @@ data's group mass ``F``, and finds a basis again only on a smaller
 support.  Every Newton solve, that of :func:`newton_project`,
 the score, the nested test and each chained stage, runs the same loop.
 The Jacobian is symmetric positive definite on the interior; a failed
-Cholesky factorization or solve, or a non-finite merit, marks it
-singular, which raises :class:`~totem.errors.SingularJacobianError`.
+Cholesky factorization or solve, or a merit outside ``(0, inf)``, marks
+it singular, which raises :class:`~totem.errors.SingularJacobianError`.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  On a face of the family (a zero marginal, a
@@ -57,7 +57,7 @@ from .errors import (
     SingularJacobianError,
     SpaceError,
 )
-from .operators import PIVOT_TOL, _element_from_rows, _joint_groups, _row_basis, is_nested
+from .operators import PIVOT_TOL, _element_from_rows, _nesting, _row_basis
 
 __all__ = [
     "ProjectionResult",
@@ -105,22 +105,21 @@ class ProjectionResult:
 
 
 def _merit(m, p, t):
-    """Residual, Newton direction and the quadratic merit F' J^-1 F."""
+    """Residual, Newton direction and the quadratic merit F' J^-1 F; the
+    direction is ``None`` where the Jacobian is numerically singular."""
     f_vec = m @ p - t
     j = (m * p) @ m.T
     # Cholesky decides definiteness; numpy has no triangular solve, and one
     # LU solve is cheaper than two general solves on the factor.  Either may
-    # fail on a near-singular Jacobian, and so may the merit: all three
-    # mark it singular.
+    # fail on a near-singular Jacobian, and a definite one has a merit in
+    # (0, inf) at any nonzero residual: each failure marks it singular.
     try:
         np.linalg.cholesky(j)
         d = np.linalg.solve(j, f_vec)
     except np.linalg.LinAlgError:
         return f_vec, None, np.inf
     merit = float(f_vec @ d)
-    if not math.isfinite(merit):
-        return f_vec, None, np.inf
-    return f_vec, d, merit
+    return f_vec, d if 0.0 < merit < math.inf else None, merit
 
 
 def _face(basis, data, support):
@@ -208,13 +207,14 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     Raises
     ------
     IncompatibleReferenceError
-        Reference has no weight on an observed entity.
+        Reference has no weight on an observed entity, or no mass on a
+        column group the data has mass on.
     SingularJacobianError
-        Constraint Jacobian numerically singular.
+        Constraint Jacobian numerically singular; the message gives the
+        smallest weight, since one too small to carry its row does it too.
     NonConvergenceError
         Iteration budget exhausted, no damped step lowering the convex
-        dual, or a weight underflowed to zero; the caller may retry with
-        :func:`chained_project` and a finer stage partition.
+        dual, or a weight underflowed to zero, which no step revives.
     """
     fit = _project_groups(reference, plex, tol, max_iter)
     return _result(reference, plex.element, fit, plex.element.columns[0], plex.targets)
@@ -306,20 +306,23 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
     Posed once, on the columns :func:`_face` leaves, on ``basis`` (``Q``,
     orthonormal rows spanning those of ``columns``), or on the support's
     own basis when it is short of a column, with targets ``Q F / sum(F)``
-    from the data's mass ``data`` (``F``).  It stops once the ``Q`` residual
-    is at most ``tol`` and each row of ``columns`` meets ``targets`` within
-    ``tol`` times its largest entry on the support.  Each step is damped
-    Newton on the convex dual ``phi(theta) = sum_g p_g exp(theta . m_g) -
-    theta . t``, whose gradient and Hessian are :func:`_merit`'s residual and
-    Jacobian: the full step is halved, up to ``_MAX_HALVINGS`` times, until
-    it lowers ``phi`` by ``_ARMIJO`` of the decrease the quadratic merit
-    predicts (an overflowing trial fails), and no such step raises
-    :class:`~totem.errors.NonConvergenceError`.  Each iterate is evaluated
-    once, and tested against ``tol`` before the budget of ``max_iter``
-    steps.  A converged weight of exactly zero on the support is underflow,
-    not a face, and raises the same error.  ``boundary`` flags a
-    forced-empty group, not a mere reference-support restriction.
+    from the data's mass ``data`` (``F``), which must lie where ``mass``
+    does.  It stops once the ``Q`` residual is at most ``tol`` and each row
+    of ``columns`` meets ``targets`` within ``tol`` times its largest entry
+    on the support.  Each step is damped Newton on the convex dual
+    ``phi(theta) = sum_g p_g exp(theta . m_g) - theta . t``, whose gradient
+    and Hessian are :func:`_merit`'s residual and Jacobian: the full step is
+    halved, up to ``_MAX_HALVINGS`` times, until it lowers ``phi`` by
+    ``_ARMIJO`` of the decrease the quadratic merit predicts (an
+    overflowing trial fails).  Each iterate is evaluated once and tested,
+    in turn, for a zero weight, against ``tol``, against the budget of
+    ``max_iter`` steps and for a singular Jacobian.  A zero weight is
+    underflow, not a face (:func:`_face` emptied those), and no
+    multiplicative step revives it.  ``boundary`` flags a forced-empty
+    group, not a mere reference-support restriction.
     """
+    if np.any((data > 0.0) & (mass <= 0.0)):
+        raise IncompatibleReferenceError("the reference has no mass on a group the data has")
     support, boundary = _face(basis, data, mass > 0.0)
     idx = np.flatnonzero(support)
     raw = columns if support.all() else columns[:, idx]
@@ -329,11 +332,11 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
     f_vec, d, merit = _merit(m, p, t)
     used = 0
     while True:
+        if not p.all():
+            raise NonConvergenceError(f"a weight underflowed to zero after {used} iterations")
         residual = float(np.max(np.abs(f_vec)))
         if residual <= tol and np.all(
                 np.abs(raw @ p - targets) <= tol * np.max(np.abs(raw), axis=1)):
-            if not p.all():  # _face emptied every group the family forces empty
-                raise NonConvergenceError(f"a weight underflowed to zero after {used} iterations")
             q = np.zeros(len(support))
             q[idx] = p
             return _GroupFit(q, mass, used, boundary, "newton")
@@ -343,17 +346,9 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
             )
         if d is None:
             raise SingularJacobianError(
-                "the constraint Jacobian is numerically singular; "
-                "the element may be near-reducible on the current support"
-            )
-        if merit <= 0.0:
-            # Positive definiteness guarantees a descent direction; a
-            # non-positive merit at nonzero residual is numerical
-            # breakdown, handled like a singular solve.
-            raise SingularJacobianError(
-                f"lost the descent direction (merit {merit!r} at "
-                f"residual {residual!r})"
-            )
+                f"the constraint Jacobian is numerically singular at smallest weight "
+                f"{float(p.min())!r}: a weight too small to carry its row, or an element "
+                f"near-reducible on the current support")
         used += 1
         step, exponent = 1.0, -(m.T @ d)
         # an overflowing trial makes the dual inf or NaN, which fails the test
@@ -387,61 +382,56 @@ def _fit_multipliers(columns, q, v):
 def chained_project(reference, plexes, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Project through a chain of nested families, coarsest first.
 
-    Every stage's element must be implied by the next stage's element
-    (its operators lie in the finer row space); the final stage is the
-    target family.  Each intermediate projection becomes the reference of
-    the next stage, which keeps every sub-solve close to its starting
-    point; the end result equals the direct projection of ``reference``
-    onto the final family when all stages share the same empirical
-    targets.
+    Every stage's element must be implied by the next stage's (its
+    operators lie in the finer row space, and entities sharing a finer
+    column share the coarser one), which one joint-group pass per pair
+    decides before any stage is solved; the final stage is the target
+    family.  Each intermediate projection becomes the reference of the
+    next stage, which keeps every sub-solve close to its starting point;
+    the end result equals the direct projection of ``reference`` onto the
+    final family when all stages share the same empirical targets.
     """
     plexes = list(plexes)
     if not plexes:
         raise ProjectionError("chained projection needs at least one stage")
-    for i in range(len(plexes) - 1):
-        if not is_nested(plexes[i].element, plexes[i + 1].element):
+    parents = []
+    for i, (coarse, fine) in enumerate(zip(plexes, plexes[1:])):
+        nested, (g, parent, _) = _nesting(coarse.element, fine.element)
+        if not nested:
             raise NestingError(
                 f"stage {i} is not implied by stage {i + 1}: operators "
-                f"{list(plexes[i].element.labels)} do not lie in the row space "
-                f"of {list(plexes[i + 1].element.labels)}"
-            )
+                f"{list(coarse.element.labels)} do not lie in the row space "
+                f"of {list(fine.element.labels)}")
+        if len(g) != fine.element.columns[0].shape[1]:
+            raise NestingError(
+                f"stage {i} is not implied by stage {i + 1}: some entities share "
+                f"a column of stage {i + 1} but not of stage {i}")
+        parents.append(parent)
     final = plexes[-1]
-    fit = _chain(reference, plexes, tol, max_iter)
+    fit = _chain(reference, plexes, parents, tol, max_iter)
     return _result(reference, final.element, fit, final.element.columns[0], final.targets)
 
 
-def _chain(reference, plexes, tol, max_iter):
+def _chain(reference, plexes, parents, tol, max_iter):
     """Newton through nested ``plexes`` on column groups, coarsest first.
 
     A stage's projection is ``v_e`` times a ratio constant on its column
     groups.  The next, finer stage splits each of those groups, so its
     reference mass is its own reference mass times the coarser ratio, and
     each entity's share of its group's mass is the original reference's.
+    ``parents[i]`` maps each group of stage ``i + 1`` to the stage ``i``
+    group holding it.
     """
     iterations = 0
     boundary = False
-    fit = previous = None
-    for i, plex in enumerate(plexes):
+    fit = None
+    for plex, parent in zip(plexes, [None] + parents):
         _check_reference(reference, plex)
-        element = plex.element
-        v = element.group_sums(reference.admissible)
-        mass = v
-        if fit is not None:
-            g, parent, _ = _joint_groups(element, previous)
-            if len(g) != len(v):
-                raise NestingError(
-                    f"stage {i - 1} is not implied by stage {i}: some entities share "
-                    f"a column of stage {i} but not of stage {i - 1}"
-                )
-            mass = v * fit.ratio[parent]
-            if np.any((plex._mass > 0.0) & (mass <= 0.0)):
-                raise IncompatibleReferenceError(
-                    f"stage {i - 1} projects zero weight onto entities observed in stage {i}"
-                )
+        v = plex.element.group_sums(reference.admissible)
+        mass = v if fit is None else v * fit.ratio[parent]
         fit = _solve_groups(plex, mass, tol, max_iter)._replace(v=v)
         iterations += fit.iterations
         boundary = boundary or fit.boundary
-        previous = element
     return _GroupFit(fit.q, fit.v, iterations, boundary, "chained")
 
 

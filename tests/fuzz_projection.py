@@ -10,13 +10,16 @@ the draws whose first 200 ``test_near_dependent_rows_fuzz`` and
 ``TestFace::test_moment_fuzz`` solve in the test suite.  Each case is
 solved with :func:`totem.newton_project`, warnings raised as errors, and a
 result is checked with the projection oracle at 1e-9.  For each fuzz it
-prints the number returned, the count of each ``TotemError`` type, the
-oracle misses and the untyped errors, the last two with their case
-numbers; it exits 1 if there are any.  The file is not named ``test_*``,
-so pytest does not collect it.
+prints the number returned, the count of each ``TotemError`` cause (its
+type and its message up to the first number, so that a budget, a
+no-descent and an underflow ``NonConvergenceError`` count apart), the
+oracle misses and the untyped errors; a line of at most ten cases lists
+their case numbers.  It exits 1 if there are misses or untyped errors.
+The file is not named ``test_*``, so pytest does not collect it.
 """
 
 import collections
+import re
 import sys
 import warnings
 
@@ -31,11 +34,12 @@ FUZZES = {"near-dependent": near_dependent_problem, "moments": moment_problem}
 
 def outcome(reference, plex):
     """``"returned"``, ``"miss"`` (returned, but off the oracle at 1e-9),
-    the name of the ``TotemError`` raised, or ``"untyped <name>"``."""
+    the cause of the ``TotemError`` raised, or ``"untyped <name>"``."""
     try:
         result = newton_project(reference, plex)
     except TotemError as exc:
-        return type(exc).__name__
+        message = re.split(r"\d", str(exc), maxsplit=1)[0].rstrip(" (")
+        return f"{type(exc).__name__}: {message}"
     except Exception as exc:  # a warning raised as an error lands here too
         return f"untyped {type(exc).__name__}"
     try:
@@ -57,17 +61,19 @@ def main(n):
     failed = False
     for name, draw in FUZZES.items():
         ends = outcomes(draw, n)
-        tally = collections.Counter(ends)
-        misses = [i for i, end in enumerate(ends) if end == "miss"]
-        untyped = [i for i, end in enumerate(ends) if end.startswith("untyped")]
+        cases = collections.defaultdict(list)
+        for i, end in enumerate(ends):
+            cases["oracle misses" if end == "miss" else
+                  "untyped errors" if end.startswith("untyped") else end].append(i)
         print(f"{name}: {n} cases, seed 0")
-        print(f"  {'returned':<24}{tally['returned'] + tally['miss']}")
-        for end, count in sorted(tally.items()):
-            if end not in ("returned", "miss") and not end.startswith("untyped"):
-                print(f"  {end:<24}{count}")
-        print(f"  {'oracle misses':<24}{len(misses)} {misses}")
-        print(f"  {'untyped errors':<24}{len(untyped)} {[(i, ends[i]) for i in untyped]}")
-        failed = failed or bool(misses or untyped)
+        print(f"  {len(cases['returned']) + len(cases['oracle misses']):>5}  returned")
+        for end in sorted(set(cases) - {"returned", "oracle misses", "untyped errors"}):
+            listed = f" {cases[end]}" if len(cases[end]) <= 10 else ""
+            print(f"  {len(cases[end]):>5}  {end}{listed}")
+        untyped = [(i, ends[i]) for i in cases["untyped errors"]]
+        print(f"  {len(cases['oracle misses']):>5}  oracle misses {cases['oracle misses']}")
+        print(f"  {len(untyped):>5}  untyped errors {untyped}")
+        failed = failed or bool(cases["oracle misses"] or cases["untyped errors"])
     return 1 if failed else 0
 
 

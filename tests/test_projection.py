@@ -15,6 +15,7 @@ from totem import (
     NonConvergenceError,
     OperatorError,
     ProjectionError,
+    SingularJacobianError,
     TotemError,
     Totemplex,
     chained_project,
@@ -40,7 +41,7 @@ from totem.closed_forms import (
     k_marginal_element,
     k_marginal_projection_closed_form,
 )
-from totem import projection
+from totem import operators, projection
 from totem.projection import _newton
 
 from helpers import (
@@ -131,6 +132,15 @@ class TestNewtonBasics:
         plex = Totemplex(make_simple_element(space), f)
         with pytest.raises(IncompatibleReferenceError):
             newton_project(ref, plex)
+
+    def test_data_on_a_group_without_reference_mass_rejected(self):
+        # the third group has data and no reference mass, as an observed
+        # entity without reference weight has in newton_project
+        columns = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+        data = np.array([0.4, 0.3, 0.3])
+        basis = np.linalg.qr(columns.T)[0].T
+        with pytest.raises(IncompatibleReferenceError):
+            _newton(columns, basis, data, columns @ data, np.array([0.5, 0.5, 0.0]), 1e-10, 200)
 
     def test_nonconvergence_raises(self):
         plex, space = coin_plex(4, 0.9)
@@ -330,13 +340,33 @@ class TestFace:
         assert_projection(result, plex, ref, 1e-9)
 
     def test_underflowed_weight_raises(self):
-        # case 740 of the moments fuzz: the solve meets tol with a level's
-        # weight rounded to zero, where the projection's is below 1e-45000;
-        # a zero left on the face _face decided is rounding, not a face
+        # case 740 of the moments fuzz: an iterate rounds a level's weight to
+        # zero, where the projection's is below 1e-45000; a zero left on the
+        # face _face decided is rounding, not a face, and no multiplicative
+        # step revives it, so the solve stops on that iterate
         ref, plex = moment_plex([0.001316426373955214, 0.004841014363416061,
                                  0.007192458969909841, 0.008707160806658721,
                                  47.0414727278017, 50.609523878065225], [4, 0, 1, 3, 3, 0])
-        with pytest.raises(NonConvergenceError, match="underflowed to zero"):
+        with pytest.raises(NonConvergenceError, match="underflowed to zero after 19 iterations"):
+            newton_project(ref, plex)
+
+    def test_underflow_is_not_blamed_on_the_element(self):
+        # case 730 of the moments fuzz: the top level has no data, and its
+        # weight underflows before the 4 x 4 Jacobian on 5 levels goes
+        # singular in floating point
+        ref, plex = moment_plex([0.004225763613869966, 0.028019076575305064,
+                                 0.29646920485197625, 64.53522006516948, 521.4395971386759],
+                                [4, 3, 1, 1, 0])
+        with pytest.raises(NonConvergenceError, match="underflowed to zero after 24 iterations"):
+            newton_project(ref, plex)
+
+    def test_singular_jacobian_names_the_smallest_weight(self):
+        # case 1023 of the moments fuzz: a weight of 2.7e-132 on the top
+        # level, too small to carry its row, leaves the Jacobian singular
+        ref, plex = moment_plex([0.001160918444953608, 0.0015302856195910915,
+                                 0.015459372375549167, 1.6397428854824212,
+                                 9.515689068687593, 449.62098469943095], [5, 4, 1, 5, 1, 0])
+        with pytest.raises(SingularJacobianError, match=r"smallest weight 2\.74\d*e-132"):
             newton_project(ref, plex)
 
     def test_moment_fuzz(self):
@@ -553,6 +583,44 @@ class TestChained:
         with pytest.raises(IncompatibleReferenceError):
             chained_project(uniform(space), [Totemplex(coarse, f_coarse),
                                              Totemplex(fine, f_fine)])
+
+    def test_one_joint_group_pass_per_pair(self, monkeypatch):
+        # one pass decides nesting and refinement, and gives the groups
+        joint_groups, calls = operators._joint_groups, []
+
+        def counting_joint_groups(*args):
+            calls.append(1)
+            return joint_groups(*args)
+
+        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
+        for name, value in list(vars(projection).items()):
+            if value is joint_groups:
+                monkeypatch.setattr(projection, name, counting_joint_groups)
+        space = coin_space(4)
+        f = empirical_counts_coin(space)
+        trials = [marginal_op(space, d.name, "head") for d in space.domains]
+        elements = [coin_element(space), make_element([identity_op(space)] + trials),
+                    make_element([identity_op(space)] + trials
+                                 + [product_op(trials[0], trials[1])])]
+        chained_project(uniform(space), [Totemplex(element, f) for element in elements])
+        assert len(calls) == 2
+
+    def test_refinement_decided_before_any_solve(self, monkeypatch):
+        # the last pair is test_stage_columns_must_refine's
+        space = coin_space(2)
+        f = empirical_counts_coin(space)
+        nudged = success_op(space, "head").eigenvalues.copy()
+        nudged[1] += 1e-12
+        elements = [make_element([identity_op(space)]),
+                    make_element([identity_op(space), CharacteristicOperator(space, nudged)]),
+                    coin_element(space)]
+
+        def no_solve(*args):
+            raise AssertionError("a stage was solved")
+
+        monkeypatch.setattr(projection, "_newton", no_solve)
+        with pytest.raises(NestingError, match="stage 1 .* share a column"):
+            chained_project(uniform(space), [Totemplex(element, f) for element in elements])
 
     def test_nesting_violation_rejected(self):
         space = EntitySpace(
