@@ -61,7 +61,10 @@ class Distribution:
     __slots__ = ("space", "weights", "counts", "n_samples", "_admissible", "_positive")
 
     def __init__(self, space, weights):
-        weights = np.asarray(weights, dtype=np.float64)
+        self._check(space, np.array(weights, dtype=np.float64))
+
+    def _check(self, space, weights):
+        """Check and hold ``weights``, an array no one else holds; zero its rounding negatives."""
         if weights.shape != (space.n_entities,):
             raise SpaceError(
                 f"weight vector has shape {weights.shape}, expected ({space.n_entities},)"
@@ -70,11 +73,12 @@ class Distribution:
             raise TotemError("distribution weights must be finite")
         if weights.min(initial=0.0) < -1e-12:
             raise TotemError(f"negative weight {weights.min()} in distribution")
-        weights = np.where(weights < 0.0, 0.0, weights)
+        weights[weights < 0.0] = 0.0
         total = float(np.sum(weights))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise TotemError(f"weights sum to {total!r}, not 1 within {_NORMALIZATION_TOL}")
         self._hold(space, weights)
+        return self
 
     def _hold(self, space, weights):
         """Set the slots on checked ``weights`` that no one else holds,
@@ -101,14 +105,17 @@ class Distribution:
             raise SpaceError(
                 f"expected {space.n_admissible} admissible weights, got {weights.shape}"
             )
-        full = np.zeros(space.n_entities)
-        full[space.admissible_indices] = weights
+        if space.n_admissible < space.n_entities:
+            full = np.zeros(space.n_entities)
+            full[space.admissible_indices] = weights
+        else:  # the caller's array stays writable and unshared
+            full = weights if renormalize else weights.copy()
         if renormalize:
             total = float(np.sum(full))
             if total <= 0:
                 raise TotemError("cannot normalize an all-zero weight vector")
             full = full / total
-        return cls(space, full)
+        return cls.__new__(cls)._check(space, full)
 
     @classmethod
     def from_counts(cls, space, counts, n_samples=None):

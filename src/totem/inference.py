@@ -9,9 +9,10 @@ with ``q`` the projection of the reference onto the element's family.
 The O(1) term of the underlying expansion is dropped: only score
 differences at fixed data and reference matter for ranking, and no
 canonical constant exists.  Comparing two nested elements, twice the
-sample size times the divergence between their projections follows a
-chi-squared law with the rank difference as degrees of freedom, which
-gives the significance test.
+sample size times the divergence between their projections, which by the
+Pythagorean identity is the likelihood ratio of the two fits, follows a
+chi-squared law with the rank difference as degrees of freedom: the
+significance test.
 
 Sampling uses the Philox counter-based generator: seeds reproduce count
 vectors bit-identically, and replication streams are derived by jumping
@@ -206,8 +207,7 @@ def _seed(value):
 def i_score(reference, plex, n, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Score an element: projection fit against remaining freedom.
 
-    Requires the projection to exist; if some observed entity gets
-    projected weight zero, the divergence is ``inf`` and the score ``-inf``.
+    Requires the projection to exist.
     """
     n = _whole(n)
     fit = _project_groups(reference, plex, tol, max_iter)
@@ -270,15 +270,15 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     Rejecting means the finer description extracts information the
     coarser one misses at level ``alpha``.
 
-    One joint-group pass over the entities decides the nesting and gives
-    the reference mass of each joint group of the two elements, and from
-    that each element group's.  Both projections stay on their elements'
-    column groups, and ``Q`` is summed over the joint groups: an entity in
-    inner group ``g`` and outer group ``h`` has projections ``v_e r_g`` and
-    ``v_e s_h``, so ``D = sum_(g,h) r_g v_gh log(r_g / s_h)`` with ``v_gh``
-    the reference mass of the entities in both.  The data is touched on its
-    support only (targets and the compatibility check), and no entity-level
-    distribution is built.
+    ``Q`` is computed in its likelihood-ratio form: by the Pythagorean
+    identity it is ``2N [D(f || q_outer) - D(f || q_inner)]``, whose data
+    terms cancel to ``2N [sum_g F_g log r_g - sum_h F_h log s_h]`` on each
+    element's column groups (``F`` the data's mass, ``r`` and ``s`` the
+    ratios ``q_e / v_e``).  It is stationary in both fits' multipliers, so
+    their ``tol``-level error enters at second order only.  One joint-group
+    pass over the entities decides the nesting and gives each element
+    group's reference mass; the data is touched on its support only, and
+    no entity-level distribution is built.
 
     That pass depends on ``outer``, ``inner`` and ``reference`` alone, so
     its result is kept for the next call: a repeated test on the same three
@@ -290,7 +290,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     outer_plex = Totemplex(outer, empirical)
     _check_reference(reference, outer_plex)
-    nested, g, h, v, outer_mass = _pair_groups(outer, inner, reference)
+    nested, outer_mass, inner_mass = _pair_groups(outer, inner, reference)
     if not nested:
         raise NestingError(
             "outer element is not implied by the inner one; the test is only "
@@ -301,18 +301,10 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise NestingError(
             "elements have equal rank and row space; zero degrees of freedom"
         )
+    outer_sum = _log_ratio_sum(outer_plex, _solve_groups(outer_plex, outer_mass, tol, max_iter))
     inner_plex = Totemplex(inner, empirical)
-    s = _solve_groups(outer_plex, outer_mass, tol, max_iter).ratio[h]
-    # the inner family lies in the outer's, so within the outer projection's support
-    inner_mass = np.bincount(g, weights=v * (s > 0.0), minlength=inner.columns[0].shape[1])
-    r = _solve_groups(inner_plex, inner_mass, tol, max_iter).ratio[g]
-    mass = r * v
-    on = mass > 0.0
-    if np.any(s[on] <= 0.0):
-        div = math.inf
-    else:
-        div = max(float(np.sum(mass[on] * (np.log(r[on]) - np.log(s[on])))), 0.0)
-    q_stat = 2.0 * n * div
+    inner_sum = _log_ratio_sum(inner_plex, _solve_groups(inner_plex, inner_mass, tol, max_iter))
+    q_stat = 2.0 * n * max(inner_sum - outer_sum, 0.0)
     p_value = chi2_sf(q_stat, dof)
     underflow = p_value < P_VALUE_FLOOR
     if underflow:
@@ -331,32 +323,32 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
 @functools.lru_cache(maxsize=1)
 def _pair_groups(outer, inner, reference):
     """:func:`i_test`'s joint-group pass: whether ``outer`` is nested in
-    ``inner``, the joint groups ``(g, h)`` with their reference mass ``v``,
-    and the outer element's group mass, all read-only.  One entry, keyed on the
-    three objects: every one of them is immutable."""
+    ``inner``, and the reference mass on each column group of ``outer`` and
+    of ``inner`` (read-only), summed from the joint groups'.  One entry,
+    keyed on the three objects: every one of them is immutable."""
     nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
-    outer_mass = np.bincount(h, weights=v, minlength=outer.columns[0].shape[1])
-    out = (g, h, v, outer_mass)
+    out = (np.bincount(h, weights=v, minlength=outer.columns[0].shape[1]),
+           np.bincount(g, weights=v, minlength=inner.columns[0].shape[1]))
     for array in out:
         array.setflags(write=False)
     return (nested, *out)
 
 
-def _data_divergence(plex, reference, fit):
-    """``D(f || q)`` for ``plex``'s data and the projection ``q_e = v_e r_g`` of ``fit``.
+def _log_ratio_sum(plex, fit):
+    """``sum_g F_g log r_g`` over ``plex``'s groups with data mass ``F_g > 0``, ``r`` the
+    ratios of ``fit``; finite, as ``_face`` keeps those and ``_newton`` raises on a zero."""
+    on = plex._mass > 0.0
+    return float(np.sum(plex._mass[on] * np.log(fit.ratio[on])))
 
-    ``sum_e f_e log(f_e / v_e) - sum_g F_g log r_g`` with ``F`` the data's
-    group sums: one pass over the data's support and one over the groups.
-    ``math.inf`` when the data has mass on a group the projection zeroes.
-    """
+
+def _data_divergence(plex, reference, fit):
+    """``D(f || q) = sum_e f_e log(f_e / v_e) - sum_g F_g log r_g`` for ``plex``'s
+    data and ``fit``'s projection ``q_e = v_e r_g``: one pass over the data's
+    support and one over the groups."""
     seen = plex.empirical._support()[1]
     f_seen = plex.empirical.admissible[seen]
-    on = plex._mass > 0.0
-    ratio = fit.ratio[on]
-    if np.any(ratio <= 0.0):
-        return math.inf
     data_term = float(np.sum(f_seen * (np.log(f_seen) - np.log(reference.admissible[seen]))))
-    return max(data_term - float(np.sum(plex._mass[on] * np.log(ratio))), 0.0)
+    return max(data_term - _log_ratio_sum(plex, fit), 0.0)
 
 
 # --- seeded simulation ------------------------------------------------------

@@ -6,8 +6,10 @@ of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
 library's faster forms are checked against.  :func:`projection_errors`
 is the projection oracle, built on decimal arithmetic alone.
 :func:`peak_traced_bytes` measures a call's memory.
-:func:`near_dependent_problem` and :func:`moment_problem` draw the cases
-of the two projection fuzzes, in tier 1 and in ``fuzz_projection.py``.
+:func:`near_dependent_problem`, :func:`moment_problem` and
+:func:`nested_problem` draw the cases of the three fuzzes, in tier 1 and in
+``fuzz_projection.py``; :func:`likelihood_ratio_q` and :func:`binomial_q`
+are the nested-test statistic's entity-level and closed forms.
 """
 
 import decimal
@@ -22,10 +24,14 @@ from totem import (
     Distribution,
     EntitySpace,
     Totemplex,
+    binomial_test_statistic_closed_form,
+    i_divergence,
     identity_op,
     make_element,
     marginal_op,
     moment_op,
+    newton_project,
+    success_op,
 )
 from totem.operators import PIVOT_TOL, _row_basis
 
@@ -214,6 +220,46 @@ def near_dependent_problem(rng):
                             for i, row in enumerate(rows)], mode="auto-reduce")
     ref = Distribution.from_admissible_weights(space, w / w.sum())
     return ref, Totemplex(element, Distribution.from_counts(space, counts))
+
+
+def random_counts(rng, space):
+    """Counts 0 to 4 on each admissible entity, not all zero."""
+    counts = rng.integers(0, 5, size=space.n_admissible)
+    counts[rng.integers(space.n_admissible)] += 1
+    return counts
+
+
+def nested_problem(rng):
+    """A draw of the nested-pairs fuzz: a :func:`random_space`, a
+    :func:`random_nested_pair` of ranks ``1 <= coarse < fine <= 6``,
+    :func:`random_counts` and a Dirichlet reference.  Returns
+    ``(reference, coarse, plex)`` with ``plex`` the fine element's."""
+    space = random_space(rng)
+    fine_rank = int(rng.integers(2, min(6, space.n_admissible) + 1))
+    coarse, fine = random_nested_pair(rng, space, int(rng.integers(1, fine_rank)), fine_rank)
+    f = Distribution.from_counts(space, random_counts(rng, space))
+    ref = random_distribution(rng, space)
+    return ref, coarse, Totemplex(fine, f)
+
+
+def likelihood_ratio_q(reference, outer, plex):
+    """``2N [D(f || q_outer) - D(f || q_inner)]`` from the two projections
+    :func:`~totem.newton_project` lifts to entities, with ``plex`` the inner
+    element's and ``N`` its data's sample size."""
+    f = plex.empirical
+    fits = [newton_project(reference, p).distribution for p in (Totemplex(outer, f), plex)]
+    return 2.0 * f.n_samples * (i_divergence(f, fits[0]) - i_divergence(f, fits[1]))
+
+
+def binomial_q(space, counts):
+    """``2N D(phi || binomial)`` of the ``counts`` on a coin space, with
+    ``phi`` their success-count spectrum: the coin-against-spectrum nested
+    test's statistic under a uniform reference, in closed form."""
+    length = len(space.domains)
+    successes = np.rint(success_op(space, "head").eigenvalues * length).astype(np.intp)
+    n = int(np.sum(counts))
+    phi = np.bincount(successes, weights=counts, minlength=length + 1) / n
+    return 2.0 * n * binomial_test_statistic_closed_form(length, phi)
 
 
 def random_totemplex(rng, space, rank, alpha=5.0):

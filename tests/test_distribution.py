@@ -58,6 +58,36 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.counts[0] = 7
 
+    @pytest.mark.parametrize("renormalize", [False, True], ids=["as-is", "renormalized"])
+    @pytest.mark.parametrize("nullentities", [(), [("a", "y")]], ids=["full", "nulled"])
+    def test_caller_weights_stay_writable_and_apart(self, nullentities, renormalize):
+        space = quad_space(nullentities)
+        weights = np.full(space.n_admissible, 1.0 / space.n_admissible)
+        dist = Distribution.from_admissible_weights(space, weights, renormalize)
+        assert not np.shares_memory(dist.weights, weights)
+        weights[0] = 7.0  # still writable, and the distribution does not see it
+        assert dist.admissible[0] == 1.0 / space.n_admissible
+
+    @pytest.mark.parametrize("nullentities", [(), [("a", "y")]], ids=["full", "nulled"])
+    def test_from_admissible_weights_keeps_the_bits(self, nullentities):
+        # the scatter, the division and the clamp of a rounding negative,
+        # each done as a full-length copy
+        space = quad_space(nullentities)
+        rng = np.random.default_rng(8)
+        for renormalize in (False, True):
+            for _ in range(20):
+                weights = rng.gamma(1.0, size=space.n_admissible)
+                weights[rng.integers(space.n_admissible)] = -1e-15
+                weights /= weights.sum()
+                full = np.zeros(space.n_entities)
+                full[space.admissible_indices] = weights
+                if renormalize:
+                    full = full / float(np.sum(full))
+                want = np.where(full < 0.0, 0.0, full)
+                dist = Distribution.from_admissible_weights(space, weights, renormalize)
+                assert dist.weights.tobytes() == want.tobytes()
+                assert dist.admissible.tobytes() == want[space.admissible_indices].tobytes()
+
     @pytest.mark.parametrize("nullentities", [(), [("a", "y")]])
     def test_from_counts_holds_the_exact_ratios(self, nullentities):
         space = quad_space(nullentities)

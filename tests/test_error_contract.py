@@ -3,8 +3,11 @@ returns a correct answer or raises a :class:`~totem.errors.TotemError`.
 
 Each example draws a seed for one of the ``tests/helpers.py`` generators;
 warnings are errors (``pyproject.toml``), so a numpy warning breaks the
-contract too.  A returned projection is nonnegative and passes the
-projection oracle at 1e-9.
+contract too.  A returned projection is nonnegative, positive on every
+entity the data observes, and passes the projection oracle at 1e-9.  On
+the nested pairs, a returned test statistic equals the likelihood-ratio
+form of the two projections lifted to entities within 1e-10 relative
+(1e-12 absolute).
 """
 
 import numpy as np
@@ -28,10 +31,12 @@ from totem import (
 
 from helpers import (
     assert_projection,
+    likelihood_ratio_q,
     moment_problem,
     near_dependent_problem,
+    nested_problem,
+    random_counts,
     random_distribution,
-    random_nested_pair,
     random_space,
 )
 
@@ -50,6 +55,8 @@ def _typed(call, *args):
 def _check_projection(result, plex, reference):
     if result is not None:
         assert np.all(result.distribution.weights >= 0.0)
+        # positive wherever the data is: the statistics' logs stay finite
+        assert np.all(result.distribution.weights[plex.empirical.weights > 0.0] > 0.0)
         assert_projection(result, plex, reference, 1e-9)
 
 
@@ -60,6 +67,7 @@ def _check_statistics(reference, outer, plex, n):
     report = _typed(i_test, reference, outer, plex.element, plex.empirical, n)
     if report is not None:
         assert report.q_statistic >= 0.0 and 0.0 <= report.p_value <= 1.0
+    return report
 
 
 def _check_solvers(reference, plex, coarse=None):
@@ -90,25 +98,16 @@ def test_near_dependent_rows(seed):
     assert score is None or score.divergence >= 0.0
 
 
-def _counts(rng, space):
-    """Counts 0 to 4 on each admissible entity, not all zero."""
-    counts = rng.integers(0, 5, size=space.n_admissible)
-    counts[rng.integers(space.n_admissible)] += 1
-    return counts
-
-
 @_CONTRACT
 @given(seed=_SEEDS)
 def test_nested_pairs(seed):
-    rng = np.random.default_rng(seed)
-    space = random_space(rng)
-    fine_rank = int(rng.integers(2, min(6, space.n_admissible) + 1))
-    coarse, fine = random_nested_pair(rng, space, int(rng.integers(1, fine_rank)), fine_rank)
-    f = Distribution.from_counts(space, _counts(rng, space))
-    ref = random_distribution(rng, space)
-    plex = Totemplex(fine, f)
+    ref, coarse, plex = nested_problem(np.random.default_rng(seed))
     _check_solvers(ref, plex, coarse)
-    _check_statistics(ref, coarse, plex, f.n_samples)
+    report = _check_statistics(ref, coarse, plex, plex.empirical.n_samples)
+    if report is not None:
+        # the likelihood-ratio form, from the two projections lifted to entities
+        expected = likelihood_ratio_q(ref, coarse, plex)
+        assert abs(report.q_statistic - expected) <= 1e-10 * abs(expected) + 1e-12
 
 
 @_CONTRACT
@@ -117,7 +116,7 @@ def test_ipf_on_full_marginals(seed):
     rng = np.random.default_rng(seed)
     space = random_space(rng)
     ops = [marginal_op(space, d.name, level) for d in space.domains for level in d.levels]
-    f = Distribution.from_counts(space, _counts(rng, space))
+    f = Distribution.from_counts(space, random_counts(rng, space))
     ref = random_distribution(rng, space)
     rows = np.array([op.eigenvalues for op in ops])
     plex = Totemplex(make_element(ops, mode="auto-reduce"), f)

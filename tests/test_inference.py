@@ -46,7 +46,7 @@ from totem.closed_forms import (
 from totem import inference, operators
 from totem.operators import ConstructingElement
 
-from helpers import (assert_projection, constraint_residual, mixed_marginal_element,
+from helpers import (assert_projection, binomial_q, constraint_residual, mixed_marginal_element,
                      random_distribution, random_element, random_space)
 
 
@@ -379,6 +379,24 @@ class TestITest:
         expected = 2 * n * binomial_test_statistic_closed_form(length, phi, eta)
         assert report.q_statistic == pytest.approx(expected, abs=1e-8 * max(1, expected))
         assert report.dof == length - 1
+
+    @pytest.mark.parametrize("length, n, seeds",
+                             [(6, 2_000, range(300)), (12, 100_000, range(1, 6))],
+                             ids=["L6", "L12"])
+    def test_q_within_1e_10_of_closed_form(self, length, n, seeds):
+        # the likelihood-ratio form moves with the fits' tol only at second order
+        space = coin_space(length)
+        ref, outer, inner = uniform(space), coin_element(space), k_marginal_element(space)
+        generator = binomial_projection_closed_form(length, 0.6, space)
+        misses = []
+        for seed in seeds:
+            counts = sample_multinomial(generator, n, seed)
+            f = Distribution.from_counts(space, counts, n)
+            q = i_test(ref, outer, inner, f, n).q_statistic
+            expected = binomial_q(space, counts)
+            if abs(q - expected) > 1e-10 * expected:
+                misses.append((seed, abs(q - expected) / expected))
+        assert not misses
 
     def test_two_coin_single_dof(self):
         space = two_coin_space(3)
@@ -774,10 +792,14 @@ class TestGroupLevelStatistics:
             expected = i_divergence(f, fit.distribution)
             assert i_score(ref, plex, n).divergence == pytest.approx(expected, rel=1e-12, abs=0.0)
         q_outer, q_inner = (fit.distribution for fit in fits)
-        expected = 2 * n * i_divergence(q_inner, q_outer)
+        # the likelihood-ratio form, and the projections' divergence it
+        # equals by the Pythagorean identity, up to the fits' tol
+        expected = 2 * n * (i_divergence(f, q_outer) - i_divergence(f, q_inner))
         assert expected > 1e-3
         report = i_test(ref, outer, inner, f, n)
         assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+        expected = 2 * n * i_divergence(q_inner, q_outer)
+        assert report.q_statistic == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_boundary_shells_clamp(self):
         space, ref, outer, inner, f, n = _nested_cases()[0]
@@ -824,12 +846,12 @@ class TestGroupLevelStatistics:
         report = i_test(ref, outer, inner, f, n)
         assert report.q_statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_inner_projection_stays_on_the_outer_support(self):
+    def test_both_projections_on_one_point_give_zero(self):
         # all heads: the coin's mean is at its maximum, so the outer
         # projection is exactly the point mass, while the mixed-basis
-        # marginals show that face to no single row.  The inner family lies
-        # in the outer's, so the inner solve keeps to the outer's support
-        # and Q is 0, not the inf of a tail left where the outer has none.
+        # marginals show that face to no single row.  The inner solve
+        # finds the same face, so both fits give the one observed entity
+        # the same ratio and the two log-likelihood sums cancel exactly.
         space = coin_space(3)
         counts = np.zeros(space.n_entities, dtype=np.int64)
         counts[space.index_of(("head",) * 3)] = 10

@@ -46,6 +46,7 @@ from totem.projection import _newton
 
 from helpers import (
     assert_projection,
+    binomial_q,
     constraint_residual,
     ipf_entitywise,
     mixed_marginal_element,
@@ -832,36 +833,36 @@ def test_typed_solver_errors(call, error, message):
     assert "np." not in str(caught.value)
 
 
-# i_test(coin, k_marginal) at L=12 on datasets drawn from a 0.6 coin, as
-# computed by the per-entity solver before column lumping:
-# (seed, N, Q, coin divergence, coin multipliers, k_marginal divergence,
+# The coin and k_marginal projections at L=12 on datasets drawn from a 0.6
+# coin, as computed by the per-entity solver before column lumping:
+# (seed, N, coin divergence, coin multipliers, k_marginal divergence,
 #  k_marginal multipliers, k_marginal boundary)
 _FROZEN_L12 = [
-    (1, 200, 8.285724203433803,
+    (1, 200,
      0.2375888686283954, [-2.652748621319134, 4.823929051374265],
      0.25830317913786416,
      [0.0, 0.0, -0.4770587612951723, -0.7647408337469542, -1.3933494931693233,
       -0.6593803180891319, -0.34352736867064876, 0.21608841926476968, 0.425808950246842,
       1.1223288152854263, 1.3947434156064207, 1.9208365115032004, 0.0], True),
-    (2, 500, 3.3349290715346154,
+    (2, 500,
      0.2821544521296638, [-2.9201551035602624, 5.2669565060747585],
      0.2854893811573248,
      [0.0, 0.0, -2.0864966630824786, -1.6810315656389312, -1.0568772565706088,
       -0.7212557218297125, -0.28290274687671163, 0.09203577057229659, 0.5714291401678716,
       1.175438640576878, 1.347490530733373, 1.8154759958228837, 2.103158068829485], True),
-    (3, 2000, 12.731971184342395,
+    (3, 2000,
      0.2629686315701233, [-2.807168286314038, 5.080554783787416],
      0.2661516243702728,
      [0.0, 0.0, -1.526880885794858, -1.418667301154624, -1.1702059418561237,
       -0.8397038722214158, -0.22020415263966012, 0.18648794948747488, 0.6013508200544113,
       0.9931170838044135, 1.3947434156054153, 1.564161567563456, 2.79630524910767], True),
-    (4, 20000, 9.183605350527845,
+    (4, 20000,
      0.24138294604153435, [-2.6762227095065456, 4.863081349360913],
      0.24161253615268719,
      [0.0, -2.124717859255958, -1.7863920811867489, -1.478090721634751, -1.0797560389433878,
       -0.6249788913821337, -0.24594704034212317, 0.1577528422414696, 0.5427507913470956,
       1.0051138000827124, 1.370608339860831, 1.772916381416229, 2.077840260561892], True),
-    (5, 100000, 2.0037741728802603,
+    (5, 100000,
      0.23755671021170238, [-2.6525490387791204, 4.823595949315264],
      0.23756672889248295,
      [-2.50200975030385, -2.2460786119466674, -1.8164695364659074, -1.4586883345913975,
@@ -889,13 +890,14 @@ class TestLumping:
 
     @pytest.mark.parametrize("case", _FROZEN_L12, ids=[f"seed{c[0]}" for c in _FROZEN_L12])
     def test_itest_matches_per_entity_solver_at_L12(self, case):
-        seed, n, q, div_outer, mult_outer, div_inner, mult_inner, boundary = case
+        seed, n, div_outer, mult_outer, div_inner, mult_inner, boundary = case
         space = coin_space(12)
         outer, inner = coin_element(space), k_marginal_element(space)
         counts = sample_multinomial(binomial_projection_closed_form(12, 0.6, space), n, seed=seed)
         f = Distribution.from_counts(space, counts, n)
         ref = uniform(space)
-        assert i_test(ref, outer, inner, f, n).q_statistic == pytest.approx(q, rel=1e-9)
+        q = i_test(ref, outer, inner, f, n).q_statistic
+        assert q == pytest.approx(binomial_q(space, counts), rel=1e-10)
         for element, div, mult in ((outer, div_outer, mult_outer),
                                    (inner, div_inner, mult_inner)):
             result = newton_project(ref, Totemplex(element, f))
