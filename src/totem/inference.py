@@ -275,10 +275,11 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
     terms cancel to ``2N [sum_g F_g log r_g - sum_h F_h log s_h]`` on each
     element's column groups (``F`` the data's mass, ``r`` and ``s`` the
     ratios ``q_e / v_e``).  It is stationary in both fits' multipliers, so
-    their ``tol``-level error enters at second order only.  One joint-group
-    pass over the entities decides the nesting and gives each element
-    group's reference mass; the data is touched on its support only, and
-    no entity-level distribution is built.
+    their ``tol``-level error enters at second order only.  One pair pass
+    decides the nesting (:func:`~totem.operators.is_nested`) and sums the
+    reference mass on each inner group, and from those on each outer group;
+    the data is touched on its support only, and no entity-level
+    distribution is built.
 
     That pass depends on ``outer``, ``inner`` and ``reference`` alone, so
     its result is kept for the next call: a repeated test on the same three
@@ -290,12 +291,7 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
         raise TotemError(f"significance level must be in (0, 1), got {alpha}")
     outer_plex = Totemplex(outer, empirical)
     _check_reference(reference, outer_plex)
-    nested, outer_mass, inner_mass = _pair_groups(outer, inner, reference)
-    if not nested:
-        raise NestingError(
-            "outer element is not implied by the inner one; the test is only "
-            "defined for nested descriptions"
-        )
+    outer_mass, inner_mass = _pair_groups(outer, inner, reference)
     dof = inner.rank - outer.rank
     if dof == 0:
         raise NestingError(
@@ -322,16 +318,19 @@ def i_test(reference, outer, inner, empirical, n, alpha=0.05, *,
 
 @functools.lru_cache(maxsize=1)
 def _pair_groups(outer, inner, reference):
-    """:func:`i_test`'s joint-group pass: whether ``outer`` is nested in
-    ``inner``, and the reference mass on each column group of ``outer`` and
-    of ``inner`` (read-only), summed from the joint groups'.  One entry,
-    keyed on the three objects: every one of them is immutable."""
-    nested, (g, h, v) = _nesting(outer, inner, reference.admissible)
-    out = (np.bincount(h, weights=v, minlength=outer.columns[0].shape[1]),
-           np.bincount(g, weights=v, minlength=inner.columns[0].shape[1]))
-    for array in out:
+    """:func:`i_test`'s pair pass: the reference mass on each column group of
+    ``outer`` and of ``inner`` (read-only), or :class:`NestingError` if
+    ``outer`` is not nested in ``inner``.  One entry, keyed on the three
+    objects: every one of them is immutable."""
+    nested, parent = _nesting(outer, inner)
+    if not nested:
+        raise NestingError("outer element is not implied by the inner one; the test is only "
+                           "defined for nested descriptions")
+    inner_mass = inner.group_sums(reference.admissible)
+    outer_mass = np.bincount(parent, weights=inner_mass, minlength=outer.columns[0].shape[1])
+    for array in (outer_mass, inner_mass):
         array.setflags(write=False)
-    return (nested, *out)
+    return outer_mass, inner_mass
 
 
 def _log_ratio_sum(plex, fit):

@@ -370,15 +370,16 @@ class ConstructingElement:
 
         Groups are numbered in order of first appearance and
         ``columns[:, group]`` equals ``matrix`` exactly: the partition
-        :func:`_column_partition` gives, passed in by :func:`make_element`
-        from the partition it decided the operators' independence on; it
-        keeps the orthonormal rows ``Q`` it found there as well.
+        :func:`_column_partition` gives on the operators kept, passed in by
+        :func:`make_element` with the orthonormal rows ``Q`` it found on
+        these very columns (see :meth:`_orthonormal_rows`).
         """
         return self._columns
 
     def _orthonormal_rows(self):
-        """``Q``: orthonormal rows spanning the row space on ``columns``,
-        kept from :func:`make_element` or else found on first use."""
+        """``Q``: rows orthonormal on ``columns`` (one entry per group)
+        spanning the row space there, which projection and nesting decide
+        on; kept from :func:`make_element` or else found on first use."""
         if self._basis is None:
             self._basis = _row_basis(self._columns[0])[0]
             self._basis.setflags(write=False)
@@ -422,6 +423,17 @@ def make_element(operators, mode="strict"):
     warning that names them on the ``totem`` logger), and appends the
     identity operator when the all-ones row is missing from the row space.
     """
+    if mode not in ("strict", "auto-reduce"):
+        raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
+    element, dropped = _reduced_element(operators, strict=mode == "strict")
+    if dropped:
+        _warn("auto-reduce dropped operators %s: linearly dependent on earlier ones", dropped)
+    return element
+
+
+def _reduced_element(operators, strict):
+    """:func:`make_element` and the labels of the operators it dropped,
+    without the warning; ``strict`` raises where it would drop or append."""
     operators = list(operators)
     if not operators:
         raise OperatorError("an element needs at least one operator")
@@ -444,32 +456,28 @@ def make_element(operators, mode="strict"):
         kept.pop()
 
     dropped = [op.label for i, op in enumerate(operators) if i not in kept]
-    if mode == "strict":
-        if dropped:
-            raise OperatorError(
-                f"operators {dropped} are linearly dependent on earlier ones "
-                "(use mode='auto-reduce' to drop them)"
-            )
-        if not normalized:
-            raise OperatorError(
-                "the identity row is not in the element's row space; "
-                "normalization must be implied (add the identity operator)"
-            )
-    elif mode != "auto-reduce":
-        raise OperatorError(f"mode must be 'strict' or 'auto-reduce', got {mode!r}")
-    elif dropped:
-        _warn("auto-reduce dropped operators %s: linearly dependent on earlier ones", dropped)
+    if strict and dropped:
+        raise OperatorError(
+            f"operators {dropped} are linearly dependent on earlier ones "
+            "(use mode='auto-reduce' to drop them)"
+        )
+    if strict and not normalized:
+        raise OperatorError(
+            "the identity row is not in the element's row space; "
+            "normalization must be implied (add the identity operator)"
+        )
     operators = [operators[i] for i in kept]
     if not normalized:
         operators.append(identity_op(space))
         kept.append(len(columns) - 1)
     # the element's rows are the rows ``kept``.  The all-ones row
     # splits no columns, but a dropped row may split columns that the kept
-    # rows do not: only then are the distinct columns partitioned again.
+    # rows do not: only then are the distinct columns partitioned again,
+    # and ``Q`` found again on the element's own columns.
     if dropped:
         columns, sub = _column_partition(columns[kept])
         group = sub[group]
-        basis = basis[:, np.unique(sub, return_index=True)[1]]  # first members
+        basis = _row_basis(columns)[0]
     elif normalized:
         # column-major as _column_partition lays them out: the element's
         # sums and products depend on that layout
@@ -478,7 +486,7 @@ def make_element(operators, mode="strict"):
         array.setflags(write=False)
     element = ConstructingElement(space, operators, (columns, group))
     element._basis = basis
-    return element
+    return element, dropped
 
 
 def _warn(message, *args):
@@ -495,67 +503,57 @@ def _warn(message, *args):
 
 
 def _element_from_rows(space, rows):
-    """The auto-reduced element of operators ``row0``, ``row1``, ..."""
+    """The auto-reduced element of operators ``row0``, ``row1``, ..., unlogged."""
     ops = [CharacteristicOperator(space, row, f"row{i}") for i, row in enumerate(rows)]
-    return make_element(ops, mode="auto-reduce")
+    return _reduced_element(ops, strict=False)[0]
 
 
 def fapp_equivalent(a, b):
     """True iff two elements have the same row space.
 
-    Elements have full row rank, so equal rank plus nesting decides it.
+    Elements have full row rank, so equal rank plus nesting decides it;
+    equal column counts keep it symmetric, as nesting needs refinement.
     """
     if not a.space.same_space(b.space):
         raise SpaceError("elements live on different spaces")
-    return a.rank == b.rank and is_nested(a, b)
+    return (a.rank == b.rank and a.columns[0].shape[1] == b.columns[0].shape[1]
+            and is_nested(a, b))
 
 
 def is_nested(outer, inner):
-    """True iff every operator of ``outer`` lies in ``inner``'s row space.
+    """True iff ``outer`` is implied by ``inner``.
 
-    The coarser (outer) description is then implied by the finer (inner)
-    one, and the inner feasible family sits inside the outer family.
-    Decided on the distinct joint columns of both elements.
+    The coarser (outer) description is implied by the finer (inner) one
+    when entities sharing an inner column share an outer column, and every
+    operator of ``outer`` lies in ``inner``'s row space; the inner feasible
+    family then sits inside the outer family.  Decided by :func:`_nesting`.
     """
     return _nesting(outer, inner)[0]
 
 
-def _nesting(outer, inner, values=None):
-    """:func:`is_nested` and the joint groups ``(g, h, sums)`` it was
-    decided on (see :func:`_joint_groups`, with ``a = inner``)."""
+def _nesting(outer, inner):
+    """:func:`is_nested` and ``parent``, the outer group of each inner group.
+
+    ``parent`` is one scatter of the outer group indices through the inner
+    ones, and ``None`` (not nested) when some inner column holds two outer
+    groups.  Otherwise the outer columns, lifted to the inner groups, are
+    projected twice off ``inner``'s orthonormal rows ``Q``: nested iff no
+    residual entry exceeds ``PIVOT_TOL`` times the larger max|entry| of the
+    two elements' columns.
+    """
     if not outer.space.same_space(inner.space):
         raise SpaceError("elements live on different spaces")
-    g, h, sums = _joint_groups(inner, outer, values)
-    joint = np.vstack([inner.columns[0][:, g], outer.columns[0][:, h]])
-    return _row_basis(joint)[1][-1] < inner.rank, (g, h, sums)
-
-
-def _joint_groups(a, b, values=None):
-    """The joint column groups of two elements: ``(g, h, sums)``.
-
-    Two entities share a joint column iff they share a column in both
-    elements, so the joint groups are the distinct pairs of group indices
-    ``(g[k], h[k])``.  ``sums`` holds the per-entity ``values`` summed over
-    each joint group, or is ``None`` without ``values``.
-    """
-    columns_a, group_a = a.columns
-    columns_b, group_b = b.columns
-    width = columns_b.shape[1]
-    pairs = group_a * width
-    pairs += group_b
-    # a dense table of pair counts while it is no larger than the entity
-    # count (one pass); a sort otherwise, so memory stays O(n)
-    table = columns_a.shape[1] * width
-    sums = None
-    if table <= len(pairs):
-        present = np.flatnonzero(np.bincount(pairs, minlength=table))
-        if values is not None:
-            sums = np.bincount(pairs, weights=values, minlength=table)[present]
-    else:
-        present, pair = np.unique(pairs, return_inverse=True)
-        if values is not None:
-            sums = np.bincount(pair, weights=values, minlength=len(present))
-    return present // width, present % width, sums
+    columns, group = inner.columns
+    parent = np.zeros(columns.shape[1], dtype=np.intp)
+    parent[group] = outer.columns[1]
+    if not np.array_equal(parent[group], outer.columns[1]):
+        return False, None
+    residual = outer.columns[0][:, parent]
+    basis = inner._orthonormal_rows()
+    for _ in range(2):
+        residual = residual - (residual @ basis.T) @ basis
+    thresh = PIVOT_TOL * max(_scale(outer.columns[0]), _scale(columns))
+    return bool(np.max(np.abs(residual), initial=0.0) <= thresh), parent
 
 
 class Totemplex:

@@ -382,30 +382,31 @@ def _fit_multipliers(columns, q, v):
 def chained_project(reference, plexes, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Project through a chain of nested families, coarsest first.
 
-    Every stage's element must be implied by the next stage's (its
-    operators lie in the finer row space, and entities sharing a finer
-    column share the coarser one), which one joint-group pass per pair
-    decides before any stage is solved; the final stage is the target
-    family.  Each intermediate projection becomes the reference of the
-    next stage, which keeps every sub-solve close to its starting point;
-    the end result equals the direct projection of ``reference`` onto the
-    final family when all stages share the same empirical targets.
+    Every stage's element must be implied by the next stage's: entities
+    sharing a finer column share the coarser one, and its operators lie in
+    the finer row space.  One nesting pass per pair decides both (see
+    :func:`~totem.operators.is_nested`) before any stage is solved.  The
+    final stage is the target family.  Each intermediate projection becomes
+    the reference of the next stage, which keeps every sub-solve close to
+    its starting point; the end result equals the direct projection of
+    ``reference`` onto the final family when all stages share the same
+    empirical targets.
     """
     plexes = list(plexes)
     if not plexes:
         raise ProjectionError("chained projection needs at least one stage")
     parents = []
     for i, (coarse, fine) in enumerate(zip(plexes, plexes[1:])):
-        nested, (g, parent, _) = _nesting(coarse.element, fine.element)
+        nested, parent = _nesting(coarse.element, fine.element)
+        if parent is None:
+            raise NestingError(
+                f"stage {i} is not implied by stage {i + 1}: some entities share "
+                f"a column of stage {i + 1} but not of stage {i}")
         if not nested:
             raise NestingError(
                 f"stage {i} is not implied by stage {i + 1}: operators "
                 f"{list(coarse.element.labels)} do not lie in the row space "
                 f"of {list(fine.element.labels)}")
-        if len(g) != fine.element.columns[0].shape[1]:
-            raise NestingError(
-                f"stage {i} is not implied by stage {i + 1}: some entities share "
-                f"a column of stage {i + 1} but not of stage {i}")
         parents.append(parent)
     final = plexes[-1]
     fit = _chain(reference, plexes, parents, tol, max_iter)

@@ -178,6 +178,21 @@ def mixed_marginal_element(space, trials=None):
         for k, flip in enumerate(flips)])
 
 
+def coarsened_marginals():
+    """``x`` (4 levels) by ``y`` (5 levels), the identity and the ``x = 0..2``
+    marginals, and their element auto-reduced from them and one more row,
+    the ``x = 0`` marginal plus ``1e-12`` times ``y``'s level code.  That
+    row is dropped, and it alone splits columns by ``y``, so the element's
+    columns are coarser than those its rows were reduced on.  Returns
+    ``(space, operators, element)``."""
+    space = EntitySpace([AttributeDomain("x", list("0123")), AttributeDomain("y", list("01234"))])
+    ops = [identity_op(space)] + [marginal_op(space, "x", level) for level in "012"]
+    nudged = ops[1].eigenvalues + 1e-12 * space.level_codes("y")
+    element = make_element(ops + [CharacteristicOperator(space, nudged, "nudged")],
+                           mode="auto-reduce")
+    return space, ops, element
+
+
 def moment_plex(levels, counts, order=3, reference=None):
     """Identity and ``x`` to ``x^order`` on one numeric attribute, with the
     data ``counts`` and a reference uniform on the levels it weights (or

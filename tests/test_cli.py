@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from totem import cli, operators
+from totem import (AttributeDomain, Distribution, EntitySpace, cli, distribution_to_dict,
+                   operators)
 from totem.cli import AnalysisConfig, main, run
 from totem.operators import make_element
 
@@ -203,6 +205,24 @@ class TestRun:
         assert code == 1
         assert "tasks[0]" in report
 
+    def test_space_inferred_from_data(self, coin_config):
+        declared = run(coin_config)
+        coin_config.space = "infer"
+        inferred = run(coin_config)
+        assert declared[0] == inferred[0] == 0
+
+        def body(report):
+            return [line for line in report.split("\n") if "config fingerprint" not in line]
+
+        assert body(inferred[1]) == body(declared[1])
+
+    def test_p_value_underflow_is_reported(self, coin_config):
+        coin_config.tasks = [{"type": "test", "outer": "mean", "inner": "spectrum",
+                              "n": 10**9}]
+        code, report = run(coin_config)
+        assert code == 0
+        assert "  p value: 1e-300\n  p value underflow: true\n" in report
+
     def test_calibrate_task(self, coin_config):
         coin_config.tasks = [
             {
@@ -286,6 +306,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "0.5625" in out
+
+    @pytest.mark.parametrize("argv, weight", [
+        (["k-marginal", "--param", "L=2", "--param", "phi=0.5,0.25,0.25"], "0.125"),
+        (["logistic", "--param", "m=1", "--param", "beta0=0", "--param", "betas=0.5"],
+         "0.3112296656009273"),
+    ])
+    def test_example_float_list_param(self, argv, weight, capsys):
+        code = main(["example", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"     {weight}\n" in out
 
     def test_example_bad_param(self, capsys):
         code = main(["example", "coin", "--param", "L=2", "--param", "eta=2.0"])
@@ -372,6 +403,27 @@ class TestMain:
                              in ("mean Q", "KS distance", "rejection rate")]
         assert len(lines[generator]) == 3
         assert lines[generator] == lines["coin:L=3,eta=0.5"]
+
+    def test_zero_reference_weight_on_observed_entity_exits_2(self, coin_config, tmp_path,
+                                                               capsys):
+        space = EntitySpace([AttributeDomain(d["name"], d["levels"])
+                             for d in coin_config.space["domains"]])
+        weights = np.ones(space.n_entities)
+        weights[space.index_of(("tail", "tail"))] = 0.0
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(distribution_to_dict(Distribution(space, weights / 3))))
+        coin_config.reference = {"path": str(reference)}
+        config_path = tmp_path / "analysis.json"
+        config_path.write_text(coin_config.to_json())
+        code = main(["run", str(config_path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        message = "error: reference assigns zero weight to observed entity ('tail', 'tail')"
+        sections = out.split("\ntask ")
+        assert f"1: project\n  {message}" in sections
+        assert f"3: test\n  {message}" in sections
+        score = next(s for s in sections if s.startswith("2: score"))
+        assert score.count("\n    " + message) == 2
 
     def test_report_written_to_file(self, coin_config, tmp_path):
         config_path = tmp_path / "analysis.json"

@@ -22,6 +22,7 @@ from totem import (
     i_score,
     i_test,
     identity_op,
+    is_nested,
     k_marginal_op,
     ks_distance,
     make_element,
@@ -43,8 +44,8 @@ from totem.closed_forms import (
     two_coin_split_element,
 )
 
-from totem import inference, operators
-from totem.operators import ConstructingElement
+from totem import inference
+from totem.operators import CharacteristicOperator, ConstructingElement
 
 from helpers import (assert_projection, binomial_q, constraint_residual, mixed_marginal_element,
                      random_distribution, random_element, random_space)
@@ -427,6 +428,22 @@ class TestITest:
         with pytest.raises(NestingError, match="not implied"):
             i_test(uniform(space), group_only, mean_only, f, n=10)
 
+    def test_coarser_element_splitting_a_finer_column_is_not_nested(self):
+        # the nudged mean lies within PIVOT_TOL of the count spectrum's row
+        # space, but tells apart two entities with one head each, which the
+        # spectrum does not: it is not implied by it
+        space = coin_space(2)
+        nudged = success_op_of(space).eigenvalues.copy()
+        nudged[1] += 1e-12
+        outer = make_element([identity_op(space), CharacteristicOperator(space, nudged)])
+        inner = k_marginal_element(space)
+        assert not is_nested(outer, inner)
+        assert not fapp_equivalent(outer, coin_element(space))
+        assert not fapp_equivalent(coin_element(space), outer)
+        f = binomial_projection_closed_form(2, 0.6, space)
+        with pytest.raises(NestingError, match="not implied"):
+            i_test(uniform(space), outer, inner, f, n=100)
+
     def test_monotone_in_refinement(self):
         # adding operators to the inner element never shrinks the statistic
         length, n = 3, 800
@@ -675,7 +692,7 @@ def _nested_cases():
         (small, ref6, coin_element(small), _trials_element(small, 6), f6, 800),
         # both G = n
         (small, ref6, _trials_element(small, 6), _pair_element(small, 6), f6, 800),
-        # G_inner * G_outer > n: the joint groups are found by a sort
+        # G_outer < G_inner < n
         (small, ref6, _trials_element(small, 4), _trials_element(small, 5), f6, 800),
         # reference mass on nullentities
         (spaced, uniform(spaced, "full"), coin_element(spaced), k_marginal_element(spaced),
@@ -707,21 +724,21 @@ def _assert_projection_pinned(result, reference, plex):
 
 
 class TestPairGroupsMemo:
-    """i_test keeps its joint-group pass for the last (outer, inner,
-    reference) it tested, and for no other."""
+    """i_test keeps its pair pass for the last (outer, inner, reference) it
+    tested, and for no other."""
 
     @pytest.fixture
-    def joint_calls(self, monkeypatch):
+    def nesting_calls(self, monkeypatch):
         inference._pair_groups.cache_clear()
         calls = []
-        joint_groups = operators._joint_groups
+        nesting = inference._nesting
 
-        def counting_joint_groups(*args):
+        def counting_nesting(*args):
             calls.append(1)
             assert inference._pair_groups.cache_info().currsize <= 1
-            return joint_groups(*args)
+            return nesting(*args)
 
-        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
+        monkeypatch.setattr(inference, "_nesting", counting_nesting)
         yield calls
         inference._pair_groups.cache_clear()
 
@@ -732,48 +749,48 @@ class TestPairGroupsMemo:
         return np.float64(report.q_statistic).tobytes(), report
 
     @pytest.mark.parametrize("case", [1, 3, 5])
-    def test_repeat_makes_no_pass(self, case, joint_calls):
+    def test_repeat_makes_no_pass(self, case, nesting_calls):
         space, ref, outer, inner, f, n = _nested_cases()[case]
         first = self._outcome(i_test(ref, outer, inner, f, n))
-        assert len(joint_calls) == 1
+        assert len(nesting_calls) == 1
         for _ in range(2):
             assert self._outcome(i_test(ref, outer, inner, f, n)) == first
-        assert len(joint_calls) == 1
+        assert len(nesting_calls) == 1
 
-    def test_new_reference_makes_one_pass(self, joint_calls):
+    def test_new_reference_makes_one_pass(self, nesting_calls):
         space, ref, outer, inner, f, n = _nested_cases()[1]
         first = self._outcome(i_test(ref, outer, inner, f, n))
         twin = Distribution(space, ref.weights)  # equal weights, another object
         assert self._outcome(i_test(twin, outer, inner, f, n)) == first
-        assert len(joint_calls) == 2
+        assert len(nesting_calls) == 2
         assert self._outcome(i_test(twin, outer, inner, f, n)) == first
-        assert len(joint_calls) == 2
+        assert len(nesting_calls) == 2
         # one entry: the first reference was dropped
         assert self._outcome(i_test(ref, outer, inner, f, n)) == first
-        assert len(joint_calls) == 3
+        assert len(nesting_calls) == 3
         assert inference._pair_groups.cache_info().currsize == 1
 
-    def test_new_data_makes_no_pass(self, joint_calls):
+    def test_new_data_makes_no_pass(self, nesting_calls):
         space, ref, outer, inner, f, n = _nested_cases()[1]
         i_test(ref, outer, inner, f, n)
         counts = sample_multinomial(binomial_projection_closed_form(12, 0.6, space), 400, 3)
         i_test(ref, outer, inner, Distribution.from_counts(space, counts), 400)
-        assert len(joint_calls) == 1
+        assert len(nesting_calls) == 1
 
-    def test_calibration_makes_one_pass(self, joint_calls):
+    def test_calibration_makes_one_pass(self, nesting_calls):
         generator = binomial_projection_closed_form(3, 0.5)
         space = generator.space
         result = calibration_experiment(generator, coin_element(space), k_marginal_element(space),
                                         200, 9, seed=4)
         assert result.replications == 9
-        assert len(joint_calls) == 1
+        assert len(nesting_calls) == 1
         assert inference._pair_groups.cache_info().currsize == 1
 
-    def test_kept_arrays_are_read_only(self, joint_calls):
+    def test_kept_arrays_are_read_only(self, nesting_calls):
         space, ref, outer, inner, f, n = _nested_cases()[2]
         i_test(ref, outer, inner, f, n)
-        nested, *arrays = inference._pair_groups(outer, inner, ref)
-        assert nested and len(joint_calls) == 1
+        arrays = inference._pair_groups(outer, inner, ref)
+        assert len(arrays) == 2 and len(nesting_calls) == 1
         assert not any(array.flags.writeable for array in arrays)
 
 
@@ -862,23 +879,26 @@ class TestGroupLevelStatistics:
 
     @pytest.mark.parametrize("case", range(7))
     def test_one_pass(self, case, monkeypatch):
-        """One joint-group pass per test, and no group sum over an
-        entity-length vector."""
+        """One nesting pass per test, and one group sum over an
+        entity-length vector: the reference's mass on the inner groups."""
         space, ref, outer, inner, f, n = _nested_cases()[case]
         inference._pair_groups.cache_clear()  # an earlier test may have made the pass
-        joint_calls, lengths = [], []
-        joint_groups, group_sums = operators._joint_groups, ConstructingElement.group_sums
+        nesting_calls, entity_sums = [], []
+        nesting, group_sums = inference._nesting, ConstructingElement.group_sums
 
-        def counting_joint_groups(*args):
-            joint_calls.append(1)
-            return joint_groups(*args)
+        def counting_nesting(*args):
+            nesting_calls.append(1)
+            return nesting(*args)
 
         def recording_group_sums(self, values):
-            lengths.append(len(values))
+            if len(values) == space.n_admissible:
+                entity_sums.append((self, values))
             return group_sums(self, values)
 
-        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
+        monkeypatch.setattr(inference, "_nesting", counting_nesting)
         monkeypatch.setattr(ConstructingElement, "group_sums", recording_group_sums)
         i_test(ref, outer, inner, f, n)
-        assert len(joint_calls) == 1
-        assert space.n_admissible not in lengths
+        assert len(nesting_calls) == 1
+        assert len(entity_sums) == 1
+        element, values = entity_sums[0]
+        assert element is inner and values is ref.admissible

@@ -40,6 +40,7 @@ from totem import operators
 from totem.operators import PIVOT_TOL, _column_partition, _row_basis, _success_count
 
 from helpers import (
+    coarsened_marginals,
     exact_orthonormal_rows,
     peak_traced_bytes,
     random_element,
@@ -544,6 +545,16 @@ class TestOrthonormalBasis:
         columns = element.columns[0]
         basis = element._orthonormal_rows()
         assert basis.shape == columns.shape and not basis.flags.writeable
+        assert self._projector_error(basis, columns) < 1e-15
+
+
+    def test_basis_is_orthonormal_on_coarsened_columns(self):
+        space, ops, element = coarsened_marginals()
+        assert element.labels == tuple(op.label for op in ops)
+        columns = element.columns[0]
+        assert columns.shape == (4, 4)
+        basis = element._orthonormal_rows()
+        np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-15)
         assert self._projector_error(basis, columns) < 1e-15
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -41,12 +42,13 @@ from totem.closed_forms import (
     k_marginal_element,
     k_marginal_projection_closed_form,
 )
-from totem import operators, projection
+from totem import projection
 from totem.projection import _newton
 
 from helpers import (
     assert_projection,
     binomial_q,
+    coarsened_marginals,
     constraint_residual,
     ipf_entitywise,
     mixed_marginal_element,
@@ -328,6 +330,21 @@ class TestFace:
         assert np.sum(result.distribution.admissible[~heads]) == 0.0
         assert_projection(result, plex, ref, 1e-9)
 
+    def test_face_found_on_coarsened_columns(self):
+        # no record has x = 0, a face of the x = 0 marginal that _face
+        # finds on the element's own columns, as it does for the element
+        # of the kept rows alone
+        space, ops, element = coarsened_marginals()
+        x = space.level_codes("x")
+        counts = np.where(x == 0, 0, 1 + np.arange(space.n_entities) % 3)
+        f = Distribution.from_counts(space, counts)
+        ref = uniform(space)
+        for plex in (Totemplex(element, f), Totemplex(make_element(ops), f)):
+            result = newton_project(ref, plex)
+            assert result.boundary
+            assert np.sum(result.distribution.admissible[x == 0]) == 0.0
+            assert_projection(result, plex, ref, 1e-9)
+
     def test_alternating_combination_forces_nothing(self):
         # data on levels 0, 1 and 3 of 0..4: the one combination zero there
         # is the cubic x(x - 1)(x - 3), negative at 2 and positive at 4
@@ -585,18 +602,15 @@ class TestChained:
             chained_project(uniform(space), [Totemplex(coarse, f_coarse),
                                              Totemplex(fine, f_fine)])
 
-    def test_one_joint_group_pass_per_pair(self, monkeypatch):
-        # one pass decides nesting and refinement, and gives the groups
-        joint_groups, calls = operators._joint_groups, []
+    def test_one_nesting_pass_per_pair(self, monkeypatch):
+        # one pass decides refinement and nesting, and gives the parents
+        nesting, calls = projection._nesting, []
 
-        def counting_joint_groups(*args):
+        def counting_nesting(*args):
             calls.append(1)
-            return joint_groups(*args)
+            return nesting(*args)
 
-        monkeypatch.setattr(operators, "_joint_groups", counting_joint_groups)
-        for name, value in list(vars(projection).items()):
-            if value is joint_groups:
-                monkeypatch.setattr(projection, name, counting_joint_groups)
+        monkeypatch.setattr(projection, "_nesting", counting_nesting)
         space = coin_space(4)
         f = empirical_counts_coin(space)
         trials = [marginal_op(space, d.name, "head") for d in space.domains]
@@ -656,6 +670,20 @@ class TestIpf:
         np.testing.assert_allclose(
             result.distribution.weights, [0.42, 0.18, 0.28, 0.12], atol=1e-9
         )
+
+    def test_dropped_rows_are_not_logged(self, caplog):
+        # a complete set of marginals repeats the normalization: the
+        # element of the rows drops the last one, which is no fault of
+        # the caller's
+        space = EntitySpace([AttributeDomain("a", ["0", "1"]),
+                             AttributeDomain("b", ["0", "1", "2"])])
+        rows = np.array([marginal_op(space, d.name, level).eigenvalues
+                         for d in space.domains for level in d.levels])
+        ref = uniform(space)
+        with caplog.at_level(logging.DEBUG, logger="totem"):
+            result = ipf_project(ref, rows, rows @ ref.admissible)
+        assert caplog.records == []
+        np.testing.assert_allclose(result.distribution.weights, ref.weights, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
     def test_non_finite_targets_rejected(self, bad):
