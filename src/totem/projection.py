@@ -25,11 +25,12 @@ every solver, from ``theta . m_g = log(q_g / v_g)``.  The family depends
 only on the row space, so Newton is posed on the orthonormal rows ``Q`` that
 :func:`~totem.operators.make_element` kept, with targets ``Q F`` from the
 data's group mass ``F``, and finds a basis again only on a smaller
-support.  Every Newton solve, that of :func:`newton_project`,
-the score, the nested test and each chained stage, runs the same loop.
-The Jacobian is symmetric positive definite on the interior; a failed
-Cholesky factorization or solve, or a merit outside ``(0, inf)``, marks
-it singular, which raises :class:`~totem.errors.SingularJacobianError`.
+support.  Every Newton solve, that of :func:`newton_project`, the score,
+the nested test and each chained stage, runs the same loop, which stops
+once the merit ``F' J^{-1} F`` is at most ``tol**2`` (0 included).  The
+Jacobian is symmetric positive definite on the interior; past that test, a
+failed Cholesky factorization or solve, or a merit not in ``(0, inf)``,
+marks it singular, which raises :class:`~totem.errors.SingularJacobianError`.
 
 Interior solutions keep every weight strictly positive wherever the
 reference is positive.  On a face of the family (a zero marginal, a
@@ -105,8 +106,8 @@ class ProjectionResult:
 
 
 def _merit(m, p, t):
-    """Residual, Newton direction and the quadratic merit F' J^-1 F; the
-    direction is ``None`` where the Jacobian is numerically singular."""
+    """Newton direction and merit F' J^-1 F (the squared Newton decrement) at
+    ``p``; the direction is ``None`` unless the merit is in ``(0, inf)``."""
     f_vec = m @ p - t
     j = (m * p) @ m.T
     # Cholesky decides definiteness; numpy has no triangular solve, and one
@@ -117,9 +118,9 @@ def _merit(m, p, t):
         np.linalg.cholesky(j)
         d = np.linalg.solve(j, f_vec)
     except np.linalg.LinAlgError:
-        return f_vec, None, np.inf
+        return None, np.inf
     merit = float(f_vec @ d)
-    return f_vec, d if 0.0 < merit < math.inf else None, merit
+    return d if 0.0 < merit < math.inf else None, merit
 
 
 def _face(basis, data, support):
@@ -195,8 +196,9 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     plex : Totemplex
         Constraint family (element plus target expectations).
     tol : float
-        Convergence threshold on the largest constraint mismatch, in an
-        orthonormal row basis and in units of each row's largest entry.
+        Bound on the Newton decrement ``sqrt(F' J^-1 F)`` (mismatch ``F``
+        and Jacobian ``J`` in an orthonormal row basis), which bounds ``|F|``
+        and, to first order, each group's mass error by ``tol sqrt(mass)``.
     max_iter : int
         Newton iteration budget.
 
@@ -214,7 +216,7 @@ def newton_project(reference, plex, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
         smallest weight, since one too small to carry its row does it too.
     NonConvergenceError
         Iteration budget exhausted, no damped step lowering the convex
-        dual, or a weight underflowed to zero, which no step revives.
+        dual (both give the decrement), or a weight underflowed to zero.
     """
     fit = _project_groups(reference, plex, tol, max_iter)
     return _result(reference, plex.element, fit, plex.element.columns[0], plex.targets)
@@ -296,26 +298,27 @@ def _solve_groups(plex, mass, tol, max_iter):
     """:func:`_project_groups` from the reference ``mass`` of each column
     group, with the reference already checked against ``plex``."""
     element = plex.element
-    return _newton(element.columns[0], element._orthonormal_rows(), plex._mass, plex.targets,
-                   mass, tol, max_iter)
+    return _newton(element.columns[0], element._orthonormal_rows(), plex._mass, mass, tol,
+                   max_iter)
 
 
-def _newton(columns, basis, data, targets, mass, tol, max_iter):
+def _newton(columns, basis, data, mass, tol, max_iter):
     """Newton from the reference ``mass`` of each of the distinct ``columns``.
 
     Posed once, on the columns :func:`_face` leaves, on ``basis`` (``Q``,
     orthonormal rows spanning those of ``columns``), or on the support's
     own basis when it is short of a column, with targets ``Q F / sum(F)``
     from the data's mass ``data`` (``F``), which must lie where ``mass``
-    does.  It stops once the ``Q`` residual is at most ``tol`` and each row
-    of ``columns`` meets ``targets`` within ``tol`` times its largest entry
-    on the support.  Each step is damped Newton on the convex dual
-    ``phi(theta) = sum_g p_g exp(theta . m_g) - theta . t``, whose gradient
-    and Hessian are :func:`_merit`'s residual and Jacobian: the full step is
-    halved, up to ``_MAX_HALVINGS`` times, until it lowers ``phi`` by
-    ``_ARMIJO`` of the decrease the quadratic merit predicts (an
-    overflowing trial fails).  Each iterate is evaluated once and tested,
-    in turn, for a zero weight, against ``tol``, against the budget of
+    does.  It stops once the merit, the squared Newton decrement, is at
+    most ``tol**2``: the decrement does not depend on the basis, and bounds
+    the largest ``Q`` residual, as ``J <= I`` on orthonormal rows.  Each
+    step is damped Newton on the convex dual ``phi(theta) = sum_g p_g
+    exp(theta . m_g) - theta . t``, whose gradient and Hessian are the
+    residual and Jacobian of :func:`_merit`: the full step is halved, up to
+    ``_MAX_HALVINGS`` times, until it lowers ``phi`` by ``_ARMIJO`` of the
+    decrease the merit predicts (an overflowing trial fails).  Each iterate
+    is evaluated once and tested, in turn, for a zero weight, against the
+    merit, against the budget of
     ``max_iter`` steps and for a singular Jacobian.  A zero weight is
     underflow, not a face (:func:`_face` emptied those), and no
     multiplicative step revives it.  ``boundary`` flags a forced-empty
@@ -325,24 +328,21 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
         raise IncompatibleReferenceError("the reference has no mass on a group the data has")
     support, boundary = _face(basis, data, mass > 0.0)
     idx = np.flatnonzero(support)
-    raw = columns if support.all() else columns[:, idx]
-    m = basis if raw is columns else _row_basis(raw)[0]
+    m = basis if support.all() else _row_basis(columns[:, idx])[0]
     t = m @ data[idx] / np.sum(data[idx])
     p = mass[idx] / np.sum(mass[idx])
-    f_vec, d, merit = _merit(m, p, t)
+    d, merit = _merit(m, p, t)
     used = 0
     while True:
         if not p.all():
             raise NonConvergenceError(f"a weight underflowed to zero after {used} iterations")
-        residual = float(np.max(np.abs(f_vec)))
-        if residual <= tol and np.all(
-                np.abs(raw @ p - targets) <= tol * np.max(np.abs(raw), axis=1)):
+        if merit <= tol**2:
             q = np.zeros(len(support))
             q[idx] = p
             return _GroupFit(q, mass, used, boundary, "newton")
         if used >= max_iter:
             raise NonConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {residual!r})"
+                f"no convergence after {max_iter} iterations (decrement {math.sqrt(merit)!r})"
             )
         if d is None:
             raise SingularJacobianError(
@@ -359,10 +359,10 @@ def _newton(columns, basis, data, targets, mass, tol, max_iter):
                 step *= 0.5
             else:
                 raise NonConvergenceError(
-                    f"no damped step lowers the dual (residual {residual!r})")
+                    f"no damped step lowers the dual (decrement {math.sqrt(merit)!r})")
         trial = p * np.exp(exponent * step)
         p = trial / trial.sum()
-        f_vec, d, merit = _merit(m, p, t)
+        d, merit = _merit(m, p, t)
 
 
 def _fit_multipliers(columns, q, v):

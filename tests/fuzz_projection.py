@@ -10,17 +10,19 @@ Draws ``N`` cases (4,000 by default) of each fuzz from seed 0, with
 ``test_near_dependent_rows_fuzz`` and ``TestFace::test_moment_fuzz`` solve
 in the test suite.  The projection fuzzes solve each case with
 :func:`totem.newton_project` and check a result with the projection oracle
-at 1e-9; the nested fuzz runs :func:`totem.i_test` on the coarse and fine
-elements and checks its ``Q`` against the likelihood-ratio form of the two
+and with the weight oracle (:func:`helpers.weight_error`), each at 1e-9;
+the nested fuzz runs :func:`totem.i_test` on the coarse and fine elements
+and checks its ``Q`` against the likelihood-ratio form of the two
 projections lifted to entities (:func:`helpers.likelihood_ratio_q`) within
 its bound, 1e-10 relative plus 1e-12 absolute.  Warnings are raised as
 errors.  For each fuzz it prints the number returned, the count of each
 ``TotemError`` cause (its type and its message up to the first number, so
 that a budget, a no-descent and an underflow ``NonConvergenceError`` count
-apart), the worst oracle error with its case, the oracle misses and the
-untyped errors; a line of at most ten cases lists their case numbers.  It exits 1
-if there are misses or untyped errors.  The file is not named ``test_*``,
-so pytest does not collect it.
+apart), then for each oracle the worst error with its case and the misses,
+and the untyped errors; a line of at most ten cases lists their case
+numbers.  It exits 1 if there are misses, other than those of
+``KNOWN_MISSES``, or untyped errors.  The file is not named ``test_*``, so
+pytest does not collect it.
 """
 
 import collections
@@ -33,51 +35,56 @@ import numpy as np
 from totem import TotemError, i_test, newton_project
 
 from helpers import (likelihood_ratio_q, moment_problem, near_dependent_problem, nested_problem,
-                     projection_errors)
+                     projection_errors, weight_error)
+
+#: Misses reported but not failed, per fuzz and oracle.  Moments case 661
+#: is 6.8e-5 off the weight oracle: on the 4 levels its face leaves,
+#: ``_row_basis`` keeps rank 3 under ``PIVOT_TOL``, so the family there is
+#: not one point.  That is a rank decision, not the stop.
+KNOWN_MISSES = {("moments", "weight oracle"): {661}}
 
 
 def project(reference, plex):
-    """The projection oracle's error on :func:`newton_project`'s result, and
-    whether it is within 1e-9."""
+    """The projection and weight oracles' errors on :func:`newton_project`'s
+    result, each with whether it is within 1e-9."""
     result = newton_project(reference, plex)
     element = plex.element
-    error = max(projection_errors(element.columns[0],
-                                  element.group_sums(result.distribution.admissible),
-                                  element.group_sums(plex.empirical.admissible),
-                                  element.group_sums(reference.admissible)))
-    return error, error <= 1e-9
+    masses = [element.group_sums(d.admissible)
+              for d in (result.distribution, plex.empirical, reference)]
+    rows = element.columns[0]
+    errors = max(projection_errors(rows, *masses)), weight_error(rows, *masses)
+    return tuple((error, error <= 1e-9) for error in errors)
 
 
 def nested_test(reference, outer, plex):
     """``|Q - Q_lr|`` for :func:`i_test`'s ``Q`` and the entity-level
     likelihood-ratio form ``Q_lr``, in units of its bound
-    ``1e-10 |Q_lr| + 1e-12``, and whether it is within it."""
+    ``1e-10 |Q_lr| + 1e-12``, with whether it is within it."""
     n = plex.empirical.n_samples
     q = i_test(reference, outer, plex.element, plex.empirical, n).q_statistic
     expected = likelihood_ratio_q(reference, outer, plex)
     error = abs(q - expected) / (1e-10 * abs(expected) + 1e-12)
-    return error, error <= 1.0
+    return ((error, error <= 1.0),)
 
 
 FUZZES = {
-    "near-dependent": (near_dependent_problem, project, "projection oracle error"),
-    "moments": (moment_problem, project, "projection oracle error"),
-    "nested": (nested_problem, nested_test, "Q error against the likelihood ratio / its bound"),
+    "near-dependent": (near_dependent_problem, project, ("projection oracle", "weight oracle")),
+    "moments": (moment_problem, project, ("projection oracle", "weight oracle")),
+    "nested": (nested_problem, nested_test, ("likelihood ratio",)),
 }
 
 
 def outcome(check, case):
-    """``("returned", error)``, ``("miss", error)`` (returned, but off the
-    oracle), or the cause of the ``TotemError`` raised, or ``"untyped
-    <name>"``, with no error."""
+    """``("returned", checks)`` with each oracle's ``(error, within)``, or the
+    cause of the ``TotemError`` raised, or ``"untyped <name>"``, with
+    ``None``."""
     try:
-        error, within = check(*case)
+        return "returned", check(*case)
     except TotemError as exc:
         message = re.split(r"\d", str(exc), maxsplit=1)[0].rstrip(" (")
         return f"{type(exc).__name__}: {message}", None
     except Exception as exc:  # a warning raised as an error lands here too
         return f"untyped {type(exc).__name__}", None
-    return ("returned" if within else "miss"), error
 
 
 def outcomes(draw, check, n, seed=0):
@@ -90,25 +97,29 @@ def outcomes(draw, check, n, seed=0):
 
 def main(n):
     failed = False
-    for name, (draw, check, measure) in FUZZES.items():
+    for name, (draw, check, oracles) in FUZZES.items():
         ends = outcomes(draw, check, n)
         cases = collections.defaultdict(list)
         for i, (end, _) in enumerate(ends):
-            cases["oracle misses" if end == "miss" else
-                  "untyped errors" if end.startswith("untyped") else end].append(i)
+            cases["untyped errors" if end.startswith("untyped") else end].append(i)
         print(f"{name}: {n} cases, seed 0")
-        print(f"  {len(cases['returned']) + len(cases['oracle misses']):>5}  returned")
-        for end in sorted(set(cases) - {"returned", "oracle misses", "untyped errors"}):
+        print(f"  {len(cases['returned']):>5}  returned")
+        for end in sorted(set(cases) - {"returned", "untyped errors"}):
             listed = f" {cases[end]}" if len(cases[end]) <= 10 else ""
             print(f"  {len(cases[end]):>5}  {end}{listed}")
-        errors = [(error, i) for i, (_, error) in enumerate(ends) if error is not None]
-        if errors:
-            worst, case = max(errors)
-            print(f"  worst {measure}: {worst:.3g} (case {case})")
+        for k, oracle in enumerate(oracles):
+            checked = [(checks[k][0], i) for i, (_, checks) in enumerate(ends) if checks]
+            misses = [i for i, (_, checks) in enumerate(ends) if checks and not checks[k][1]]
+            if checked:
+                worst, case = max(checked)
+                print(f"  worst {oracle} error: {worst:.3g} (case {case})")
+            known = KNOWN_MISSES.get((name, oracle), set()) & set(misses)
+            note = f" (known: {sorted(known)})" if known else ""
+            print(f"  {len(misses):>5}  {oracle} misses {misses}{note}")
+            failed = failed or bool(set(misses) - known)
         untyped = [(i, ends[i][0]) for i in cases["untyped errors"]]
-        print(f"  {len(cases['oracle misses']):>5}  oracle misses {cases['oracle misses']}")
         print(f"  {len(untyped):>5}  untyped errors {untyped}")
-        failed = failed or bool(cases["oracle misses"] or cases["untyped errors"])
+        failed = failed or bool(untyped)
     return 1 if failed else 0
 
 

@@ -4,7 +4,8 @@ Everything is driven by an explicit numpy Generator so each test pins its
 own seed; builders re-draw on the measure-zero degenerate cases instead
 of failing.  :func:`rref` and :func:`ipf_entitywise` are plain loops the
 library's faster forms are checked against.  :func:`projection_errors`
-is the projection oracle, built on decimal arithmetic alone.
+is the projection oracle and :func:`weight_error` the weight oracle, both
+built on decimal arithmetic alone.
 :func:`peak_traced_bytes` measures a call's memory.
 :func:`near_dependent_problem`, :func:`moment_problem` and
 :func:`nested_problem` draw the cases of the three fuzzes, in tier 1 and in
@@ -13,6 +14,7 @@ are the nested-test statistic's entity-level and closed forms.
 """
 
 import decimal
+import math
 import tracemalloc
 from decimal import Decimal
 
@@ -117,6 +119,13 @@ def exact_orthonormal_rows(rows):
     ``PIVOT_TOL`` its basis spans them to about ``1e-16 / 1e-9``, far
     coarser than the ``1e-9`` the oracle is asked to resolve.
     """
+    basis = _decimal_orthonormal_rows(rows)
+    return np.array([[float(x) for x in b] for b in basis]).reshape(len(basis), -1)
+
+
+def _decimal_orthonormal_rows(rows):
+    """:func:`exact_orthonormal_rows` before the rounding: a list of rows of
+    ``Decimal`` (object arrays)."""
     basis = []
     with decimal.localcontext() as context:
         context.prec = 50
@@ -128,7 +137,7 @@ def exact_orthonormal_rows(rows):
             norm = np.dot(r, r).sqrt()
             if norm > Decimal("1e-30") * size:
                 basis.append(r / norm)
-    return np.array([[float(x) for x in b] for b in basis]).reshape(len(basis), -1)
+    return basis
 
 
 def projection_errors(rows, q, f, v):
@@ -154,6 +163,87 @@ def projection_errors(rows, q, f, v):
     u = exact_orthonormal_rows(rows[:, on])
     stationarity = float(np.max(np.abs(z - u.T @ (u @ z)))) / max(1.0, float(np.max(np.abs(z))))
     return constraints, stationarity
+
+
+def weight_error(rows, q, f, v):
+    """How far ``q`` is from the projection ``q*`` of ``v`` onto ``{p : rows
+    p = rows f}`` posed on the support of ``q``: the largest ``|q_g -
+    q*_g|``, both at unit mass.
+
+    ``rows``, ``q``, ``f`` and ``v`` are as in :func:`projection_errors`,
+    with at most 6 groups where ``q`` is positive.  ``q*`` minimizes the
+    convex dual ``phi(theta) = sum_g v_g exp(theta . u_g) - theta . U f``,
+    with ``U`` the rows of :func:`exact_orthonormal_rows` on that support
+    before they are rounded to float, and ``u_g`` its columns; the all-ones
+    row lies in every element's row space, so ``q*`` has unit mass.  Damped
+    Newton finds it in 60-digit decimal arithmetic from ``theta = 0``, with
+    ``g`` and ``H`` the dual's gradient and Hessian: each full step is
+    halved until it lowers ``phi`` by ``1e-4`` of ``g' H^-1 g``, the
+    squared Newton decrement, and the loop stops once that is at most
+    ``1e-40``, where every weight is within about ``1e-20`` of ``q*``'s.
+    Data off the support of ``q``, a step that cannot lower ``phi`` or 500
+    steps give ``inf``.  Neither the library's row-space primitive nor any
+    solver is used.
+    """
+    on = q > 0.0
+    if np.any(f[~on] > 0.0):
+        return math.inf
+    if np.count_nonzero(on) > 6:
+        raise ValueError("the weight oracle takes at most 6 groups")
+    u = np.array(_decimal_orthonormal_rows(np.asarray(rows, dtype=np.float64)[:, on]),
+                 dtype=object)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        q, f, v = (np.array([Decimal(x) for x in a[on].tolist()], dtype=object) for a in (q, f, v))
+        t, v = u @ (f / np.sum(f)), v / np.sum(v)
+
+        def dual(theta):
+            p = v * np.array([x.exp() for x in theta @ u], dtype=object)
+            return p, np.sum(p) - theta @ t
+
+        theta = np.array([Decimal(0)] * len(u), dtype=object)
+        p, phi = dual(theta)
+        for _ in range(500):
+            g = u @ p - t
+            d = _decimal_solve((u * p) @ u.T, g)
+            decrement = d @ g
+            if decrement <= Decimal("1e-40"):
+                return float(max(abs(a - b) for a, b in zip(q / np.sum(q), p / np.sum(p))))
+            step = Decimal(1)
+            while True:
+                trial, trial_phi = dual(theta - step * d)
+                if trial_phi <= phi - Decimal("1e-4") * step * decrement:
+                    break
+                step /= 2
+                if step < Decimal("1e-30"):
+                    return math.inf
+            theta, p, phi = theta - step * d, trial, trial_phi
+    return math.inf
+
+
+def _decimal_solve(a, b):
+    """``a^-1 b`` for a symmetric positive definite ``a`` of ``Decimal``, by
+    Gaussian elimination in the current decimal context."""
+    n = len(b)
+    m = [list(row) + [x] for row, x in zip(a, b)]
+    for c in range(n):
+        for i in range(c + 1, n):
+            factor = m[i][c] / m[c][c]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    x = [Decimal(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+    return np.array(x, dtype=object)
+
+
+def assert_weights(result, plex, reference, tol):
+    """``result`` passes the weight oracle on ``plex``'s column groups within
+    ``tol``."""
+    element = plex.element
+    error = weight_error(element.columns[0], element.group_sums(result.distribution.admissible),
+                         element.group_sums(plex.empirical.admissible),
+                         element.group_sums(reference.admissible))
+    assert error <= tol, f"weight error {error!r}"
 
 
 def assert_projection(result, plex, reference, tol):

@@ -4,7 +4,9 @@ returns a correct answer or raises a :class:`~totem.errors.TotemError`.
 Each example draws a seed for one of the ``tests/helpers.py`` generators;
 warnings are errors (``pyproject.toml``), so a numpy warning breaks the
 contract too.  A returned projection is nonnegative, positive on every
-entity the data observes, and passes the projection oracle at 1e-9.  On
+entity the data observes, and passes the projection oracle at 1e-9; one
+from Newton on at most 6 column groups passes the weight oracle at 1e-9
+too.  On
 the nested pairs, a returned test statistic equals the likelihood-ratio
 form of the two projections lifted to entities within 1e-10 relative
 (1e-12 absolute).
@@ -31,6 +33,7 @@ from totem import (
 
 from helpers import (
     assert_projection,
+    assert_weights,
     likelihood_ratio_q,
     moment_problem,
     near_dependent_problem,
@@ -72,7 +75,10 @@ def _check_statistics(reference, outer, plex, n):
 
 def _check_solvers(reference, plex, coarse=None):
     """Newton and the chain, alone and from ``coarse``'s family first."""
-    _check_projection(_typed(newton_project, reference, plex), plex, reference)
+    result = _typed(newton_project, reference, plex)
+    _check_projection(result, plex, reference)
+    if result is not None and plex.element.columns[0].shape[1] <= 6:
+        assert_weights(result, plex, reference, 1e-9)
     _check_projection(_typed(chained_project, reference, [plex]), plex, reference)
     if coarse is not None:
         stages = [Totemplex(coarse, plex.empirical), plex]
